@@ -1,30 +1,9 @@
-"""Build script: compiles the optional C extension with the hot kernels.
+"""Build script: compiles the optional C extension with the enumeration kernel.
 
-The package is fully functional without the extension (a pure-Python
-fallback is selected at import time).  Set MEXMOMENTS_SKIP_EXT=1 to force
-a pure-Python install.
+The package is fully functional without it: when the extension cannot be
+built, the install goes on and the pure-Python kernel is used instead.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("MEXMOMENTS_SKIP_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "mexmoments._speed",
-                    ["src/mexmoments/_speed.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("mexmoments._speed", ["src/mexmoments/_speed.c"], optional=True)])

@@ -1,8 +1,9 @@
 """Pure-Python kernels.
 
 These are the reference implementations of the hot loops.  The compiled
-module ``mexmoments._speed`` provides bit-identical, faster versions; the
-active one is chosen in :mod:`mexmoments.backend`.  Keep the two in sync.
+module ``mexmoments._speed`` provides a bit-identical, faster
+``mex_value_counts``; the active one is chosen in :mod:`mexmoments.backend`.
+Keep the two in sync.
 
 All series kernels operate on plain ``list`` objects holding exact Python
 integers, so results never lose precision regardless of magnitude.
@@ -30,23 +31,25 @@ def _check_histogram_args(n: int, s: int, M: int) -> None:
 def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
     """Histogram the frequency-s mex statistics over all partitions of n.
 
-    Returns M rows.  Row A-1 (for each residue A in 1..M) maps a value v to
-    the number of partitions of n whose smallest positive integer congruent
-    to A mod M with part-frequency < s equals v.  Row indices run 0..n+M,
-    which bounds every possible value.  With M=1 the single row is the
-    histogram of the plain frequency-s mex.
+    Returns M rows.  Row A-1 (for each residue A in 1..M) maps m to the
+    number of partitions of n whose smallest positive integer congruent to
+    A mod M with part-frequency < s equals A + m*M.  Rows have n//M + 2
+    entries, which bounds every m.  Residues A > n never occur as parts,
+    so their rows hold all p(n) partitions at m = 0.  With M=1 the single
+    row is the histogram of the plain frequency-s mex, shifted by one.
     """
     _check_histogram_args(n, s, M)
-    width = n + M + 1
-    counts = [[0] * width for _ in range(M)]
+    counts = [[0] * (n // M + 2) for _ in range(M)]
+    live = counts[: min(M, n)]
     freq = [0] * (n + 2)
 
     def visit() -> None:
-        for a0 in range(M):
-            k = a0 + 1
+        for k, row in enumerate(live, 1):
+            m = 0
             while k <= n and freq[k] >= s:
                 k += M
-            counts[a0][k] += 1
+                m += 1
+            row[m] += 1
 
     def walk(remaining: int, max_part: int) -> None:
         if remaining == 0:
@@ -60,6 +63,9 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
             part -= 1
 
     walk(n, n)
+    total = sum(live[0]) if live else 1
+    for row in counts[len(live) :]:
+        row[0] = total
     return counts
 
 

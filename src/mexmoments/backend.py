@@ -1,45 +1,14 @@
-"""Kernel backend selection.
+"""Kernel backend: the compiled enumeration kernel when the extension
+mexmoments._speed imports, else its pure-Python twin in mexmoments._pure.
+Every other kernel is pure Python."""
 
-The compiled extension (mexmoments._speed) is preferred when it imported
-cleanly; otherwise the pure-Python twin (mexmoments._pure) is used.  The
-environment variable MEXMOMENTS_BACKEND overrides the choice:
+from mexmoments._pure import sparse_dense_product  # noqa: F401
 
-    auto  (default)  compiled if available, else pure
-    fast             require the compiled extension, fail otherwise
-    pure             force the pure-Python kernels
-
-Both backends expose the same five functions with identical semantics.
-"""
-
-from __future__ import annotations
-
-import os
-
-_requested = os.environ.get("MEXMOMENTS_BACKEND", "auto").lower()
-
-if _requested == "pure":
-    from mexmoments import _pure as _impl
-
-    BACKEND = "pure"
-elif _requested == "fast":
-    from mexmoments import _speed as _impl  # type: ignore[no-redef]
+try:
+    from mexmoments._speed import ENUMERATION_LIMIT, mex_value_counts
 
     BACKEND = "fast"
-elif _requested == "auto":
-    try:
-        from mexmoments import _speed as _impl  # type: ignore[no-redef]
+except ImportError:
+    from mexmoments._pure import ENUMERATION_LIMIT, mex_value_counts
 
-        BACKEND = "fast"
-    except ImportError:
-        from mexmoments import _pure as _impl
-
-        BACKEND = "pure"
-else:
-    raise ImportError(f"MEXMOMENTS_BACKEND must be auto, fast or pure, not {_requested!r}")
-
-ENUMERATION_LIMIT = _impl.ENUMERATION_LIMIT
-mex_value_counts = _impl.mex_value_counts
-cauchy_product = _impl.cauchy_product
-invert_unit_series = _impl.invert_unit_series
-euler_product_coeffs = _impl.euler_product_coeffs
-sparse_dense_product = _impl.sparse_dense_product
+    BACKEND = "pure"

@@ -401,7 +401,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return EXIT_RESOURCE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

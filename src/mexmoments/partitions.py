@@ -41,8 +41,6 @@ def oracle_cap() -> int:
         cap = int(raw)
     except ValueError as exc:
         raise ValidationError(f"MEXMOMENTS_ORACLE_CAP must be an integer, not {raw!r}") from exc
-    if cap < 0:
-        raise ValidationError("MEXMOMENTS_ORACLE_CAP must be >= 0")
     return cap
 
 
@@ -176,13 +174,15 @@ def mex_s_mod(pi: Partition, s: int, M: int, A: int) -> int:
 # contract for free (atomic dict ops; at worst a duplicated computation).
 @lru_cache(maxsize=4096)
 def mex_value_histogram(n: int, s: int, M: int) -> tuple[tuple[int, ...], ...]:
-    """Row A-1 counts, per value v, the partitions of n with
-    mex_s_mod(pi, s, M, A) = v.  Values are bounded by n + M."""
+    """Row A-1 counts, per m, the partitions of n with
+    mex_s_mod(pi, s, M, A) = A + m*M.  Rows have n//M + 2 entries."""
     return tuple(tuple(row) for row in backend.mex_value_counts(n, s, M))
 
 
 def _check_cap(n: int, cap: int | None) -> None:
     active = oracle_cap() if cap is None else cap
+    if active < 0:
+        raise ValidationError(f"oracle cap must be >= 0, got {active}")
     if n > active:
         raise ResourceCapError(
             f"oracle request n={n} exceeds cap {active}; raise the cap explicitly "
@@ -201,7 +201,7 @@ def sigma_oracle(p: MexParams, n: int, cap: int | None = None) -> int:
     _check_cap(n, cap)
     hist = mex_value_histogram(n, p.s, 1)[0]
     residue = p.A % p.M
-    return sum(c * v**p.r for v, c in enumerate(hist) if c and v % p.M == residue)
+    return sum(c * v**p.r for v, c in enumerate(hist, 1) if c and v % p.M == residue)
 
 
 def varsigma_oracle(p: MexParams, n: int, cap: int | None = None) -> int:
@@ -214,4 +214,4 @@ def varsigma_oracle(p: MexParams, n: int, cap: int | None = None) -> int:
         raise ValidationError(f"n must be >= 0, got {n}")
     _check_cap(n, cap)
     hist = mex_value_histogram(n, p.s, p.M)[p.A - 1]
-    return sum(c * v**p.r for v, c in enumerate(hist) if c)
+    return sum(c * (p.A + m * p.M) ** p.r for m, c in enumerate(hist) if c)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO
 
-from mexmoments import backend
+from mexmoments import _pure, backend
 from mexmoments.errors import ValidationError
 from mexmoments.partitions import MexParams
 
@@ -66,7 +66,7 @@ class TruncatedSeries:
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Exact Cauchy product, truncated to the smaller input order."""
-    return TruncatedSeries(backend.cauchy_product(list(a.coeffs), list(b.coeffs)))
+    return TruncatedSeries(_pure.cauchy_product(list(a.coeffs), list(b.coeffs)))
 
 
 def series_invert(a: TruncatedSeries) -> TruncatedSeries:
@@ -79,7 +79,7 @@ def series_invert(a: TruncatedSeries) -> TruncatedSeries:
         raise ValidationError(
             f"series_invert needs constant term +1 or -1, got {a.coeffs[0]}"
         )
-    return TruncatedSeries(backend.invert_unit_series(list(a.coeffs)))
+    return TruncatedSeries(_pure.invert_unit_series(list(a.coeffs)))
 
 
 def euler_product(order: int) -> TruncatedSeries:
@@ -87,7 +87,7 @@ def euler_product(order: int) -> TruncatedSeries:
     touch coefficients <= N, so the finite product is exact."""
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
-    return TruncatedSeries(backend.euler_product_coeffs(order))
+    return TruncatedSeries(_pure.euler_product_coeffs(order))
 
 
 # Growing table of partition numbers.  Entries never change once appended,

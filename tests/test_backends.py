@@ -1,53 +1,46 @@
 """Differential tests between the pure-Python kernels and the compiled
-extension, plus backend-selection behaviour."""
+enumeration kernel, which the ``speed`` fixture builds from source."""
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
 from mexmoments import _pure
 
-try:
-    from mexmoments import _speed
-except ImportError:
-    _speed = None
 
-BACKENDS = [("pure", _pure)] + ([("fast", _speed)] if _speed is not None else [])
+@pytest.fixture(params=["pure", "fast"])
+def impl(request):
+    return _pure if request.param == "pure" else request.getfixturevalue("speed")
 
 
-def all_backends():
-    return pytest.mark.parametrize("impl", [b for _, b in BACKENDS], ids=[n for n, _ in BACKENDS])
+# The series kernels have no compiled twin.
+pure_only = pytest.mark.parametrize("impl", [_pure], ids=["pure"])
 
 
-@all_backends()
 def test_mex_value_counts_small_cases(impl):
-    # n=0: single empty partition, statistic equals the residue itself.
-    assert impl.mex_value_counts(0, 1, 3) == [
-        [0, 1, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-    ]
-    # n=4, s=1, M=1: mex values of the 5 partitions are 1,2,1,3,2.
+    # n=0: the empty partition; every residue A > n is its own mex (m = 0).
+    assert impl.mex_value_counts(0, 1, 3) == [[1, 0], [1, 0], [1, 0]]
+    # n=4, s=1, M=1: mex values of the 5 partitions are 1,2,1,3,2 (m = v-1).
     row = impl.mex_value_counts(4, 1, 1)[0]
-    assert row == [0, 2, 2, 1, 0, 0]
+    assert row == [2, 2, 1, 0, 0, 0]
+    # n=2, s=1, M=3 over (2) and (1,1): A=1 gives 1 and 4, A=2 gives 5 and 2,
+    # and A=3 exceeds n, so both partitions land at m=0.
+    assert impl.mex_value_counts(2, 1, 3) == [[1, 1], [1, 1], [2, 0]]
 
 
-@all_backends()
 def test_mex_value_counts_total_is_partition_count(impl):
     from mexmoments.qseries import partition_numbers
 
     for n in (0, 5, 12):
         for s in (1, 2):
-            for M in (1, 3):
+            for M in (1, 3, 20):
                 rows = impl.mex_value_counts(n, s, M)
+                assert len(rows) == M
                 for row in rows:
+                    assert len(row) == n // M + 2
                     assert sum(row) == partition_numbers(n)[n]
 
 
-@all_backends()
 def test_mex_value_counts_validation(impl):
     with pytest.raises(ValueError):
         impl.mex_value_counts(-1, 1, 1)
@@ -59,33 +52,14 @@ def test_mex_value_counts_validation(impl):
         impl.mex_value_counts(impl.ENUMERATION_LIMIT + 1, 1, 1)
 
 
-@pytest.mark.skipif(_speed is None, reason="compiled extension not built")
-def test_backends_agree_on_histograms():
+def test_backends_agree_on_histograms(speed):
     for n in range(0, 17):
         for s in (1, 2, 4):
-            for M in (1, 2, 3, 5):
-                assert _pure.mex_value_counts(n, s, M) == _speed.mex_value_counts(n, s, M)
+            for M in (1, 2, 3, 5, 30):
+                assert _pure.mex_value_counts(n, s, M) == speed.mex_value_counts(n, s, M)
 
 
-@pytest.mark.skipif(_speed is None, reason="compiled extension not built")
-def test_backends_agree_on_series_kernels():
-    rng = random.Random(7)
-    for trial in range(6):
-        n = rng.randint(1, 80)
-        a = [rng.choice([1, -1])] + [rng.randint(-(10**20), 10**20) for _ in range(n)]
-        b = [rng.randint(-5, 5) * 10 ** rng.randint(0, 30) for _ in range(n + 1)]
-        assert _pure.cauchy_product(a, b) == _speed.cauchy_product(a, b)
-        assert _pure.invert_unit_series(a) == _speed.invert_unit_series(a)
-    for order in (0, 1, 13, 64):
-        assert _pure.euler_product_coeffs(order) == _speed.euler_product_coeffs(order)
-    sparse = [(0, 3), (2, -(10**25)), (7, 1), (40, 5)]
-    dense = [rng.randint(-(10**30), 10**30) for _ in range(50)]
-    assert _pure.sparse_dense_product(sparse, dense, 50) == _speed.sparse_dense_product(
-        sparse, dense, 50
-    )
-
-
-@all_backends()
+@pure_only
 def test_invert_unit_series_roundtrip(impl):
     rng = random.Random(99)
     for c0 in (1, -1):
@@ -94,40 +68,9 @@ def test_invert_unit_series_roundtrip(impl):
         assert impl.cauchy_product(a, inv) == [1] + [0] * 30
 
 
-@all_backends()
+@pure_only
 def test_sparse_dense_degenerate_terms(impl):
     dense = [1, 2, 3]
     # zero weights and out-of-range exponents are ignored
     assert impl.sparse_dense_product([(0, 0), (5, 9)], dense, 3) == [0, 0, 0]
     assert impl.sparse_dense_product([(1, -1)], dense, 3) == [0, -1, -2]
-
-
-def _backend_of_subprocess(env_value):
-    env = dict(os.environ)
-    env["MEXMOMENTS_BACKEND"] = env_value
-    out = subprocess.run(
-        [sys.executable, "-c", "import mexmoments; print(mexmoments.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    return out
-
-
-def test_backend_env_forces_pure():
-    out = _backend_of_subprocess("pure")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "pure"
-
-
-@pytest.mark.skipif(_speed is None, reason="compiled extension not built")
-def test_backend_env_forces_fast():
-    out = _backend_of_subprocess("fast")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "fast"
-
-
-def test_backend_env_rejects_unknown():
-    out = _backend_of_subprocess("turbo")
-    assert out.returncode != 0
-    assert "MEXMOMENTS_BACKEND" in out.stderr

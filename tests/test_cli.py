@@ -86,6 +86,26 @@ def test_stats_oracle_cap_flag_override(capsys):
     assert code == 3
 
 
+def test_stats_negative_oracle_cap_flag_rejected(capsys):
+    code, _, err = run_cli(
+        capsys, "stats", "--kind", "sigma", "--n", "3", "--method", "oracle",
+        "--oracle-cap", "-1",
+    )
+    assert code == 1
+    assert "oracle cap must be >= 0" in err
+
+
+def test_stats_negative_oracle_cap_config_rejected(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("oracle_cap = -1\n", encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "stats", "--kind", "varsigma", "--n", "3", "--method", "oracle",
+        "--config", str(cfg),
+    )
+    assert code == 1
+    assert "oracle cap must be >= 0" in err
+
+
 def test_stats_truncation_below_n_rejected(capsys):
     code, _, err = run_cli(
         capsys, "stats", "--kind", "sigma", "--n", "10", "--truncation", "5",
@@ -275,6 +295,12 @@ def test_missing_config_file(capsys):
         capsys, "stats", "--kind", "sigma", "--n", "1", "--config", "/nonexistent/x.cfg",
     )
     assert code == 1
+
+
+def test_out_directory_is_an_error_not_a_traceback(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "stats", "--kind", "sigma", "--n", "3", "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ")
 
 
 def test_help_exits_zero(capsys):

@@ -222,7 +222,7 @@ def test_histogram_value_bound():
         rows = mex_value_histogram(n, s, M)
         assert len(rows) == M
         for row in rows:
-            assert len(row) == n + M + 1
+            assert len(row) == n // M + 2
             assert sum(row) == partition_numbers(n)[n]
 
 
@@ -244,6 +244,15 @@ def test_oracle_cap_env_override(monkeypatch):
     monkeypatch.setenv("MEXMOMENTS_ORACLE_CAP", "not-a-number")
     with pytest.raises(ValidationError):
         sigma_oracle(params, 1)
+
+
+def test_oracle_negative_cap_rejected(monkeypatch):
+    params = MexParams(1, 2, 1, 0)
+    with pytest.raises(ValidationError, match="oracle cap must be >= 0"):
+        sigma_oracle(params, 0, cap=-1)
+    monkeypatch.setenv("MEXMOMENTS_ORACLE_CAP", "-1")
+    with pytest.raises(ValidationError, match="oracle cap must be >= 0"):
+        varsigma_oracle(params, 0)
 
 
 def test_oracle_negative_n_rejected():
