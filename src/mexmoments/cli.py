@@ -207,13 +207,13 @@ def _params_comment(fields: dict) -> str:
 def cmd_stats(args, cfg: dict) -> int:
     params = MexParams(args.s, args.mod, args.res, args.r)
     if args.n is not None:
-        ns = [args.n]
+        ns = range(args.n, args.n + 1)
     else:
         lo, hi = _parse_range(args.n_range)
-        ns = list(range(lo, hi + 1))
-    if min(ns) < 0:
+        ns = range(lo, hi + 1)
+    if ns[0] < 0:
         raise ValidationError("n must be >= 0")
-    n_max = max(ns)
+    n_max = ns[-1]
     trunc = _resolve_int(args.truncation, cfg, "truncation", "MEXMOMENTS_TRUNCATION", None)
     if trunc is None:
         trunc = n_max

@@ -142,6 +142,7 @@ def scan_bias(
     """
     if kind not in qseries.VALID_KINDS:
         raise ValidationError(f"kind must be one of {qseries.VALID_KINDS}, got {kind!r}")
+    MexParams(s, M, 1, r)  # rejects s, M and r outside their domains
     _check_range(n_lo, n_hi)
     N = n_hi if order is None else order
     if N < n_hi:

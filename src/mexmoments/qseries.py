@@ -11,19 +11,28 @@ The two moment families are produced by multiplying 1/(q;q)_inf, i.e.
 the partition-number series, with a sparse theta-like polynomial whose
 support grows quadratically, so only O(sqrt(N)) terms contribute below
 any truncation order N.
+
+Coefficients at n <= N do not depend on the truncation order N, so two
+process-wide caches only ever grow: the p(n) table, and a store holding
+one moment sequence per (kind, params) at the largest order requested so
+far, which serves every smaller order as a prefix.  The store is bounded
+by ``STORE_BYTE_LIMIT`` coefficient bytes; every series entry point
+refuses orders above ``SERIES_ORDER_LIMIT`` with ``ResourceCapError``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import sys
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import itemgetter
 from typing import IO
 
 from mexmoments import _pure, backend
-from mexmoments.errors import ValidationError
+from mexmoments.errors import ResourceCapError, ValidationError
 from mexmoments.partitions import MexParams
 
 VALID_KINDS = ("sigma", "varsigma")
@@ -31,6 +40,25 @@ VALID_KINDS = ("sigma", "varsigma")
 #: Default truncation order for convergence studies; configurable
 #: everywhere it is consumed (CLI flag / env var MEXMOMENTS_TRUNCATION).
 DEFAULT_TRUNCATION = 4096
+
+#: Largest truncation order the series route accepts.  The p(n) table
+#: alone takes about 30 s to reach it on a 2-core machine, which still
+#: admits scans to n = 10^5; larger orders raise ResourceCapError before
+#: any work.
+SERIES_ORDER_LIMIT = 2**18
+
+#: Coefficient bytes the sequence store keeps alive before it evicts
+#: whole entries, least recently used first.
+STORE_BYTE_LIMIT = 256 * 2**20
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValidationError(f"order must be >= 0, got {order}")
+    if order > SERIES_ORDER_LIMIT:
+        raise ResourceCapError(
+            f"series order {order} is above the limit {SERIES_ORDER_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -96,31 +124,46 @@ _pn_table: list[int] = [1]
 _pn_lock = threading.Lock()
 
 
+def _gather(offsets: list[int]):
+    """Callable mapping the table p to the tuple of p[-g] for g in offsets."""
+    if len(offsets) > 1:
+        return itemgetter(*(-g for g in offsets))
+    # itemgetter returns a bare item for one index and rejects none.
+    indices = [-g for g in offsets]
+    return lambda p: tuple(p[i] for i in indices)
+
+
 def _extend_partition_numbers(order: int) -> None:
     # Pentagonal-number recurrence:
     #   p(n) = sum_{k>=1} (-1)^(k-1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].
     # Deliberately independent of series_invert so the two can cross-check.
+    # When p(n) is appended, p(n - g) is p[-g]: between two consecutive
+    # generalized pentagonal numbers every term sits at a fixed negative
+    # index, so one itemgetter per sign gathers a whole stretch.
     p = _pn_table
-    for n in range(len(p), order + 1):
-        total = 0
-        k = 1
+    append = p.append
+    plus: list[int] = []
+    minus: list[int] = []
+    j = 0  # index of the next generalized pentagonal number 1, 2, 5, 7, 12, ...
+    n = len(p)
+    while n <= order:
         while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n:
+            k = j // 2 + 1
+            g = k * (3 * k + (1 if j % 2 else -1)) // 2
+            if g > n:
                 break
-            sign = 1 if k % 2 == 1 else -1
-            total += sign * p[n - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p.append(total)
+            (plus if k % 2 else minus).append(g)
+            j += 1
+        gather_plus, gather_minus = _gather(plus), _gather(minus)
+        stop = min(order + 1, g)
+        for _ in range(stop - n):
+            append(sum(gather_plus(p)) - sum(gather_minus(p)))
+        n = stop
 
 
 def partition_numbers(order: int) -> list[int]:
     """p(0..N) via the pentagonal recurrence."""
-    if order < 0:
-        raise ValidationError(f"order must be >= 0, got {order}")
+    _check_order(order)
     if len(_pn_table) <= order:
         with _pn_lock:
             _extend_partition_numbers(order)
@@ -241,8 +284,7 @@ def sigma_gf_coeffs(p: MexParams, order: int) -> MomentSequence:
     Multiplies the partition-number series by the sparse theta factor of
     the sigma family; must agree with sigma_oracle wherever both exist.
     """
-    if order < 0:
-        raise ValidationError(f"order must be >= 0, got {order}")
+    _check_order(order)
     dense = partition_numbers(order)
     values = backend.sparse_dense_product(_sigma_support(p, order), dense, order + 1)
     return MomentSequence("sigma", p, values)
@@ -257,8 +299,7 @@ def varsigma_gf_coeffs(
     or "direct".  The two are algebraically identical; keeping both gives
     a free internal consistency check.
     """
-    if order < 0:
-        raise ValidationError(f"order must be >= 0, got {order}")
+    _check_order(order)
     if form == "telescoped":
         support = _varsigma_support_telescoped(p, order)
     elif form == "direct":
@@ -270,15 +311,84 @@ def varsigma_gf_coeffs(
     return MomentSequence("varsigma", p, values)
 
 
-@lru_cache(maxsize=512)
+class _SequenceStore:
+    """One moment sequence per (kind, params), at the largest order
+    computed so far, plus the prefix views served from it.
+
+    A view per order is kept so that the same request returns the same
+    object.  Entries are evicted whole, least recently used first, once
+    the store holds more than ``STORE_BYTE_LIMIT`` bytes; the entry just
+    used is never evicted.  ``lock`` guards every mutation.
+    """
+
+    def __init__(self):
+        self.entries: OrderedDict[tuple, dict[int, MomentSequence]] = OrderedDict()
+        self.nbytes: dict[tuple, int] = {}
+        self.lock = threading.Lock()
+
+    def get(self, key: tuple, order: int) -> MomentSequence | None:
+        """The stored view of ``key`` at ``order``, or None if the entry
+        is missing or shorter."""
+        with self.lock:
+            return self._serve(key, order)
+
+    def put(self, key: tuple, seq: MomentSequence) -> MomentSequence:
+        """Store ``seq`` unless a longer entry landed meanwhile, and serve
+        ``seq.order`` from the entry."""
+        with self.lock:
+            views = self.entries.pop(key, {})
+            if not views or max(views) < seq.order:
+                # The old views are prefixes of the new sequence, so they stay.
+                views[seq.order] = seq
+                self.nbytes[key] = sum(map(sys.getsizeof, seq.values)) + sum(
+                    sys.getsizeof(v.values) for v in views.values()
+                )
+            self.entries[key] = views
+            self._evict()
+            return self._serve(key, seq.order)
+
+    def _serve(self, key: tuple, order: int) -> MomentSequence | None:
+        views = self.entries.get(key)
+        if views is None or max(views) < order:
+            return None
+        self.entries.move_to_end(key)
+        view = views.get(order)
+        if view is None:
+            full = views[max(views)]
+            view = MomentSequence(full.kind, full.params, full.values[: order + 1])
+            views[order] = view
+            self.nbytes[key] += sys.getsizeof(view.values)
+            self._evict()
+        return view
+
+    def _evict(self) -> None:
+        while len(self.entries) > 1 and sum(self.nbytes.values()) > STORE_BYTE_LIMIT:
+            key, _ = self.entries.popitem(last=False)
+            del self.nbytes[key]
+
+
+_store = _SequenceStore()
+
+
 def moment_sequence(kind: str, p: MexParams, order: int = DEFAULT_TRUNCATION) -> MomentSequence:
-    """Cached accessor used by the asymptotics checks, the scanners and
-    the CLI, so repeated requests for the same sequence compute once."""
-    if kind == "sigma":
-        return sigma_gf_coeffs(p, order)
-    if kind == "varsigma":
-        return varsigma_gf_coeffs(p, order)
-    raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
+    """Stored accessor used by the asymptotics checks, the scanners and
+    the CLI.
+
+    Each (kind, params) is computed once at the largest order requested
+    so far; a smaller order is served as a prefix of it (coefficients at
+    n <= N do not depend on the truncation order), a larger one is
+    computed afresh and replaces it.  Repeating a request returns the
+    same object.
+    """
+    if kind not in VALID_KINDS:
+        raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
+    _check_order(order)
+    key = (kind, p)
+    seq = _store.get(key, order)
+    if seq is None:
+        gf_coeffs = sigma_gf_coeffs if kind == "sigma" else varsigma_gf_coeffs
+        seq = _store.put(key, gf_coeffs(p, order))
+    return seq
 
 
 def write_sequence_csv(seq: MomentSequence, fh: IO[str]) -> None:

@@ -263,3 +263,28 @@ def test_criterion_10_scanner_golden_reports():
                     "match their golden reports")
     assert lc_ok, "log-concavity report diverged from golden"
     assert bias_ok, "bias report diverged from golden"
+
+
+RICHARDSON_SETS = [
+    ("sigma", (1, 2, 1, 1)),
+    ("sigma", (1, 2, 1, 2)),
+    ("varsigma", (2, 3, 2, 1)),
+    ("varsigma", (1, 1, 1, 0)),
+]
+
+
+def test_criterion_11_richardson_growth_law_limit():
+    # R(n) = exact/asymptotic has relative error O(n^(-1/2)); quadrupling
+    # n halves it, so 2 R(4n) - R(n) cancels the leading term.
+    failures = []
+    for kind, (s, M, A, r) in RICHARDSON_SETS:
+        params = MexParams(s, M, A, r)
+        r_small = asy.exact_over_asymptotic(kind, params, 8192, order=32768)
+        r_large = asy.exact_over_asymptotic(kind, params, 32768, order=32768)
+        limit = 2.0 * r_large - r_small
+        if not (abs(limit - 1.0) < 2e-4 and abs(limit - 1.0) < abs(r_large - 1.0)):
+            failures.append((kind, s, M, A, r, limit, r_large))
+    ok = not failures
+    _report(11, ok, "Richardson limit 2 R(32768) - R(8192) of exact/asymptotic "
+                    "is within 2e-4 of 1 and closer to 1 than R(32768)")
+    assert ok, f"failures: {failures}"

@@ -256,6 +256,12 @@ def test_gf_boundary_validation():
         gf_boundary_log("sigma", MexParams(1, 2, 1, 0), 2.0)
 
 
+def test_gf_boundary_small_t_hits_the_series_order_limit():
+    # t = 1e-3 needs order ~9.9e6, far above the series-order limit.
+    with pytest.raises(ResourceCapError):
+        gf_boundary_log("sigma", MexParams(1, 2, 1, 1), 1e-3)
+
+
 # ---------------------------------------------------------------------------
 # eta-style product inversion
 

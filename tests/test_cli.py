@@ -124,6 +124,31 @@ def test_truncation_env_default(capsys, monkeypatch):
     assert json.loads(out.splitlines()[0][len("# params: "):])["truncation"] == 16
 
 
+def test_stats_series_order_limit_flag(capsys):
+    for flags in (("--n", "10000000"), ("--n", "5", "--truncation", "10000000"),
+                  ("--range", "0:10000000")):
+        code, out, err = run_cli(capsys, "stats", "--kind", "sigma", *flags)
+        assert code == 3
+        assert out == ""
+        assert "above the limit" in err
+
+
+def test_stats_series_order_limit_env(capsys, monkeypatch):
+    monkeypatch.setenv("MEXMOMENTS_TRUNCATION", "10000000")
+    code, _, err = run_cli(capsys, "stats", "--kind", "varsigma", "--n", "5")
+    assert code == 3
+    assert "above the limit" in err
+
+
+def test_conjecture_bias_modulus_zero_is_a_validation_error(capsys):
+    code, out, err = run_cli(
+        capsys, "conjecture", "bias", "--kind", "sigma", "--mod", "0", "--range", "1:5",
+    )
+    assert code == 1
+    assert out == ""
+    assert "M must be a positive integer" in err
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sample config\ntruncation = 5\n", encoding="utf-8")

@@ -121,3 +121,9 @@ def test_bias_validation():
         scan_bias("sigma", 1, 2, 0, 0, 10)
     with pytest.raises(ValidationError):
         scan_bias("sigma", 1, 2, 0, 1, 50, order=10)
+
+
+def test_bias_validates_parameters_up_front():
+    for s, M, r in [(1, 0, 0), (0, 2, 0), (1, 2, -1)]:
+        with pytest.raises(ValidationError):
+            scan_bias("sigma", s, M, r, 1, 5)

@@ -3,12 +3,15 @@ and the two moment generating functions."""
 
 import io
 import json
+import sys
+import threading
 
 import pytest
 
 from mexmoments import (
     MexParams,
     MomentSequence,
+    ResourceCapError,
     TruncatedSeries,
     ValidationError,
     euler_product,
@@ -129,6 +132,27 @@ def test_partition_numbers_rejects_negative():
         partition_numbers(-1)
 
 
+def test_partition_numbers_p1000():
+    assert partition_numbers(1000)[1000] == 24061467864032622473692149727991
+
+
+def test_partition_numbers_same_however_grown(monkeypatch):
+    monkeypatch.setattr(qseries, "_pn_table", [1])
+    one_shot = partition_numbers(2000)
+    monkeypatch.setattr(qseries, "_pn_table", [1])
+    for order in (0, 7, 12, 1000, 2000):
+        assert partition_numbers(order) == one_shot[: order + 1]
+    assert qseries._pn_table == one_shot
+    assert one_shot == list(series_invert(euler_product(2000)).coeffs)
+
+
+def test_partition_numbers_refuse_orders_above_the_limit():
+    before = len(qseries._pn_table)
+    with pytest.raises(ResourceCapError):
+        partition_numbers(qseries.SERIES_ORDER_LIMIT + 1)
+    assert len(qseries._pn_table) == before
+
+
 def test_truncated_series_validation():
     with pytest.raises(ValidationError):
         TruncatedSeries([])
@@ -234,6 +258,111 @@ def test_moment_sequence_cache_returns_same_object():
     assert qseries.moment_sequence("sigma", p, 50) is qseries.moment_sequence("sigma", p, 50)
     with pytest.raises(ValidationError):
         qseries.moment_sequence("bogus", p, 10)
+
+
+FRESH_GF = {"sigma": sigma_gf_coeffs, "varsigma": varsigma_gf_coeffs}
+STORE_CASES = [
+    ("sigma", MexParams(1, 2, 1, 1)),
+    ("varsigma", MexParams(2, 3, 2, 1)),
+    ("varsigma", MexParams(1, 3, 2, 0)),
+]
+
+
+@pytest.fixture
+def gf_calls(monkeypatch):
+    """An empty sequence store, and the (kind, params, order) of every
+    sequence it computes."""
+    monkeypatch.setattr(qseries, "_store", qseries._SequenceStore())
+    calls = []
+    for kind, gf in FRESH_GF.items():
+        def counted(p, order, kind=kind, gf=gf):
+            calls.append((kind, p, order))
+            return gf(p, order)
+        monkeypatch.setattr(qseries, f"{kind}_gf_coeffs", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind,p", STORE_CASES)
+def test_store_serves_smaller_order_as_prefix(gf_calls, kind, p):
+    qseries.moment_sequence(kind, p, 300)
+    small = qseries.moment_sequence(kind, p, 120)
+    assert small.values == FRESH_GF[kind](p, 120).values
+    assert small.order == 120
+    assert gf_calls == [(kind, p, 300)]
+
+
+@pytest.mark.parametrize("kind,p", STORE_CASES)
+def test_store_grows_and_serves_later_prefixes(gf_calls, kind, p):
+    small = qseries.moment_sequence(kind, p, 40)
+    large = qseries.moment_sequence(kind, p, 250)
+    assert large.values == FRESH_GF[kind](p, 250).values
+    for order in (0, 40, 100, 250):
+        assert qseries.moment_sequence(kind, p, order).values == large.values[: order + 1]
+    assert qseries.moment_sequence(kind, p, 40) is small
+    assert gf_calls == [(kind, p, 40), (kind, p, 250)]
+
+
+def test_store_evicts_least_recently_used(gf_calls, monkeypatch):
+    a, b, c = (MexParams(1, 2, 1, r) for r in (1, 2, 3))
+    for p in (a, b, c):
+        qseries.moment_sequence("sigma", p, 200)
+    nbytes = qseries._store.nbytes
+    limit = nbytes[("sigma", a)] + nbytes[("sigma", c)]
+    assert limit < sum(nbytes.values())
+
+    monkeypatch.setattr(qseries, "_store", qseries._SequenceStore())
+    monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", limit)
+    gf_calls.clear()
+    qseries.moment_sequence("sigma", a, 200)
+    qseries.moment_sequence("sigma", b, 200)
+    qseries.moment_sequence("sigma", a, 200)  # a is now more recent than b
+    qseries.moment_sequence("sigma", c, 200)
+    assert list(qseries._store.entries) == [("sigma", a), ("sigma", c)]
+    again = qseries.moment_sequence("sigma", b, 200)
+    assert again.values == sigma_gf_coeffs(b, 200).values
+    assert [p for _, p, _ in gf_calls] == [a, b, c, b]
+    assert sum(qseries._store.nbytes.values()) <= limit
+
+
+def test_store_threads_agree(gf_calls):
+    # More threads than cores and a short switch interval, so that racing
+    # requests for one key at different orders interleave inside the store.
+    p = MexParams(1, 3, 2, 2)
+    orders = [600, 150, 600, 400, 150, 600]
+    start = threading.Barrier(len(orders))
+    results = [None] * len(orders)
+
+    def ask(i):
+        start.wait(timeout=30)
+        results[i] = qseries.moment_sequence("varsigma", p, orders[i])
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    fresh = varsigma_gf_coeffs(p, 600).values
+    for order, seq in zip(orders, results):
+        assert seq.values == fresh[: order + 1]
+    views = qseries._store.entries[("varsigma", p)]
+    assert max(views) == 600
+    assert qseries._store.nbytes[("varsigma", p)] == sum(map(sys.getsizeof, fresh)) + sum(
+        sys.getsizeof(v.values) for v in views.values()
+    )
+
+
+def test_series_orders_above_the_limit_are_refused(gf_calls):
+    over = qseries.SERIES_ORDER_LIMIT + 1
+    for kind in FRESH_GF:
+        with pytest.raises(ResourceCapError):
+            qseries.moment_sequence(kind, MexParams(1, 2, 1, 1), over)
+    assert gf_calls == []
 
 
 def test_csv_export_format():
