@@ -25,12 +25,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from mexmoments import __version__, asymptotics, conjectures, qseries
 from mexmoments.backend import BACKEND
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams, sigma_oracle, varsigma_oracle
+from mexmoments.partitions import MexParams, _check_cap, sigma_oracle, varsigma_oracle
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -47,6 +48,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+def _add_params(parser: argparse.ArgumentParser, residue: bool = True) -> None:
+    """The moment family and its parameters (s, M, A, r)."""
+    parser.add_argument("--kind", choices=qseries.VALID_KINDS, required=True)
+    parser.add_argument("--s", type=int, default=1, help="frequency threshold (default 1)")
+    parser.add_argument("--mod", type=int, default=1, help="modulus M (default 1)")
+    if residue:
+        parser.add_argument("--res", type=int, default=1, help="residue A (default 1)")
+    parser.add_argument("--r", type=int, default=0, help="moment order (default 0)")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out", help="write output to PATH (plus PATH.meta.json sidecar)")
@@ -60,11 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_stats = sub.add_parser("stats", help="exact moment values")
-    p_stats.add_argument("--kind", choices=qseries.VALID_KINDS, required=True)
-    p_stats.add_argument("--s", type=int, default=1, help="frequency threshold (default 1)")
-    p_stats.add_argument("--mod", type=int, default=1, help="modulus M (default 1)")
-    p_stats.add_argument("--res", type=int, default=1, help="residue A (default 1)")
-    p_stats.add_argument("--r", type=int, default=0, help="moment order (default 0)")
+    _add_params(p_stats)
     group = p_stats.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="single weight n")
     group.add_argument("--range", dest="n_range", help="weight range LO:HI (inclusive)")
@@ -80,15 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-s", type=int, default=3)
     p_verify.add_argument("--max-r", type=int, default=2)
     p_verify.add_argument("--max-n", type=int, default=30)
-    p_verify.add_argument("--inject-mismatch", action="store_true", help=argparse.SUPPRESS)
     _add_common(p_verify)
 
     p_asymp = sub.add_parser("asymp", help="exact vs asymptotic ratio tables")
-    p_asymp.add_argument("--kind", choices=qseries.VALID_KINDS, required=True)
-    p_asymp.add_argument("--s", type=int, default=1)
-    p_asymp.add_argument("--mod", type=int, default=1)
-    p_asymp.add_argument("--res", type=int, default=1)
-    p_asymp.add_argument("--r", type=int, default=0)
+    _add_params(p_asymp)
     p_asymp.add_argument("--n-list", required=True, help="comma-separated weights")
     p_asymp.add_argument("--corollary", action="store_true",
                          help="residue-pair ratio table instead of the growth-law table")
@@ -97,23 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conj = sub.add_parser("conjecture", help="open-problem scanners")
     conj_sub = p_conj.add_subparsers(dest="scan", required=True)
-
-    p_lc = conj_sub.add_parser("logconcave", help="log-concavity scan")
-    p_lc.add_argument("--kind", choices=qseries.VALID_KINDS, required=True)
-    p_lc.add_argument("--s", type=int, default=1)
-    p_lc.add_argument("--mod", type=int, default=1)
-    p_lc.add_argument("--res", type=int, default=1)
-    p_lc.add_argument("--r", type=int, default=0)
-    p_lc.add_argument("--range", dest="n_range", required=True, help="scan range LO:HI")
-    _add_common(p_lc)
-
-    p_bias = conj_sub.add_parser("bias", help="residue-ordering scan")
-    p_bias.add_argument("--kind", choices=qseries.VALID_KINDS, required=True)
-    p_bias.add_argument("--s", type=int, default=1)
-    p_bias.add_argument("--mod", type=int, default=1)
-    p_bias.add_argument("--r", type=int, default=0)
-    p_bias.add_argument("--range", dest="n_range", required=True, help="scan range LO:HI")
-    _add_common(p_bias)
+    for name, help_text, residue in (
+        ("logconcave", "log-concavity scan", True),
+        ("bias", "residue-ordering scan", False),
+    ):
+        p_scan = conj_sub.add_parser(name, help=help_text)
+        _add_params(p_scan, residue=residue)
+        p_scan.add_argument("--range", dest="n_range", required=True, help="scan range LO:HI")
+        _add_common(p_scan)
 
     return parser
 
@@ -142,17 +135,32 @@ def _resolve_int(flag_value, cfg: dict, key: str, env: str | None, default):
     if flag_value is not None:
         return flag_value
     if key in cfg:
-        try:
-            return int(cfg[key])
-        except ValueError as exc:
-            raise ValidationError(f"config key {key} must be an integer, got {cfg[key]!r}") from exc
-    raw = os.environ.get(env) if env else None
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"{env} must be an integer, got {raw!r}") from exc
-    return default
+        raw, source = cfg[key], f"config key {key}"
+    elif env and env in os.environ:
+        raw, source = os.environ[env], env
+    else:
+        return default
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ValidationError(f"{source} must be an integer, got {raw!r}") from exc
+
+
+def _truncation(args, cfg: dict, n_max: int) -> int:
+    """Series truncation order; defaults to the largest requested n."""
+    trunc = _resolve_int(args.truncation, cfg, "truncation", "MEXMOMENTS_TRUNCATION", n_max)
+    if trunc < n_max:
+        raise ValidationError(f"truncation order {trunc} is below the largest requested n={n_max}")
+    return trunc
+
+
+def _oracle_cap(args, cfg: dict) -> int | None:
+    """Oracle cap from flag or config; None defers to the oracle layer."""
+    return _resolve_int(args.oracle_cap, cfg, "oracle_cap", None, None)
+
+
+def _params(args) -> MexParams:
+    return MexParams(args.s, args.mod, args.res, args.r)
 
 
 def _parse_range(spec: str) -> tuple[int, int]:
@@ -178,22 +186,48 @@ def _parse_n_list(spec: str) -> list[int]:
     return values
 
 
+def _check_printable(values) -> None:
+    """Refuse, before anything is formatted, a value with more decimal
+    digits than int-to-str conversion accepts (a limit of 0 is none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7: none
+    if limit and max(values, default=0) >= 10**limit:
+        raise ResourceCapError(
+            f"a value has more than {limit} decimal digits, the int-to-str limit "
+            "(PYTHONINTMAXSTRDIGITS)"
+        )
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a new file beside ``path`` and rename it over
+    ``path``, so a failed write leaves the old contents in place."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _emit(text: str, args: argparse.Namespace) -> None:
     out = getattr(args, "out", None)
     if out is None:
         sys.stdout.write(text)
         return
-    path = Path(out)
-    path.write_text(text, encoding="utf-8", newline="")
+    _write_atomic(out, text)
     sidecar = {
         "argv": getattr(args, "_argv", []),
         "backend": BACKEND,
         "version": __version__,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_atomic(out + ".meta.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+
+
+def _meta(args, params: MexParams, **extra) -> dict:
+    return {"kind": args.kind, **asdict(params), **extra}
 
 
 def _params_comment(fields: dict) -> str:
@@ -205,7 +239,7 @@ def _params_comment(fields: dict) -> str:
 
 
 def cmd_stats(args, cfg: dict) -> int:
-    params = MexParams(args.s, args.mod, args.res, args.r)
+    params = _params(args)
     if args.n is not None:
         ns = range(args.n, args.n + 1)
     else:
@@ -213,16 +247,12 @@ def cmd_stats(args, cfg: dict) -> int:
         ns = range(lo, hi + 1)
     if ns[0] < 0:
         raise ValidationError("n must be >= 0")
-    n_max = ns[-1]
-    trunc = _resolve_int(args.truncation, cfg, "truncation", "MEXMOMENTS_TRUNCATION", None)
-    if trunc is None:
-        trunc = n_max
-    if trunc < n_max:
-        raise ValidationError(f"truncation order {trunc} is below the largest requested n={n_max}")
-    cap = _resolve_int(args.oracle_cap, cfg, "oracle_cap", None, None)  # env handled by the oracle layer
-
+    trunc = _truncation(args, cfg, ns[-1])
+    cap = _oracle_cap(args, cfg)
     need_oracle = args.method in ("oracle", "both")
     need_gf = args.method in ("gf", "both")
+    if need_oracle:
+        _check_cap(ns[-1], cap)
     seq = qseries.moment_sequence(args.kind, params, trunc) if need_gf else None
     oracle_fn = sigma_oracle if args.kind == "sigma" else varsigma_oracle
 
@@ -238,11 +268,9 @@ def cmd_stats(args, cfg: dict) -> int:
             row["match"] = row["oracle"] == row["gf"]
             mismatch = mismatch or not row["match"]
         rows.append(row)
+    _check_printable(v for row in rows for v in row.values())
 
-    meta = {
-        "kind": args.kind, "s": params.s, "M": params.M, "A": params.A, "r": params.r,
-        "method": args.method, "truncation": trunc,
-    }
+    meta = _meta(args, params, method=args.method, truncation=trunc)
     if args.format == "json":
         text = json.dumps({"params": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
     else:
@@ -266,70 +294,55 @@ def cmd_stats(args, cfg: dict) -> int:
 
 
 def cmd_verify(args, cfg: dict) -> int:
-    cap = _resolve_int(args.oracle_cap, cfg, "oracle_cap", None, None)  # env handled by the oracle layer
+    cap = _oracle_cap(args, cfg)
     if args.max_mod < 1 or args.max_s < 1 or args.max_r < 0 or args.max_n < 0:
         raise ValidationError("verify grid bounds must be positive (max-r, max-n may be 0)")
+    _check_cap(args.max_n, cap)
+    grid = (
+        MexParams(s, M, A, r)
+        for M in range(1, args.max_mod + 1)
+        for A in range(1, M + 1)
+        for s in range(1, args.max_s + 1)
+        for r in range(0, args.max_r + 1)
+    )
     checked = 0
     sequences = 0
-    for M in range(1, args.max_mod + 1):
-        for A in range(1, M + 1):
-            for s in range(1, args.max_s + 1):
-                for r in range(0, args.max_r + 1):
-                    params = MexParams(s, M, A, r)
-                    for kind, oracle_fn in (
-                        ("sigma", sigma_oracle),
-                        ("varsigma", varsigma_oracle),
-                    ):
-                        seq = qseries.moment_sequence(kind, params, args.max_n)
-                        sequences += 1
-                        for n in range(args.max_n + 1):
-                            want = oracle_fn(params, n, cap=cap)
-                            got = seq[n]
-                            if args.inject_mismatch and n == args.max_n and M == args.max_mod \
-                                    and A == M and s == args.max_s and r == args.max_r \
-                                    and kind == "varsigma":
-                                got += 1
-                            checked += 1
-                            if got != want:
-                                sys.stderr.write(
-                                    f"MISMATCH kind={kind} s={s} M={M} A={A} r={r} n={n}: "
-                                    f"series={got} oracle={want}\n"
-                                )
-                                _emit(
-                                    f"checked {checked} values across {sequences} sequences; "
-                                    f"1 mismatch\n",
-                                    args,
-                                )
-                                return EXIT_MISMATCH
+    for params in grid:
+        for kind, oracle_fn in (("sigma", sigma_oracle), ("varsigma", varsigma_oracle)):
+            seq = qseries.moment_sequence(kind, params, args.max_n)
+            sequences += 1
+            for n in range(args.max_n + 1):
+                want = oracle_fn(params, n, cap=cap)
+                checked += 1
+                if seq[n] != want:
+                    sys.stderr.write(
+                        f"MISMATCH kind={kind} s={params.s} M={params.M} A={params.A} "
+                        f"r={params.r} n={n}: series={seq[n]} oracle={want}\n"
+                    )
+                    _emit(f"checked {checked} values across {sequences} sequences; 1 mismatch\n",
+                          args)
+                    return EXIT_MISMATCH
     _emit(f"checked {checked} values across {sequences} sequences; 0 mismatches\n", args)
     return EXIT_OK
 
 
 def cmd_asymp(args, cfg: dict) -> int:
-    params = MexParams(args.s, args.mod, args.res, args.r)
+    params = _params(args)
     ns = _parse_n_list(args.n_list)
     if min(ns) < 1:
         raise ValidationError("asymp requires n >= 1")
-    n_max = max(ns)
-    trunc = _resolve_int(args.truncation, cfg, "truncation", "MEXMOMENTS_TRUNCATION", None)
-    if trunc is None:
-        trunc = n_max
-    if trunc < n_max:
-        raise ValidationError(f"truncation order {trunc} is below the largest requested n={n_max}")
-
+    trunc = _truncation(args, cfg, max(ns))
+    if args.corollary and args.res_prime is None:
+        raise ValidationError("corollary mode needs --res-prime")
+    seq = qseries.moment_sequence(args.kind, params, trunc)
+    seq_b = qseries.moment_sequence(
+        args.kind, replace(params, A=args.res_prime), trunc
+    ) if args.corollary else seq
+    _check_printable(v for n in ns for v in (seq[n], seq_b[n]))
+    extra = {"A_prime": args.res_prime} if args.corollary else {}
     buf = io.StringIO()
+    buf.write(_params_comment(_meta(args, params, truncation=trunc, **extra)))
     if args.corollary:
-        if args.res_prime is None:
-            raise ValidationError("corollary mode needs --res-prime")
-        meta = {
-            "kind": args.kind, "s": params.s, "M": params.M, "A": params.A,
-            "A_prime": args.res_prime, "r": params.r, "truncation": trunc,
-        }
-        seq_a = qseries.moment_sequence(args.kind, params, trunc)
-        seq_b = qseries.moment_sequence(
-            args.kind, MexParams(params.s, params.M, args.res_prime, params.r), trunc
-        )
-        buf.write(_params_comment(meta))
         buf.write("n,exact_a,exact_a_prime,ratio\n")
         for n in ns:
             try:
@@ -338,17 +351,11 @@ def cmd_asymp(args, cfg: dict) -> int:
                 )
             except ZeroDivisionError as exc:
                 raise ValidationError(str(exc)) from exc
-            buf.write(f"{n},{seq_a[n]},{seq_b[n]},{ratio!r}\n")
+            buf.write(f"{n},{seq[n]},{seq_b[n]},{ratio!r}\n")
     else:
-        meta = {
-            "kind": args.kind, "s": params.s, "M": params.M, "A": params.A,
-            "r": params.r, "truncation": trunc,
-        }
-        seq = qseries.moment_sequence(args.kind, params, trunc)
         asymp_fn = (
             asymptotics.sigma_asymp if args.kind == "sigma" else asymptotics.varsigma_asymp
         )
-        buf.write(_params_comment(meta))
         buf.write("n,exact,asymp_log,ratio\n")
         for n in ns:
             ratio = asymptotics.exact_over_asymptotic(args.kind, params, n, order=trunc)
@@ -359,14 +366,9 @@ def cmd_asymp(args, cfg: dict) -> int:
 
 def cmd_conjecture(args, cfg: dict) -> int:
     lo, hi = _parse_range(args.n_range)
-    trunc = _resolve_int(args.truncation, cfg, "truncation", "MEXMOMENTS_TRUNCATION", None)
-    if trunc is None:
-        trunc = hi
-    if trunc < hi:
-        raise ValidationError(f"truncation order {trunc} is below the scan end {hi}")
+    trunc = _truncation(args, cfg, hi)
     if args.scan == "logconcave":
-        params = MexParams(args.s, args.mod, args.res, args.r)
-        report = conjectures.scan_log_concavity(args.kind, params, lo, hi, order=trunc)
+        report = conjectures.scan_log_concavity(args.kind, _params(args), lo, hi, order=trunc)
     else:
         report = conjectures.scan_bias(args.kind, args.s, args.mod, args.r, lo, hi, order=trunc)
     _emit(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", args)

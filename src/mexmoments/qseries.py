@@ -22,14 +22,11 @@ refuses orders above ``SERIES_ORDER_LIMIT`` with ``ResourceCapError``.
 
 from __future__ import annotations
 
-import csv
-import json
 import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import IO
 
 from mexmoments import _pure, backend
 from mexmoments.errors import ResourceCapError, ValidationError
@@ -113,8 +110,7 @@ def series_invert(a: TruncatedSeries) -> TruncatedSeries:
 def euler_product(order: int) -> TruncatedSeries:
     """prod_{k=1..N} (1 - q^k) truncated at N; factors beyond N cannot
     touch coefficients <= N, so the finite product is exact."""
-    if order < 0:
-        raise ValidationError(f"order must be >= 0, got {order}")
+    _check_order(order)
     return TruncatedSeries(_pure.euler_product_coeffs(order))
 
 
@@ -210,16 +206,6 @@ class MomentSequence:
     def __repr__(self):
         return f"MomentSequence(kind={self.kind!r}, params={self.params}, order={self.order})"
 
-    def params_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "s": self.params.s,
-            "M": self.params.M,
-            "A": self.params.A,
-            "r": self.params.r,
-            "order": self.order,
-        }
-
 
 def _sigma_support(p: MexParams, order: int) -> list[tuple[int, int]]:
     """Sparse exponent/weight pairs of the sigma theta factor.
@@ -245,7 +231,8 @@ def _sigma_support(p: MexParams, order: int) -> list[tuple[int, int]]:
 
 def _varsigma_support_direct(p: MexParams, order: int) -> list[tuple[int, int]]:
     """Sparse terms of the varsigma theta factor in its raw two-term form:
-    +(Mm+A)^r at s*(M*m*(m-1)/2 + A*m) and -(Mm+A)^r one quadratic step up."""
+    +(Mm+A)^r at s*(M*m*(m-1)/2 + A*m) and -(Mm+A)^r one quadratic step up.
+    The tests hold the telescoped form to this reference."""
     weights: dict[int, int] = {}
     m = 0
     while True:
@@ -264,8 +251,7 @@ def _varsigma_support_direct(p: MexParams, order: int) -> list[tuple[int, int]]:
 def _varsigma_support_telescoped(p: MexParams, order: int) -> list[tuple[int, int]]:
     """Telescoped form of the varsigma theta factor: constant A^r plus
     difference weights (M(m+1)+A)^r - (Mm+A)^r on the shifted quadratic
-    exponents.  Identical to the direct form term-by-term after collecting;
-    both are kept and tested equal as a consistency device."""
+    exponents.  Identical to the direct form term-by-term after collecting."""
     weights: dict[int, int] = {0: p.A**p.r}
     m = 0
     while True:
@@ -290,22 +276,12 @@ def sigma_gf_coeffs(p: MexParams, order: int) -> MomentSequence:
     return MomentSequence("sigma", p, values)
 
 
-def varsigma_gf_coeffs(
-    p: MexParams, order: int, form: str = "telescoped"
-) -> MomentSequence:
-    """Varsigma moments for n = 0..N by coefficient extraction.
-
-    ``form`` picks the theta-factor construction: "telescoped" (default)
-    or "direct".  The two are algebraically identical; keeping both gives
-    a free internal consistency check.
-    """
+def varsigma_gf_coeffs(p: MexParams, order: int) -> MomentSequence:
+    """Varsigma moments for n = 0..N by coefficient extraction, with the
+    telescoped theta factor; must agree with varsigma_oracle wherever both
+    exist."""
     _check_order(order)
-    if form == "telescoped":
-        support = _varsigma_support_telescoped(p, order)
-    elif form == "direct":
-        support = _varsigma_support_direct(p, order)
-    else:
-        raise ValidationError(f"form must be 'telescoped' or 'direct', got {form!r}")
+    support = _varsigma_support_telescoped(p, order)
     dense = partition_numbers(order)
     values = backend.sparse_dense_product(support, dense, order + 1)
     return MomentSequence("varsigma", p, values)
@@ -390,23 +366,3 @@ def moment_sequence(kind: str, p: MexParams, order: int = DEFAULT_TRUNCATION) ->
         seq = _store.put(key, gf_coeffs(p, order))
     return seq
 
-
-def write_sequence_csv(seq: MomentSequence, fh: IO[str]) -> None:
-    """CSV export: a `# params:` provenance comment, then n,value rows
-    with exact decimal integers."""
-    fh.write(f"# params: {json.dumps(seq.params_dict(), sort_keys=True)}\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["n", "value"])
-    for n, v in enumerate(seq.values):
-        writer.writerow([n, str(v)])
-
-
-def write_sequence_json(seq: MomentSequence, fh: IO[str]) -> None:
-    """JSON export with a params metadata block; values stay exact ints."""
-    json.dump(
-        {"params": seq.params_dict(), "values": list(seq.values)},
-        fh,
-        indent=2,
-        sort_keys=True,
-    )
-    fh.write("\n")

@@ -1,9 +1,13 @@
 """CLI contract tests: row formats, exit codes, determinism, precedence."""
 
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+from mexmoments import MexParams, cli, partition_numbers
 from mexmoments.cli import main
 
 
@@ -194,14 +198,111 @@ def test_verify_trivial_grid(capsys):
     assert "0 mismatches" in out
 
 
-def test_verify_injected_mismatch_detected(capsys):
+def test_verify_injected_mismatch_detected(capsys, monkeypatch):
+    wrong_at = (MexParams(1, 2, 2, 0), 6)
+    real = cli.varsigma_oracle
+
+    def off_by_one(p, n, cap=None):
+        return real(p, n, cap=cap) + ((p, n) == wrong_at)
+
+    monkeypatch.setattr(cli, "varsigma_oracle", off_by_one)
     code, out, err = run_cli(
-        capsys, "verify", "--max-mod", "2", "--max-s", "1", "--max-r", "0",
-        "--max-n", "6", "--inject-mismatch",
+        capsys, "verify", "--max-mod", "2", "--max-s", "1", "--max-r", "0", "--max-n", "6",
     )
     assert code == 2
-    assert "MISMATCH" in err
+    assert "MISMATCH kind=varsigma s=1 M=2 A=2 r=0 n=6" in err
     assert "1 mismatch" in out
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """The (params, n) of every oracle call the CLI makes."""
+    calls = []
+    for name in ("sigma_oracle", "varsigma_oracle"):
+        def counted(p, n, cap=None, real=getattr(cli, name)):
+            calls.append((p, n))
+            return real(p, n, cap=cap)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("stats", "--kind", "sigma", "--method", "oracle", "--range", "0:61"),
+    ("stats", "--kind", "varsigma", "--method", "both", "--range", "0:61"),
+    ("verify", "--max-n", "61"),
+    ("verify", "--max-n", "9", "--oracle-cap", "8"),
+])
+def test_oracle_cap_is_checked_before_any_work(capsys, oracle_calls, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "exceeds cap" in err
+    assert oracle_calls == []
+
+
+def test_verify_negative_oracle_cap_rejected(capsys, oracle_calls):
+    code, _, err = run_cli(capsys, "verify", "--max-n", "3", "--oracle-cap", "-1")
+    assert code == 1
+    assert "oracle cap must be >= 0" in err
+    assert oracle_calls == []
+
+
+TOO_LONG_TO_PRINT = [
+    ("stats", "--kind", "varsigma", "--r", "5000", "--n", "100"),
+    ("stats", "--kind", "varsigma", "--r", "5000", "--n", "100", "--format", "json"),
+    ("stats", "--kind", "varsigma", "--r", "8000", "--n", "10", "--method", "oracle"),
+    ("stats", "--kind", "varsigma", "--r", "8000", "--n", "10", "--method", "oracle",
+     "--format", "json"),
+    ("stats", "--kind", "sigma", "--r", "8000", "--n", "10", "--method", "both"),
+    ("asymp", "--kind", "varsigma", "--r", "5000", "--n-list", "50,100"),
+    ("asymp", "--kind", "varsigma", "--mod", "2", "--res", "1", "--res-prime", "2",
+     "--r", "5000", "--n-list", "100", "--corollary"),
+]
+
+
+@pytest.fixture
+def set_int_str_limit():
+    """sys.set_int_max_str_digits, with the limit restored afterwards."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("argv", TOO_LONG_TO_PRINT)
+def test_values_too_long_to_print_are_a_resource_cap(capsys, tmp_path, set_int_str_limit, argv):
+    limit = 4300  # the CPython default; every request has a longer value
+    set_int_str_limit(limit)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"resource cap: a value has more than {limit} decimal digits, "
+        "the int-to-str limit (PYTHONINTMAXSTRDIGITS)\n"
+    )
+    path = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--out", str(path))[0] == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_int_str_limit_zero_means_no_limit(capsys, set_int_str_limit):
+    set_int_str_limit(0)
+    code, out, _ = run_cli(
+        capsys, "stats", "--kind", "varsigma", "--r", "8000", "--n", "10", "--method", "both",
+    )
+    assert code == 0
+    _, oracle, gf, match = out.splitlines()[2].split(",")
+    assert oracle == gf and match == "true"
+    assert len(gf) > 4300
+
+
+def test_huge_exact_values_survive_csv_and_json(capsys):
+    argv = ("stats", "--kind", "varsigma", "--r", "0", "--range", "0:400")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [int(line.split(",")[1]) for line in out.splitlines()[2:]] == partition_numbers(400)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert [row["gf"] for row in json.loads(out)["rows"]] == partition_numbers(400)
 
 
 def test_asymp_table(capsys):
@@ -326,6 +427,22 @@ def test_out_directory_is_an_error_not_a_traceback(tmp_path, capsys):
     code, _, err = run_cli(capsys, "stats", "--kind", "sigma", "--n", "3", "--out", str(tmp_path))
     assert code == 1
     assert err.startswith("error: ")
+
+
+def test_out_is_replaced_atomically(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "seq.csv"
+    path.write_text("old data\n", encoding="utf-8")
+
+    def failing_replace(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code, out, err = run_cli(capsys, "stats", "--kind", "sigma", "--n", "3", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot replace ")
+    assert path.read_text(encoding="utf-8") == "old data\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_help_exits_zero(capsys):

@@ -1,8 +1,6 @@
 """Exact series layer: arithmetic, the Euler product, partition numbers,
 and the two moment generating functions."""
 
-import io
-import json
 import sys
 import threading
 
@@ -24,7 +22,6 @@ from mexmoments import (
     varsigma_oracle,
 )
 from mexmoments import qseries
-from mexmoments.qseries import write_sequence_csv, write_sequence_json
 
 
 def geometric(order):
@@ -182,13 +179,13 @@ def test_varsigma_gf_examples():
 
 
 def test_varsigma_gf_forms_agree():
+    # varsigma_gf_coeffs multiplies by the telescoped support; equal
+    # supports give equal products.
     for (s, M, A, r) in [(1, 1, 1, 0), (1, 2, 1, 1), (2, 3, 2, 2), (3, 4, 4, 1), (2, 5, 3, 0)]:
         p = MexParams(s, M, A, r)
-        direct = varsigma_gf_coeffs(p, 60, form="direct")
-        telescoped = varsigma_gf_coeffs(p, 60, form="telescoped")
-        assert direct.values == telescoped.values
-    with pytest.raises(ValidationError):
-        varsigma_gf_coeffs(MexParams(1, 1, 1, 0), 5, form="nonsense")
+        for order in (60, 2000):
+            assert qseries._varsigma_support_direct(p, order) == \
+                qseries._varsigma_support_telescoped(p, order)
 
 
 def test_gf_matches_oracle_spot_grid():
@@ -363,34 +360,6 @@ def test_series_orders_above_the_limit_are_refused(gf_calls):
         with pytest.raises(ResourceCapError):
             qseries.moment_sequence(kind, MexParams(1, 2, 1, 1), over)
     assert gf_calls == []
+    with pytest.raises(ResourceCapError):
+        euler_product(over)
 
-
-def test_csv_export_format():
-    seq = sigma_gf_coeffs(MexParams(1, 2, 1, 1), 4)
-    buf = io.StringIO()
-    write_sequence_csv(seq, buf)
-    text = buf.getvalue()
-    lines = text.split("\n")
-    assert lines[0].startswith("# params: ")
-    assert json.loads(lines[0][len("# params: "):]) == seq.params_dict()
-    assert lines[1] == "n,value"
-    assert lines[2] == "0,1"
-    assert lines[6] == "4,5"
-    assert "\r" not in text
-    for line in lines[2:-1]:
-        n, value = line.split(",")
-        assert str(int(n)) == n and str(int(value)) == value
-
-
-def test_json_export_roundtrip():
-    seq = varsigma_gf_coeffs(MexParams(2, 3, 2, 1), 12)
-    buf = io.StringIO()
-    write_sequence_json(seq, buf)
-    loaded = json.loads(buf.getvalue())
-    assert loaded["params"] == seq.params_dict()
-    assert loaded["values"] == list(seq.values)
-    # exact integers survive the round trip even when huge
-    big = varsigma_gf_coeffs(MexParams(1, 1, 1, 0), 400)
-    buf = io.StringIO()
-    write_sequence_json(big, buf)
-    assert json.loads(buf.getvalue())["values"][400] == partition_numbers(400)[400]
