@@ -11,6 +11,8 @@ integers, so results never lose precision regardless of magnitude.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 # Enumerating partitions of n visits p(n) leaves; beyond this the walk is
 # hopeless anyway and the compiled kernel's int64 counters could not hold
 # the counts.
@@ -117,21 +119,42 @@ def euler_product_coeffs(order: int) -> list:
     return c
 
 
+def _signed_sum(terms: list, dense: list, length: int) -> list:
+    """sum over (e, w) in ``terms`` of sign(w / w0) * q^(e - e0) * dense,
+    truncated at q^(length - e0), where (e0, w0) is the first term and
+    every term has the same |w| and an exponent >= e0."""
+    e0, w0 = terms[0]
+    acc = dense[: length - e0]
+    for e, w in terms[1:]:
+        op = add if (w > 0) == (w0 > 0) else sub
+        acc[e - e0 :] = map(op, acc[e - e0 :], dense)
+    return acc
+
+
 def sparse_dense_product(sparse: list, dense: list, length: int) -> list:
     """Multiply a sparse polynomial by a dense series, truncated.
 
     ``sparse`` holds (exponent, weight) pairs; ``dense`` must have at least
     ``length`` coefficients.  Exact integer arithmetic throughout.
+
+    Terms are grouped by |weight|.  The signed shifted copies of ``dense``
+    in one group are summed with plain adds and subtracts, and the sum is
+    multiplied by the weight once, so the number of big-integer multiply
+    passes is the number of distinct |weight|s, not of terms.
     """
-    out = [0] * length
+    groups: dict[int, list] = {}
     for e, w in sparse:
-        if w == 0 or e >= length:
-            continue
-        seg = dense[: length - e]
-        if w == 1:
-            out[e:] = [x + y for x, y in zip(out[e:], seg)]
-        elif w == -1:
-            out[e:] = [x - y for x, y in zip(out[e:], seg)]
+        if w and e < length:
+            groups.setdefault(abs(w), []).append((e, w))
+    out = [0] * length
+    for terms in groups.values():
+        terms.sort()
+        e0, w0 = terms[0]
+        ys = dense if len(terms) == 1 else _signed_sum(terms, dense, length)
+        if w0 == 1:
+            out[e0:] = map(add, out[e0:], ys)
+        elif w0 == -1:
+            out[e0:] = map(sub, out[e0:], ys)
         else:
-            out[e:] = [x + w * y for x, y in zip(out[e:], seg)]
+            out[e0:] = [x + w0 * y for x, y in zip(out[e0:], ys)]
     return out

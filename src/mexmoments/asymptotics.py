@@ -193,23 +193,19 @@ def _partial_theta_sum_mp(u: float, r: int, t: float, dps: int):
                     return total
 
 
-def partial_theta_expansion(
-    u: float, r: int, t: float, N: int, sign_corrected: bool = True, dps: int | None = None
-):
+def partial_theta_expansion(u: float, r: int, t: float, N: int, dps: int | None = None):
     """Small-t expansion of the weighted partial theta sum:
 
         Gamma((r+1)/2) / (2 t^(r+1))
           - sum_{n=0}^{N-1} (-1)^n B_{2n+r+1}(u) t^(2n) / ((2n+r+1) n!)
 
-    with remainder O(t^(2N)).  The minus sign in front of the correction
-    sum is the correct one; ``sign_corrected=False`` evaluates the flipped
-    variant so tests can demonstrate that it breaks the remainder order.
+    with remainder O(t^(2N)).
     """
     _theta_args(u, r, t)
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     if dps is not None:
-        return _partial_theta_expansion_mp(u, r, t, N, sign_corrected, dps)
+        return _partial_theta_expansion_mp(u, r, t, N, dps)
     lead = math.gamma((r + 1) / 2) / (2.0 * t ** (r + 1))
     corr = math.fsum(
         (-1) ** n
@@ -218,12 +214,10 @@ def partial_theta_expansion(
         / ((2 * n + r + 1) * math.factorial(n))
         for n in range(N)
     )
-    return lead - corr if sign_corrected else lead + corr
+    return lead - corr
 
 
-def _partial_theta_expansion_mp(
-    u: float, r: int, t: float, N: int, sign_corrected: bool, dps: int
-):
+def _partial_theta_expansion_mp(u: float, r: int, t: float, N: int, dps: int):
     from mpmath import mp, mpf
 
     with mp.workdps(dps):
@@ -240,7 +234,7 @@ def _partial_theta_expansion_mp(
                 / ((2 * n + r + 1) * math.factorial(n))
             )
             corr += term
-        return lead - corr if sign_corrected else lead + corr
+        return lead - corr
 
 
 def theta_remainder_coefficient(u: float, r: int, N: int) -> Fraction:

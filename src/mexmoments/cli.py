@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -186,15 +187,36 @@ def _parse_n_list(spec: str) -> list[int]:
     return values
 
 
+def _int_str_limit() -> int:
+    """Decimal digits int-to-str conversion accepts; 0 is no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7: none
+
+
+def _too_long_to_print(limit: int) -> ResourceCapError:
+    return ResourceCapError(
+        f"a value has more than {limit} decimal digits, the int-to-str limit "
+        "(PYTHONINTMAXSTRDIGITS)"
+    )
+
+
 def _check_printable(values) -> None:
     """Refuse, before anything is formatted, a value with more decimal
-    digits than int-to-str conversion accepts (a limit of 0 is none)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7: none
+    digits than int-to-str conversion accepts."""
+    limit = _int_str_limit()
     if limit and max(values, default=0) >= 10**limit:
-        raise ResourceCapError(
-            f"a value has more than {limit} decimal digits, the int-to-str limit "
-            "(PYTHONINTMAXSTRDIGITS)"
-        )
+        raise _too_long_to_print(limit)
+
+
+def _check_printable_up_front(kind: str, params: list[MexParams], n: int) -> None:
+    """Refuse, before any k^r is computed, what ``_check_printable`` would
+    refuse after the work: the value at n includes a term k^r with k the
+    largest mex at n, so it has at least r log10(k) digits.  The margin of
+    one digit keeps float rounding from refusing a value that prints."""
+    limit = _int_str_limit()
+    for p in params:
+        k = qseries.largest_mex(kind, p, n)
+        if limit and k >= 2 and p.r * math.log10(k) > limit + 1:
+            raise _too_long_to_print(limit)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -248,6 +270,7 @@ def cmd_stats(args, cfg: dict) -> int:
     if ns[0] < 0:
         raise ValidationError("n must be >= 0")
     trunc = _truncation(args, cfg, ns[-1])
+    _check_printable_up_front(args.kind, [params], ns[-1])
     cap = _oracle_cap(args, cfg)
     need_oracle = args.method in ("oracle", "both")
     need_gf = args.method in ("gf", "both")
@@ -334,10 +357,10 @@ def cmd_asymp(args, cfg: dict) -> int:
     trunc = _truncation(args, cfg, max(ns))
     if args.corollary and args.res_prime is None:
         raise ValidationError("corollary mode needs --res-prime")
+    params_b = replace(params, A=args.res_prime) if args.corollary else params
+    _check_printable_up_front(args.kind, [params, params_b], max(ns))
     seq = qseries.moment_sequence(args.kind, params, trunc)
-    seq_b = qseries.moment_sequence(
-        args.kind, replace(params, A=args.res_prime), trunc
-    ) if args.corollary else seq
+    seq_b = qseries.moment_sequence(args.kind, params_b, trunc) if args.corollary else seq
     _check_printable(v for n in ns for v in (seq[n], seq_b[n]))
     extra = {"A_prime": args.res_prime} if args.corollary else {}
     buf = io.StringIO()

@@ -264,6 +264,33 @@ def _varsigma_support_telescoped(p: MexParams, order: int) -> list[tuple[int, in
     return sorted((e, w) for e, w in weights.items() if w != 0)
 
 
+def largest_mex(kind: str, p: MexParams, n: int) -> int:
+    """Largest k = A + mM whose mex parts fit in n; 0 if none does.
+
+    A partition with mex_s (sigma) or mex_s_mod (varsigma) equal to k
+    holds each of 1..k-1 (sigma) or A, A+M, ..., k-M (varsigma) at least
+    s times; their weight is the exponent of k's first support term.  So
+    no partition of n has a larger mex in the class, and the moment at n
+    is at most p(n) k^r.  When k >= 2 those parts topped up with ones
+    have mex k, so the moment is at least k^r.  Computes no power of k,
+    and takes O(log n) steps, so any n is cheap.
+    """
+
+    def need(m: int) -> int:  # weight of the parts a mex of A + mM needs
+        k = p.A + m * p.M
+        return p.s * (k * (k - 1) // 2 if kind == "sigma" else p.M * m * (m - 1) // 2 + p.A * m)
+
+    if need(0) > n:
+        return 0
+    lo, hi = 0, 1  # need(lo) <= n < need(hi) once the doubling stops
+    while need(hi) <= n:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if need(mid) <= n else (lo, mid)
+    return p.A + lo * p.M
+
+
 def sigma_gf_coeffs(p: MexParams, order: int) -> MomentSequence:
     """Sigma moments for n = 0..N by coefficient extraction.
 

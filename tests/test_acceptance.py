@@ -17,6 +17,7 @@ import json
 from pathlib import Path
 
 import pytest
+from mpmath import mp, mpf
 
 from mexmoments import (
     MexParams,
@@ -87,14 +88,23 @@ THETA_GRID = list(itertools.product((0.25, 0.5, 0.75, 1.0), (0, 1, 2, 3), (1, 2,
 THETA_DPS = 60
 
 
-def _theta_errors(u, r, N, sign_corrected=True):
+def _expansion(u, r, t, N):
+    return asy.partial_theta_expansion(u, r, t, N, dps=THETA_DPS)
+
+
+def _flipped_sign_expansion(u, r, t, N):
+    """Negative control: the expansion with the sign in front of its
+    correction sum flipped, i.e. 2 * leading term - expansion."""
+    with mp.workdps(THETA_DPS):
+        lead = mp.gamma(mpf(r + 1) / 2) / (2 * mpf(t) ** (r + 1))
+        return 2 * lead - _expansion(u, r, t, N)
+
+
+def _theta_errors(u, r, N, expansion=_expansion):
     out = {}
     for t in (0.1, 0.05):
         direct = asy.partial_theta_sum(u, r, t, dps=THETA_DPS)
-        expansion = asy.partial_theta_expansion(
-            u, r, t, N, sign_corrected=sign_corrected, dps=THETA_DPS
-        )
-        out[t] = abs(direct - expansion)
+        out[t] = abs(direct - expansion(u, r, t, N))
     return out
 
 
@@ -117,7 +127,7 @@ def test_criterion_4_remainder_order_window():
         ratio = float(errs[0.1] / errs[0.05])
         if not lo <= ratio <= hi:
             failures.append((u, r, N, ratio))
-        errs_bad = _theta_errors(u, r, N, sign_corrected=False)
+        errs_bad = _theta_errors(u, r, N, _flipped_sign_expansion)
         if errs_bad[0.05] > 0 and not lo <= float(errs_bad[0.1] / errs_bad[0.05]) <= hi:
             uncorrected_outside += 1
     ok = not failures and uncorrected_outside >= 1

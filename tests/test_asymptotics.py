@@ -112,10 +112,13 @@ def test_partial_theta_remainder_order_float():
 
 def test_partial_theta_uncorrected_sign_breaks_remainder_order():
     u, r, N = 0.25, 0, 1
-    errs = {
-        t: abs(partial_theta_sum(u, r, t) - partial_theta_expansion(u, r, t, N, sign_corrected=False))
-        for t in (0.1, 0.05)
-    }
+
+    def flipped_sign(t):
+        # The correction sum added instead of subtracted: 2 * lead - expansion.
+        lead = math.gamma((r + 1) / 2) / (2.0 * t ** (r + 1))
+        return 2.0 * lead - partial_theta_expansion(u, r, t, N)
+
+    errs = {t: abs(partial_theta_sum(u, r, t) - flipped_sign(t)) for t in (0.1, 0.05)}
     ratio = errs[0.1] / errs[0.05]
     assert not 2.0 <= ratio <= 8.0
     # the flipped sign leaves an O(1) discrepancy, so the ratio sits near 1

@@ -284,6 +284,47 @@ def test_values_too_long_to_print_are_a_resource_cap(capsys, tmp_path, set_int_s
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("stats", "--kind", "varsigma", "--r", "10000000", "--n", "300"),
+    ("stats", "--kind", "sigma", "--r", "10000000", "--range", "0:10", "--method", "both"),
+    ("asymp", "--kind", "sigma", "--mod", "2", "--res", "1", "--res-prime", "2",
+     "--r", "10000000", "--n-list", "300", "--corollary"),
+])
+def test_huge_r_is_refused_before_any_work(
+    capsys, monkeypatch, oracle_calls, set_int_str_limit, argv
+):
+    series_calls = []
+    monkeypatch.setattr(cli.qseries, "moment_sequence", lambda *a: series_calls.append(a))
+    set_int_str_limit(4300)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "more than 4300 decimal digits" in err
+    assert series_calls == [] and oracle_calls == []
+
+
+@pytest.mark.parametrize("method, message", [("gf", "above the limit"), ("oracle", "exceeds cap")])
+def test_huge_n_still_meets_its_cap_at_once(capsys, method, message):
+    # The up-front digit check runs first and must not walk up to n.
+    code, out, err = run_cli(capsys, "stats", "--kind", "sigma", "--r", "3",
+                             "--n", str(10**30), "--method", method)
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("method", ["gf", "oracle"])
+def test_longest_printable_value_is_not_refused(capsys, set_int_str_limit, method):
+    # varsigma at n = 0 is exactly A^r: 10^4299 has 4300 digits, 10^4300 one more.
+    set_int_str_limit(4300)
+    argv = ("stats", "--kind", "varsigma", "--mod", "10", "--res", "10", "--n", "0",
+            "--method", method)
+    code, out, _ = run_cli(capsys, *argv, "--r", "4299")
+    assert code == 0
+    assert out.splitlines()[2] == "0," + "1" + "0" * 4299
+    assert run_cli(capsys, *argv, "--r", "4300")[0] == 3
+
+
 def test_int_str_limit_zero_means_no_limit(capsys, set_int_str_limit):
     set_int_str_limit(0)
     code, out, _ = run_cli(

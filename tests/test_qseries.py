@@ -21,7 +21,7 @@ from mexmoments import (
     varsigma_gf_coeffs,
     varsigma_oracle,
 )
-from mexmoments import qseries
+from mexmoments import backend, qseries
 
 
 def geometric(order):
@@ -215,6 +215,39 @@ def test_gf_assembly_equals_dense_series_mul():
                 dense[e] = w
             via_mul = series_mul(pn, TruncatedSeries(dense))
             assert via_mul.coeffs == gf.values
+
+
+def test_gf_calls_the_product_with_three_positional_arguments(monkeypatch):
+    # The benchmark's tracer wraps backend.sparse_dense_product by name and
+    # counts its work from exactly (sparse, dense, length).
+    calls = []
+    real = backend.sparse_dense_product
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(backend, "sparse_dense_product", recording)
+    p = MexParams(1, 3, 2, 1)
+    sigma_gf_coeffs(p, 20)
+    varsigma_gf_coeffs(p, 20)
+    assert [(len(args), args[2], kwargs) for args, kwargs in calls] == [(3, 21, {}), (3, 21, {})]
+
+
+def test_largest_mex_bounds_the_oracle():
+    # p(n) k^r >= moment >= k^r (the latter for k >= 2); r = 100 is large
+    # enough that a k one class step off breaks one of the two bounds.
+    r = 100
+    for kind, oracle in (("sigma", sigma_oracle), ("varsigma", varsigma_oracle)):
+        for s in (1, 2, 3):
+            for M in (1, 2, 3, 4):
+                for A in range(1, M + 1):
+                    for n in range(15):
+                        k = qseries.largest_mex(kind, MexParams(s, M, A, r), n)
+                        value = oracle(MexParams(s, M, A, r), n)
+                        assert value <= partition_numbers(n)[n] * k**r
+                        if k >= 2:
+                            assert value >= k**r
 
 
 def test_moment_values_nonnegative_everywhere():
