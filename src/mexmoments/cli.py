@@ -27,6 +27,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, replace
+from operator import itemgetter
 from pathlib import Path
 
 from mexmoments import __version__, asymptotics, conjectures, qseries
@@ -219,6 +220,11 @@ def _check_printable_up_front(kind: str, params: list[MexParams], n: int) -> Non
             raise _too_long_to_print(limit)
 
 
+#: Characters written at a time: one ``write`` of a long text would first
+#: encode all of it, a second copy as large as the text.
+_WRITE_SLICE = 1 << 16
+
+
 def _write_atomic(path: str, text: str) -> None:
     """Write ``text`` to a new file beside ``path`` and rename it over
     ``path``, so a failed write leaves the old contents in place."""
@@ -226,7 +232,8 @@ def _write_atomic(path: str, text: str) -> None:
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start : start + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -245,7 +252,76 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         "version": __version__,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    _write_atomic(out + ".meta.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out + ".meta.json", _dumps(sidecar) + "\n")
+
+
+#: List items rendered at a time: enough to amortise the per-block work,
+#: few enough that their strings stay small beside the joined text.
+_JSON_BLOCK = 4096
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _json_column(values: list) -> list[str]:
+    """The JSON text of each value, as a field of a list item: ints one by
+    one, anything else (bools, tuples for lists) once per distinct value.
+    JSON strings hold no raw newline, so every newline is layout."""
+    if set(map(type, values)) == {int}:
+        return list(map(int.__repr__, values))  # what json writes for an int
+    text = {v: _dumps(v).replace("\n", "\n      ") for v in dict.fromkeys(values)}
+    return list(map(text.__getitem__, values))
+
+
+def _json_list(items: list[dict]) -> list[str]:
+    """The pieces of the JSON text of ``items`` as a value in a top-level
+    dict, rendered ``_JSON_BLOCK`` items at a time from one template."""
+    if not items:
+        return ["[]"]
+    keys = sorted(items[0])
+    lines = (f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
+    template = "{\n" + ",\n".join(lines) + "\n    }"
+    pieces = ["[\n    "]
+    for start in range(0, len(items), _JSON_BLOCK):
+        block = items[start : start + _JSON_BLOCK]
+        columns = [_json_column(list(map(itemgetter(k), block))) for k in keys]
+        pieces += (",\n    ".join(map(template.__mod__, zip(*columns))), ",\n    ")
+    pieces[-1] = "\n  ]"  # the separator after the last block closes the list
+    return pieces
+
+
+def _json_text(doc: dict, key: str) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, with the long
+    list ``doc[key]`` written from one template per item.
+
+    Every item of that list is a dict with the keys of the first.  The
+    values under one key are all ints, or hashable values of which equal
+    ones write the same JSON (tuples stand for lists, bools mix with no
+    int).  The other values of ``doc`` are small and go through
+    ``json.dumps``.  The text is joined once, from one string per block
+    of items, so the item strings of only one block are alive at a time.
+    """
+    pieces = ["{"]
+    for k, v in sorted(doc.items()):
+        pieces.append(f"\n  {json.dumps(k)}: ")
+        if k == key:
+            pieces += _json_list(v)
+        else:
+            pieces.append(_dumps(v).replace("\n", "\n  "))
+        pieces.append(",")
+    pieces[-1] = "\n}\n"  # the comma after the last field closes the document
+    return "".join(pieces)
+
+
+def _report_text(report: conjectures.ScanReport) -> str:
+    """The JSON text of ``report.to_json_dict()``.  An ordering entry's
+    fields are its JSON keys and its tuples write as JSON lists, so the
+    entries go to the emitter as they are, without per-entry dicts and
+    lists."""
+    doc = replace(report, ordering=()).to_json_dict()
+    doc["ordering"] = list(map(vars, report.ordering))
+    return _json_text(doc, "ordering")
 
 
 def _meta(args, params: MexParams, **extra) -> dict:
@@ -295,7 +371,7 @@ def cmd_stats(args, cfg: dict) -> int:
 
     meta = _meta(args, params, method=args.method, truncation=trunc)
     if args.format == "json":
-        text = json.dumps({"params": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+        text = _json_text({"params": meta, "rows": rows}, "rows")
     else:
         buf = io.StringIO()
         buf.write(_params_comment(meta))
@@ -394,7 +470,7 @@ def cmd_conjecture(args, cfg: dict) -> int:
         report = conjectures.scan_log_concavity(args.kind, _params(args), lo, hi, order=trunc)
     else:
         report = conjectures.scan_bias(args.kind, args.s, args.mod, args.r, lo, hi, order=trunc)
-    _emit(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", args)
+    _emit(_report_text(report), args)
     return EXIT_OK
 
 

@@ -16,12 +16,14 @@ Coefficients at n <= N do not depend on the truncation order N, so two
 process-wide caches only ever grow: the p(n) table, and a store holding
 one moment sequence per (kind, params) at the largest order requested so
 far, which serves every smaller order as a prefix.  The store is bounded
-by ``STORE_BYTE_LIMIT`` coefficient bytes; every series entry point
-refuses orders above ``SERIES_ORDER_LIMIT`` with ``ResourceCapError``.
+by ``STORE_BYTE_LIMIT`` coefficient bytes, and refuses up front a single
+sequence that would need more; every series entry point refuses orders
+above ``SERIES_ORDER_LIMIT`` with ``ResourceCapError``.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 from collections import OrderedDict
@@ -291,6 +293,22 @@ def largest_mex(kind: str, p: MexParams, n: int) -> int:
     return p.A + lo * p.M
 
 
+def _check_coefficient_bytes(kind: str, p: MexParams, order: int) -> None:
+    """Refuse, before any k^r or p(n) is computed, a sequence whose
+    coefficients alone would not fit in the store: with k the largest mex
+    at N//2, each of the N - N//2 + 1 values at n >= N//2 is at least k^r
+    (``largest_mex``), so they take at least r log2(k) / 8 bytes each."""
+    k = largest_mex(kind, p, order // 2)
+    if k < 2:
+        return
+    nbytes = (order - order // 2 + 1) * p.r * math.log2(k) / 8
+    if nbytes > STORE_BYTE_LIMIT:
+        raise ResourceCapError(
+            f"the {kind} sequence to order {order} needs at least {nbytes:.3g} coefficient "
+            f"bytes, above the limit {STORE_BYTE_LIMIT}"
+        )
+
+
 def sigma_gf_coeffs(p: MexParams, order: int) -> MomentSequence:
     """Sigma moments for n = 0..N by coefficient extraction.
 
@@ -381,7 +399,9 @@ def moment_sequence(kind: str, p: MexParams, order: int = DEFAULT_TRUNCATION) ->
     so far; a smaller order is served as a prefix of it (coefficients at
     n <= N do not depend on the truncation order), a larger one is
     computed afresh and replaces it.  Repeating a request returns the
-    same object.
+    same object.  A sequence whose coefficients take more than
+    ``STORE_BYTE_LIMIT`` bytes by a lower bound raises ``ResourceCapError``
+    before any work.
     """
     if kind not in VALID_KINDS:
         raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
@@ -389,6 +409,7 @@ def moment_sequence(kind: str, p: MexParams, order: int = DEFAULT_TRUNCATION) ->
     key = (kind, p)
     seq = _store.get(key, order)
     if seq is None:
+        _check_coefficient_bytes(kind, p, order)
         gf_coeffs = sigma_gf_coeffs if kind == "sigma" else varsigma_gf_coeffs
         seq = _store.put(key, gf_coeffs(p, order))
     return seq

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from mexmoments import MexParams, cli, partition_numbers
+from mexmoments import MexParams, backend, cli, partition_numbers
 from mexmoments.cli import main
 
 
@@ -303,6 +305,40 @@ def test_huge_r_is_refused_before_any_work(
     assert series_calls == [] and oracle_calls == []
 
 
+@pytest.fixture
+def product_calls(monkeypatch):
+    """An empty sequence store, and the arguments of every sparse x dense
+    product the series route runs."""
+    monkeypatch.setattr(cli.qseries, "_store", cli.qseries._SequenceStore())
+    calls = []
+    product = backend.sparse_dense_product
+    monkeypatch.setattr(backend, "sparse_dense_product",
+                        lambda *a: calls.append(a) or product(*a))
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("conjecture", "bias", "--kind", "sigma", "--mod", "4", "--r", "10000000", "--range", "1:300"),
+    ("stats", "--kind", "varsigma", "--r", "10000000", "--n", "0", "--truncation", "300"),
+])
+def test_coefficient_budget_is_checked_before_any_work(capsys, product_calls, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "coefficient bytes, above the limit 268435456" in err
+    assert product_calls == []
+
+
+def test_coefficient_budget_admits_large_r(capsys, product_calls):
+    code, out, _ = run_cli(capsys, "conjecture", "bias", "--kind", "sigma", "--mod", "4",
+                           "--r", "100000", "--range", "1:300")
+    assert code == 0
+    assert len(json.loads(out)["ordering"]) == 300
+    assert len(product_calls) == 4
+
+
 @pytest.mark.parametrize("method, message", [("gf", "above the limit"), ("oracle", "exceeds cap")])
 def test_huge_n_still_meets_its_cap_at_once(capsys, method, message):
     # The up-front digit check runs first and must not walk up to n.
@@ -428,6 +464,23 @@ def test_conjecture_bias_trivial_and_ties(capsys):
     assert all(entry["ties"] == [[1, 2, 3]] for entry in doc["ordering"])
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("conjecture", "logconcave", "--kind", "varsigma", "--s", "1", "--mod", "2", "--res", "1",
+      "--r", "0", "--range", "26:1000"), "logconcave_varsigma_r0.json"),
+    (("conjecture", "bias", "--kind", "varsigma", "--s", "1", "--mod", "3", "--r", "0",
+      "--range", "1:120"), "bias_varsigma_r0.json"),
+])
+def test_conjecture_writes_the_golden_bytes(capsys, tmp_path, argv, golden):
+    # tools/generate_golden.py writes the goldens with json.dumps, so this
+    # holds the CLI's JSON writer to the stdlib encoder byte for byte.
+    path = tmp_path / golden
+    assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+    assert path.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
 def test_conjecture_range_validation(capsys):
     code, _, _ = run_cli(
         capsys, "conjecture", "logconcave", "--kind", "sigma", "--range", "bad",
@@ -455,6 +508,20 @@ def test_out_files_deterministic_with_sidecar(tmp_path, capsys):
     meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
     assert meta["backend"] in ("fast", "pure")
     assert "written_at" in meta and "written_at" not in data_a.decode()
+
+
+def test_long_out_file_is_written_whole(tmp_path, capsys):
+    # Longer than a write slice, with multi-byte characters at the slice ends.
+    edge = cli._WRITE_SLICE
+    text = "a" * (edge - 1) + "é∑" + "b" * edge + "\n" + "c" * (edge // 2) + "😀"
+    path = tmp_path / "long.txt"
+    cli._write_atomic(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
+    args = ["stats", "--kind", "varsigma", "--r", "0", "--range", "0:2000", "--format", "json"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and len(out) > 2 * edge
+    assert main(args + ["--out", str(tmp_path / "p.json")]) == 0
+    assert (tmp_path / "p.json").read_text(encoding="utf-8") == out
 
 
 def test_missing_config_file(capsys):

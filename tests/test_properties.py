@@ -1,12 +1,16 @@
 """Property-based differential tests over random (s, M, A, r, n): moduli
 up to 40 against n <= 18, so M far above n occurs, and residues drawn
 from both ends of 1..M as well as in between.  The sparse x dense
-product is held to the schoolbook Cauchy product on random supports."""
+product is held to the schoolbook Cauchy product on random supports, and
+the CLI's JSON writer to ``json.dumps`` on random rows and reports."""
+
+import json
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mexmoments import _pure
+from mexmoments import _pure, cli
+from mexmoments.conjectures import OrderingEntry, ScanReport
 from mexmoments.partitions import MexParams, sigma_oracle, varsigma_oracle
 from mexmoments.qseries import partition_numbers, sigma_gf_coeffs, varsigma_gf_coeffs
 
@@ -69,3 +73,92 @@ def test_sparse_dense_product_equals_schoolbook(args):
     assert _pure.sparse_dense_product(sparse, dense, length) == _pure.cauchy_product(
         poly, dense[:length]
     )
+
+
+def stdlib_json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+values = st.one_of(st.just(0), st.integers(0, 2**512))
+
+
+@st.composite
+def stats_docs(draw):
+    """The ``stats --format json`` document of one method: its rows all
+    have the same keys, and exact values reach 2^512."""
+    method = draw(st.sampled_from(["gf", "oracle", "both"]))
+    rows = []
+    for n in range(draw(st.integers(0, 3)), draw(st.integers(0, 12))):
+        row = {"n": n}
+        if method != "gf":
+            row["oracle"] = draw(values)
+        if method != "oracle":
+            row["gf"] = draw(values)
+        if method == "both":
+            row["match"] = draw(st.booleans())
+        rows.append(row)
+    params = {"kind": draw(st.sampled_from(["sigma", "varsigma"])), "s": 1, "M": 2, "A": 1,
+              "r": draw(st.integers(0, 9)), "method": method, "truncation": 40}
+    return {"params": params, "rows": rows}
+
+
+@settings(max_examples=200, deadline=None)
+@given(stats_docs())
+@example({"params": {"kind": "sigma", "method": "gf"}, "rows": [{"n": 0, "gf": 0}]})
+@example({"params": {"kind": "sigma", "method": "both"},
+          "rows": [{"n": 9, "oracle": 2**512, "gf": 2**512, "match": True},
+                   {"n": 10, "oracle": 0, "gf": 1, "match": False}]})
+def test_stats_json_equals_stdlib_encoder(doc):
+    assert cli._json_text(doc, "rows") == stdlib_json(doc)
+
+
+@st.composite
+def ordering_entries(draw, M: int, n: int):
+    """A permutation of 1..M with runs of it grouped as ties: none, one
+    or several groups."""
+    perm = tuple(draw(st.permutations(range(1, M + 1))))
+    inner = draw(st.sets(st.integers(1, M - 1))) if M > 1 else set()
+    cuts = [0, *sorted(inner), M]
+    ties = tuple(perm[a:b] for a, b in zip(cuts, cuts[1:]) if b - a > 1)
+    return OrderingEntry(n=n, perm=perm, ties=ties)
+
+
+@st.composite
+def scan_reports(draw):
+    """Log-concavity reports (no ordering) and bias reports, with or
+    without ``stabilized_at``, violations and equalities."""
+    M = draw(st.integers(1, 6))
+    n_lo = draw(st.integers(1, 50))
+    n_hi = n_lo + draw(st.integers(0, 12))
+    bias = draw(st.booleans())
+    ordering = tuple(draw(ordering_entries(M, n)) for n in range(n_lo, n_hi + 1)) if bias else ()
+    violations = draw(st.lists(st.integers(n_lo, n_hi), unique=True).map(sorted))
+    return ScanReport(
+        kind=draw(st.sampled_from(["sigma", "varsigma"])),
+        params={"kind": "sigma", "s": draw(st.integers(1, 3)), "M": M, "r": 1,
+                **({} if bias else {"A": draw(st.integers(1, M))})},
+        n_lo=n_lo,
+        n_hi=n_hi,
+        violations=tuple(violations),
+        equalities=tuple(v for v in violations if draw(st.booleans())),
+        ordering=ordering,
+        stabilized_at=draw(st.one_of(st.none(), st.integers(n_lo, n_hi))),
+    )
+
+
+def _report(ordering=(), M=3, **fields):
+    return ScanReport(kind="varsigma", params={"kind": "varsigma", "s": 1, "M": M, "r": 0},
+                      n_lo=1, n_hi=2, ordering=ordering, **fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_reports())
+@example(_report(violations=(1, 2), equalities=(2,), stabilized_at=None))
+@example(_report(ordering=(OrderingEntry(1, (2, 1, 3), ()), OrderingEntry(2, (1, 2, 3), ((1, 2),))),
+                 stabilized_at=2))
+@example(_report(ordering=(OrderingEntry(1, (1, 2, 3, 4), ((1, 2), (3, 4))),
+                           OrderingEntry(2, (4, 1, 2, 3), ((1, 2, 3),))), M=4))
+@example(_report(ordering=(OrderingEntry(1, (1,), ()), OrderingEntry(2, (1,), ())), M=1,
+                 stabilized_at=1))
+def test_report_json_equals_stdlib_encoder(report):
+    assert cli._report_text(report) == stdlib_json(report.to_json_dict())

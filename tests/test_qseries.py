@@ -396,3 +396,28 @@ def test_series_orders_above_the_limit_are_refused(gf_calls):
     with pytest.raises(ResourceCapError):
         euler_product(over)
 
+
+
+@pytest.mark.parametrize("kind, p, order", [
+    ("sigma", MexParams(1, 4, 1, 50), 300),
+    ("sigma", MexParams(2, 2, 2, 7), 200),
+    ("varsigma", MexParams(1, 3, 2, 40), 300),
+    ("varsigma", MexParams(1, 1, 1, 3), 200),
+    ("varsigma", MexParams(3, 5, 5, 0), 200),
+    ("sigma", MexParams(1, 1, 1, 9), 1),
+])
+def test_coefficient_budget_is_a_lower_bound(gf_calls, monkeypatch, kind, p, order):
+    # A limit equal to the bytes the values at n >= N//2 really take must
+    # admit the sequence, so the budget never refuses what would fit.
+    values = FRESH_GF[kind](p, order).values
+    monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT",
+                        sum(v.bit_length() for v in values[order // 2:]) / 8)
+    assert qseries.moment_sequence(kind, p, order).values == values
+    assert gf_calls == [(kind, p, order)]
+
+
+def test_coefficient_budget_refuses_before_any_work(gf_calls):
+    for kind in FRESH_GF:
+        with pytest.raises(ResourceCapError, match="coefficient bytes"):
+            qseries.moment_sequence(kind, MexParams(1, 4, 1, 10**7), 300)
+    assert gf_calls == []
