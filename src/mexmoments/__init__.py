@@ -11,23 +11,11 @@ __version__ = "0.1.0"
 
 from mexmoments.backend import BACKEND
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import (
-    MexParams,
-    Partition,
-    enumerate_partitions,
-    mex_s,
-    mex_s_mod,
-    sigma_oracle,
-    varsigma_oracle,
-)
+from mexmoments.partitions import MexParams, sigma_oracle, varsigma_oracle
 from mexmoments.qseries import (
     MomentSequence,
-    TruncatedSeries,
-    euler_product,
     moment_sequence,
     partition_numbers,
-    series_invert,
-    series_mul,
     sigma_gf_coeffs,
     varsigma_gf_coeffs,
 )
@@ -36,19 +24,11 @@ __all__ = [
     "BACKEND",
     "MexParams",
     "MomentSequence",
-    "Partition",
     "ResourceCapError",
-    "TruncatedSeries",
     "ValidationError",
     "__version__",
-    "enumerate_partitions",
-    "euler_product",
-    "mex_s",
-    "mex_s_mod",
     "moment_sequence",
     "partition_numbers",
-    "series_invert",
-    "series_mul",
     "sigma_gf_coeffs",
     "sigma_oracle",
     "varsigma_gf_coeffs",

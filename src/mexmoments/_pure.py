@@ -1,12 +1,10 @@
-"""Pure-Python kernels.
+"""Pure-Python kernels: the partition-enumeration histogram, twin of the
+compiled ``mexmoments._speed`` (the active one is chosen in
+:mod:`mexmoments.backend`; keep the two in sync), and the sparse x dense
+product behind every moment sequence, which has no compiled twin.
 
-These are the reference implementations of the hot loops.  The compiled
-module ``mexmoments._speed`` provides a bit-identical, faster
-``mex_value_counts``; the active one is chosen in :mod:`mexmoments.backend`.
-Keep the two in sync.
-
-All series kernels operate on plain ``list`` objects holding exact Python
-integers, so results never lose precision regardless of magnitude.
+Both work on plain ``list`` objects holding exact Python integers, so
+results never lose precision regardless of magnitude.
 """
 
 from __future__ import annotations
@@ -69,54 +67,6 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
     for row in counts[len(live) :]:
         row[0] = total
     return counts
-
-
-def cauchy_product(a: list, b: list) -> list:
-    """Schoolbook product of two coefficient lists, truncated to the
-    shorter length.  Exact for arbitrary Python integers."""
-    n = min(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(n - i):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def invert_unit_series(a: list) -> list:
-    """Coefficients of 1/a for a series with constant term +1 or -1.
-
-    Standard recurrence b_m = -a_0 * sum_{k>=1} a_k b_{m-k}; zero
-    coefficients of ``a`` are skipped, so sparse inputs invert fast.
-    The caller must have checked a[0] in (1, -1).
-    """
-    n = len(a)
-    c0 = a[0]
-    out = [0] * n
-    out[0] = c0
-    support = [(k, a[k]) for k in range(1, n) if a[k]]
-    for m in range(1, n):
-        acc = 0
-        for k, ak in support:
-            if k > m:
-                break
-            acc += ak * out[m - k]
-        out[m] = -acc if c0 == 1 else acc
-    return out
-
-
-def euler_product_coeffs(order: int) -> list:
-    """Coefficients of prod_{k=1..order} (1 - q^k) truncated at ``order``."""
-    c = [0] * (order + 1)
-    c[0] = 1
-    for k in range(1, order + 1):
-        for j in range(order, k - 1, -1):
-            c[j] -= c[j - k]
-    return c
 
 
 def _signed_sum(terms: list, dense: list, length: int) -> list:

@@ -55,12 +55,6 @@ class LogValue:
             return cls(0, 0.0)
         return cls(1 if x > 0 else -1, math.log(abs(x)))
 
-    @classmethod
-    def from_float(cls, x: float) -> "LogValue":
-        if x == 0.0:
-            return cls(0, 0.0)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
     def __mul__(self, other: "LogValue") -> "LogValue":
         if self.sign == 0 or other.sign == 0:
             return LogValue(0, 0.0)
@@ -417,24 +411,6 @@ def varsigma_asymp(p: MexParams, n: int) -> LogValue:
     return LogValue(1, base.log_abs + math.log(p.M) + p.r / 2 * math.log(p.M))
 
 
-def gamma_half_integer(m: int) -> tuple[Fraction, bool]:
-    """Exact Gamma(m/2) for integer m >= 1 as (rational, times_sqrt_pi).
-
-    Even m: (m/2 - 1)! exactly.  Odd m: (m-2)!! / 2^((m-1)/2) times
-    sqrt(pi).  Used as an independent check on the log-gamma route.
-    """
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    if m % 2 == 0:
-        return Fraction(math.factorial(m // 2 - 1)), False
-    acc = 1
-    k = m - 2
-    while k >= 1:
-        acc *= k
-        k -= 2
-    return Fraction(acc, 2 ** ((m - 1) // 2)), True
-
-
 # ---------------------------------------------------------------------------
 # exact-versus-asymptotic ratios
 
@@ -443,10 +419,7 @@ def exact_over_asymptotic(kind: str, p: MexParams, n: int, order: int | None = N
     """Ratio exact_value(n) / growth_law(n), evaluated in log space."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    N = n if order is None else order
-    if N < n:
-        raise ValidationError(f"truncation order {N} is below the requested n={n}")
-    seq = qseries.moment_sequence(kind, p, N)
+    seq = qseries.moment_sequence(kind, p, qseries.truncation_order(order, n))
     exact = LogValue.from_int(seq[n])
     asymp = sigma_asymp(p, n) if kind == "sigma" else varsigma_asymp(p, n)
     return (exact / asymp).to_float()
@@ -466,9 +439,7 @@ def corollary_ratio(
         raise ValidationError(f"residue must satisfy 0 < A' <= M, got A'={a_prime}, M={p.M}")
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    N = n if order is None else order
-    if N < n:
-        raise ValidationError(f"truncation order {N} is below the requested n={n}")
+    N = qseries.truncation_order(order, n)
     if a_prime == p.A:
         return 1.0
     seq_a = qseries.moment_sequence(kind, p, N)

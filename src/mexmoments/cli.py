@@ -150,10 +150,8 @@ def _resolve_int(flag_value, cfg: dict, key: str, env: str | None, default):
 
 def _truncation(args, cfg: dict, n_max: int) -> int:
     """Series truncation order; defaults to the largest requested n."""
-    trunc = _resolve_int(args.truncation, cfg, "truncation", "MEXMOMENTS_TRUNCATION", n_max)
-    if trunc < n_max:
-        raise ValidationError(f"truncation order {trunc} is below the largest requested n={n_max}")
-    return trunc
+    trunc = _resolve_int(args.truncation, cfg, "truncation", "MEXMOMENTS_TRUNCATION", None)
+    return qseries.truncation_order(trunc, n_max)
 
 
 def _oracle_cap(args, cfg: dict) -> int | None:

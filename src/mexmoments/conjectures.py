@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mexmoments import qseries
-from mexmoments.errors import ValidationError
+from mexmoments.errors import ResourceCapError, ValidationError
 from mexmoments.partitions import MexParams
 
 
@@ -92,10 +92,7 @@ def scan_log_concavity(
     suppressed.  Comparisons are exact integer arithmetic.
     """
     _check_range(n_lo, n_hi)
-    N = n_hi if order is None else order
-    if N < n_hi:
-        raise ValidationError(f"truncation order {N} is below the scan end {n_hi}")
-    seq = qseries.moment_sequence(kind, p, N)
+    seq = qseries.moment_sequence(kind, p, qseries.truncation_order(order, n_hi))
     values = seq.values
     violations = []
     equalities = []
@@ -138,15 +135,25 @@ def scan_bias(
     Ties are broken by ascending residue and flagged explicitly, since an
     ordering by "<=" makes equal values legitimate.  For the sigma family
     with r = 0 the residue classes partition all partitions of n, so the
-    per-n values are additionally checked to sum to p(n).
+    per-n values are additionally checked to sum to p(n).  A scan whose M
+    sequences and orderings would hold more than ``STORE_BYTE_LIMIT``
+    bytes of pointers raises ``ResourceCapError`` before any sequence is
+    computed.
     """
     if kind not in qseries.VALID_KINDS:
         raise ValidationError(f"kind must be one of {qseries.VALID_KINDS}, got {kind!r}")
     MexParams(s, M, 1, r)  # rejects s, M and r outside their domains
     _check_range(n_lo, n_hi)
-    N = n_hi if order is None else order
-    if N < n_hi:
-        raise ValidationError(f"truncation order {N} is below the scan end {n_hi}")
+    N = qseries.truncation_order(order, n_hi)
+    # The M sequences and the M residues per n of the ordering stay alive
+    # together, so store eviction cannot bound them: refuse up front when
+    # their pointers alone, 8 bytes each, exceed the store's limit.
+    nbytes = 8 * M * (N + 1) + 8 * M * (n_hi - n_lo + 1)
+    if nbytes > qseries.STORE_BYTE_LIMIT:
+        raise ResourceCapError(
+            f"a bias scan of {M} residues to order {N} holds at least {nbytes} bytes, "
+            f"above the limit {qseries.STORE_BYTE_LIMIT}"
+        )
     sequences = {
         a: qseries.moment_sequence(kind, MexParams(s, M, a, r), N) for a in range(1, M + 1)
     }

@@ -1,27 +1,27 @@
-"""Partition enumeration and the generalized minimal-excludant statistics.
+"""The generalized minimal-excludant statistics and the enumeration oracle.
 
-This module is the ground-truth oracle: every statistic is obtained by
-walking actual partitions, with no generating-function shortcuts.  The
-other modules are cross-checked against it.
+This module is the ground truth: every statistic is obtained by walking
+actual partitions (the histogram kernel of :mod:`mexmoments.backend`),
+with no generating-function shortcuts, and the other modules are
+cross-checked against it.  It holds the parameter tuple ``MexParams``,
+the oracle cap, the histogram cache and the two oracles.
 
-Terminology used throughout the package:
+Terminology used throughout the package, for a partition pi:
 
-* mex_s(pi, s): the smallest positive integer whose frequency as a part
-  of pi is less than s (the ordinary mex is s=1).
-* mex_s_mod(pi, s, M, A): the smallest positive integer congruent to
-  A mod M whose frequency is less than s.
-* sigma moment: sum of mex_s(pi)^r over partitions of n whose mex_s lies
-  in the residue class A mod M.
-* varsigma moment: sum of mex_s_mod(pi)^r over all partitions of n.
+* the mex of pi with frequency s: the smallest positive integer whose
+  frequency as a part of pi is less than s (the ordinary mex is s=1);
+* the congruence mex for (s, M, A): the smallest positive integer
+  congruent to A mod M whose frequency is less than s;
+* sigma moment: sum of mex^r over the partitions of n whose mex lies in
+  the residue class A mod M;
+* varsigma moment: sum of (congruence mex)^r over all partitions of n.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from mexmoments import backend
 from mexmoments.errors import ResourceCapError, ValidationError
@@ -40,7 +40,7 @@ def oracle_cap() -> int:
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise ValidationError(f"MEXMOMENTS_ORACLE_CAP must be an integer, not {raw!r}") from exc
+        raise ValidationError(f"MEXMOMENTS_ORACLE_CAP must be an integer, got {raw!r}") from exc
     return cap
 
 
@@ -68,114 +68,13 @@ class MexParams:
             raise ValidationError(f"moment order r must be >= 0, got {self.r}")
 
 
-class Partition:
-    """A partition: weakly decreasing positive parts, with a frequency map.
-
-    The parts view and the frequency view are kept together so that mex
-    queries cost one dictionary probe per candidate value.
-    """
-
-    __slots__ = ("parts", "freq")
-
-    def __init__(self, parts=()):
-        parts = tuple(parts)
-        for prev, cur in zip(parts, parts[1:]):
-            if cur > prev:
-                raise ValidationError(f"parts must be weakly decreasing, got {parts}")
-        if parts and parts[-1] < 1:
-            raise ValidationError(f"parts must be positive, got {parts}")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "freq", dict(Counter(parts)))
-
-    @classmethod
-    def from_frequencies(cls, freq: dict) -> "Partition":
-        """Build from a part -> frequency map (all frequencies >= 1)."""
-        parts = []
-        for part in sorted(freq, reverse=True):
-            mult = freq[part]
-            if mult < 1:
-                raise ValidationError(f"frequency of part {part} must be >= 1, got {mult}")
-            parts.extend([part] * mult)
-        return cls(parts)
-
-    @property
-    def weight(self) -> int:
-        """|pi| = sum of the parts."""
-        return sum(self.parts)
-
-    def frequency(self, part: int) -> int:
-        return self.freq.get(part, 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition({list(self.parts)})"
-
-
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, in descending-lexicographic
-    order on part sequences; n=0 yields just the empty partition."""
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    if n == 0:
-        yield Partition()
-        return
-    # parts[] is the current stack of chosen parts, weakly decreasing.
-    parts: list[int] = []
-
-    def extend(remaining: int, max_part: int) -> Iterator[Partition]:
-        for part in range(min(remaining, max_part), 0, -1):
-            parts.append(part)
-            if remaining == part:
-                yield Partition(parts)
-            else:
-                yield from extend(remaining - part, part)
-            parts.pop()
-
-    yield from extend(n, n)
-
-
-def mex_s(pi: Partition, s: int) -> int:
-    """Smallest positive integer whose frequency in pi is < s."""
-    if s < 1:
-        raise ValidationError(f"s must be >= 1, got {s}")
-    freq = pi.freq
-    k = 1
-    while freq.get(k, 0) >= s:
-        k += 1
-    return k
-
-
-def mex_s_mod(pi: Partition, s: int, M: int, A: int) -> int:
-    """Smallest positive integer congruent to A mod M with frequency < s.
-
-    Reduces to mex_s when (M, A) = (1, 1).
-    """
-    if s < 1:
-        raise ValidationError(f"s must be >= 1, got {s}")
-    if M < 1 or not 0 < A <= M:
-        raise ValidationError(f"need 0 < A <= M, got A={A}, M={M}")
-    freq = pi.freq
-    k = A
-    while freq.get(k, 0) >= s:
-        k += M
-    return k
-
-
 # Histogram cache: the kernel enumerates once per (n, s, M) and every moment
 # order r is then a cheap weighted sum.  lru_cache gives the concurrency
 # contract for free (atomic dict ops; at worst a duplicated computation).
 @lru_cache(maxsize=4096)
 def mex_value_histogram(n: int, s: int, M: int) -> tuple[tuple[int, ...], ...]:
-    """Row A-1 counts, per m, the partitions of n with
-    mex_s_mod(pi, s, M, A) = A + m*M.  Rows have n//M + 2 entries."""
+    """Row A-1 counts, per m, the partitions of n whose congruence mex
+    for (s, M, A) is A + m*M.  Rows have n//M + 2 entries."""
     return tuple(tuple(row) for row in backend.mex_value_counts(n, s, M))
 
 
@@ -193,8 +92,8 @@ def _check_cap(n: int, cap: int | None) -> None:
 def sigma_oracle(p: MexParams, n: int, cap: int | None = None) -> int:
     """Exact sigma moment by brute-force enumeration.
 
-    Sum of mex_s(pi)^r over partitions pi of n with mex_s(pi) in the class
-    A mod M.  The r=0 moment is a pure count (v^0 = 1 for every value v).
+    Sum of mex^r over the partitions of n whose mex with frequency s lies
+    in the class A mod M.  The r=0 moment is a pure count (v^0 = 1 for every value v).
     """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
@@ -207,7 +106,7 @@ def sigma_oracle(p: MexParams, n: int, cap: int | None = None) -> int:
 def varsigma_oracle(p: MexParams, n: int, cap: int | None = None) -> int:
     """Exact varsigma moment by brute-force enumeration.
 
-    Sum of mex_s_mod(pi, s, M, A)^r over all partitions pi of n; equals the
+    Sum of (congruence mex)^r over all partitions of n; equals the
     partition count p(n) when r = 0.
     """
     if n < 0:

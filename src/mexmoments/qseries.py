@@ -1,11 +1,8 @@
-"""Exact truncated power-series arithmetic and the moment generating
-functions.
+"""The series route: partition numbers and the moment generating
+functions, by exact coefficient extraction.
 
 Everything here is integer-exact: coefficients are Python ints of
-arbitrary size and no float ever enters a computation.  A series of
-order N knows nothing about coefficients beyond q^N (they are unknown,
-not zero), so products and inverses are only valid up to the common
-truncation order.
+arbitrary size and no float ever enters a computation.
 
 The two moment families are produced by multiplying 1/(q;q)_inf, i.e.
 the partition-number series, with a sparse theta-like polynomial whose
@@ -30,7 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
 
-from mexmoments import _pure, backend
+from mexmoments import backend
 from mexmoments.errors import ResourceCapError, ValidationError
 from mexmoments.partitions import MexParams
 
@@ -60,60 +57,15 @@ def _check_order(order: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Exact integer coefficients c_0..c_N of a formal power series in q."""
-
-    coeffs: tuple[int, ...]
-
-    def __init__(self, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
-        if not coeffs:
-            raise ValidationError("a truncated series needs at least the constant term")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def order(self) -> int:
-        """Truncation bound N; coefficients beyond it are unknown."""
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValidationError(f"cannot extend order {self.order} series to {order}")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if self.order >= 8 else ""
-        return f"TruncatedSeries([{head}{tail}], order={self.order})"
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Exact Cauchy product, truncated to the smaller input order."""
-    return TruncatedSeries(_pure.cauchy_product(list(a.coeffs), list(b.coeffs)))
-
-
-def series_invert(a: TruncatedSeries) -> TruncatedSeries:
-    """Exact multiplicative inverse up to the truncation order.
-
-    Only series with constant term +1 or -1 are invertible without
-    leaving the integers, so anything else is rejected.
-    """
-    if a.coeffs[0] not in (1, -1):
-        raise ValidationError(
-            f"series_invert needs constant term +1 or -1, got {a.coeffs[0]}"
-        )
-    return TruncatedSeries(_pure.invert_unit_series(list(a.coeffs)))
-
-
-def euler_product(order: int) -> TruncatedSeries:
-    """prod_{k=1..N} (1 - q^k) truncated at N; factors beyond N cannot
-    touch coefficients <= N, so the finite product is exact."""
-    _check_order(order)
-    return TruncatedSeries(_pure.euler_product_coeffs(order))
+def truncation_order(order: int | None, n_max: int) -> int:
+    """The truncation order of a request that needs the values up to
+    ``n_max``: ``n_max`` when no order is given, else ``order``, which
+    must reach ``n_max``."""
+    if order is None:
+        return n_max
+    if order < n_max:
+        raise ValidationError(f"truncation order {order} is below the largest requested n={n_max}")
+    return order
 
 
 # Growing table of partition numbers.  Entries never change once appended,
@@ -134,7 +86,7 @@ def _gather(offsets: list[int]):
 def _extend_partition_numbers(order: int) -> None:
     # Pentagonal-number recurrence:
     #   p(n) = sum_{k>=1} (-1)^(k-1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].
-    # Deliberately independent of series_invert so the two can cross-check.
+    # The tests check it against inverting the Euler product, another route.
     # When p(n) is appended, p(n - g) is p[-g]: between two consecutive
     # generalized pentagonal numbers every term sits at a fixed negative
     # index, so one itemgetter per sign gathers a whole stretch.
@@ -231,29 +183,11 @@ def _sigma_support(p: MexParams, order: int) -> list[tuple[int, int]]:
     return sorted((e, w) for e, w in weights.items() if w != 0)
 
 
-def _varsigma_support_direct(p: MexParams, order: int) -> list[tuple[int, int]]:
-    """Sparse terms of the varsigma theta factor in its raw two-term form:
-    +(Mm+A)^r at s*(M*m*(m-1)/2 + A*m) and -(Mm+A)^r one quadratic step up.
-    The tests hold the telescoped form to this reference."""
-    weights: dict[int, int] = {}
-    m = 0
-    while True:
-        e1 = p.s * (p.M * m * (m - 1) // 2 + p.A * m)
-        if e1 > order:
-            break
-        w = (p.M * m + p.A) ** p.r
-        weights[e1] = weights.get(e1, 0) + w
-        e2 = p.s * (p.M * m * (m + 1) // 2 + p.A * (m + 1))
-        if e2 <= order:
-            weights[e2] = weights.get(e2, 0) - w
-        m += 1
-    return sorted((e, w) for e, w in weights.items() if w != 0)
-
-
 def _varsigma_support_telescoped(p: MexParams, order: int) -> list[tuple[int, int]]:
     """Telescoped form of the varsigma theta factor: constant A^r plus
     difference weights (M(m+1)+A)^r - (Mm+A)^r on the shifted quadratic
-    exponents.  Identical to the direct form term-by-term after collecting."""
+    exponents.  The tests hold it to the raw two-term form, term by term
+    after collecting."""
     weights: dict[int, int] = {0: p.A**p.r}
     m = 0
     while True:
@@ -269,7 +203,7 @@ def _varsigma_support_telescoped(p: MexParams, order: int) -> list[tuple[int, in
 def largest_mex(kind: str, p: MexParams, n: int) -> int:
     """Largest k = A + mM whose mex parts fit in n; 0 if none does.
 
-    A partition with mex_s (sigma) or mex_s_mod (varsigma) equal to k
+    A partition whose mex (sigma) or congruence mex (varsigma) is k
     holds each of 1..k-1 (sigma) or A, A+M, ..., k-M (varsigma) at least
     s times; their weight is the exponent of k's first support term.  So
     no partition of n has a larger mex in the class, and the moment at n

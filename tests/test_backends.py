@@ -1,12 +1,14 @@
 """Differential tests between the pure-Python kernels and the compiled
 enumeration kernel, which the ``speed`` fixture builds from source, and
-the series kernels, which have only a pure-Python implementation."""
+checks of the sparse x dense product, which has only a pure-Python
+implementation."""
 
 import random
 
 import pytest
 
 from mexmoments import _pure
+from reference import invert_unit_series
 
 
 @pytest.fixture(params=["pure", "fast"])
@@ -57,11 +59,13 @@ def test_backends_agree_on_histograms(speed):
 
 
 def test_invert_unit_series_roundtrip():
+    # The product kernel times the reference inverse of a random unit
+    # series, given as (exponent, weight) terms, is exactly 1.
     rng = random.Random(99)
     for c0 in (1, -1):
         a = [c0] + [rng.randint(-7, 7) for _ in range(30)]
-        inv = _pure.invert_unit_series(a)
-        assert _pure.cauchy_product(a, inv) == [1] + [0] * 30
+        inv = invert_unit_series(a)
+        assert _pure.sparse_dense_product(list(enumerate(a)), inv, 31) == [1] + [0] * 30
 
 
 def test_sparse_dense_degenerate_terms():

@@ -117,7 +117,7 @@ def test_stats_truncation_below_n_rejected(capsys):
         capsys, "stats", "--kind", "sigma", "--n", "10", "--truncation", "5",
     )
     assert code == 1
-    assert "truncation" in err
+    assert err == "error: truncation order 5 is below the largest requested n=10\n"
 
 
 def test_truncation_env_default(capsys, monkeypatch):
@@ -128,6 +128,10 @@ def test_truncation_env_default(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "stats", "--kind", "sigma", "--n", "10")
     assert code == 0
     assert json.loads(out.splitlines()[0][len("# params: "):])["truncation"] == 16
+    monkeypatch.setenv("MEXMOMENTS_TRUNCATION", "x")
+    code, _, err = run_cli(capsys, "stats", "--kind", "sigma", "--n", "10")
+    assert code == 1
+    assert err == "error: MEXMOMENTS_TRUNCATION must be an integer, got 'x'\n"
 
 
 def test_stats_series_order_limit_flag(capsys):
@@ -337,6 +341,25 @@ def test_coefficient_budget_admits_large_r(capsys, product_calls):
     assert code == 0
     assert len(json.loads(out)["ordering"]) == 300
     assert len(product_calls) == 4
+
+
+def test_bias_scan_budget_is_checked_before_any_work(capsys, product_calls):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "conjecture", "bias", "--kind", "varsigma", "--mod", "2000",
+                             "--r", "1", "--range", "1:20000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "a bias scan of 2000 residues to order 20000" in err
+    assert product_calls == []
+
+
+def test_bias_scan_budget_admits_two_hundred_residues(capsys, product_calls):
+    code, out, _ = run_cli(capsys, "conjecture", "bias", "--kind", "varsigma", "--mod", "200",
+                           "--r", "1", "--range", "1:300")
+    assert code == 0
+    assert len(json.loads(out)["ordering"]) == 300
+    assert len(product_calls) == 200
 
 
 @pytest.mark.parametrize("method, message", [("gf", "above the limit"), ("oracle", "exceeds cap")])

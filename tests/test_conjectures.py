@@ -2,7 +2,7 @@
 
 import pytest
 
-from mexmoments import MexParams, ValidationError, partition_numbers
+from mexmoments import MexParams, ResourceCapError, ValidationError, partition_numbers, qseries
 from mexmoments.conjectures import scan_bias, scan_log_concavity
 
 
@@ -127,3 +127,47 @@ def test_bias_validates_parameters_up_front():
     for s, M, r in [(1, 0, 0), (0, 2, 0), (1, 2, -1)]:
         with pytest.raises(ValidationError):
             scan_bias("sigma", s, M, r, 1, 5)
+
+
+def test_bias_budget_counts_sequences_and_orderings(monkeypatch):
+    # M sequences to order N, and M residues at each scanned n, 8 bytes a
+    # pointer: a limit one byte short refuses, the exact bytes admit.
+    M, N, lo, hi = 3, 40, 11, 30
+    need = 8 * M * (N + 1) + 8 * M * (hi - lo + 1)
+    monkeypatch.setattr(qseries, "_store", qseries._SequenceStore())
+    monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need - 1)
+    with pytest.raises(ResourceCapError, match=f"at least {need} bytes"):
+        scan_bias("sigma", 1, M, 1, lo, hi, order=N)
+    assert not qseries._store.entries
+    monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need)
+    assert len(scan_bias("sigma", 1, M, 1, lo, hi, order=N).ordering) == hi - lo + 1
+
+
+class Admitted(Exception):
+    """Raised in place of the first sequence request of an admitted scan."""
+
+
+@pytest.fixture
+def no_sequences(monkeypatch):
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(qseries, "moment_sequence", admitted)
+
+
+@pytest.mark.parametrize("kind, M, r, n_hi", [
+    ("varsigma", 200, 1, 20000),
+    ("sigma", 4, 1, 100000),
+    ("varsigma", 3, 1, 100000),
+    ("varsigma", 8, 2, 100000),
+    ("sigma", 4, 1, 16384),
+    ("varsigma", 3, 1, 16384),
+])
+def test_bias_budget_admits_the_recorded_scans(no_sequences, kind, M, r, n_hi):
+    with pytest.raises(Admitted):
+        scan_bias(kind, 1, M, r, 1, n_hi)
+
+
+def test_bias_budget_refuses_two_thousand_residues(no_sequences):
+    with pytest.raises(ResourceCapError, match="above the limit 268435456"):
+        scan_bias("varsigma", 1, 2000, 1, 1, 20000)

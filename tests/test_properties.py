@@ -1,7 +1,7 @@
 """Property-based differential tests over random (s, M, A, r, n): moduli
 up to 40 against n <= 18, so M far above n occurs, and residues drawn
 from both ends of 1..M as well as in between.  The sparse x dense
-product is held to the schoolbook Cauchy product on random supports, and
+product is held to the reference schoolbook product on random supports, and
 the CLI's JSON writer to ``json.dumps`` on random rows and reports."""
 
 import json
@@ -13,6 +13,7 @@ from mexmoments import _pure, cli
 from mexmoments.conjectures import OrderingEntry, ScanReport
 from mexmoments.partitions import MexParams, sigma_oracle, varsigma_oracle
 from mexmoments.qseries import partition_numbers, sigma_gf_coeffs, varsigma_gf_coeffs
+from reference import cauchy_product
 
 ns = st.integers(0, 18)
 thresholds = st.integers(1, 4)
@@ -70,7 +71,7 @@ def test_sparse_dense_product_equals_schoolbook(args):
     for e, w in sparse:
         if e < length:
             poly[e] += w
-    assert _pure.sparse_dense_product(sparse, dense, length) == _pure.cauchy_product(
+    assert _pure.sparse_dense_product(sparse, dense, length) == cauchy_product(
         poly, dense[:length]
     )
 
