@@ -37,30 +37,31 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
     entries, which bounds every m.  Residues A > n never occur as parts,
     so their rows hold all p(n) partitions at m = 0.  With M=1 the single
     row is the histogram of the plain frequency-s mex, shifted by one.
+
+    Each partition is visited once: the walk recurses over its parts >= 2
+    only, and whatever remains is ones, placed in one step.
     """
     _check_histogram_args(n, s, M)
     counts = [[0] * (n // M + 2) for _ in range(M)]
     live = counts[: min(M, n)]
+    rows = list(enumerate(live, 1))
     freq = [0] * (n + 2)
 
-    def visit() -> None:
-        for k, row in enumerate(live, 1):
+    def walk(remaining: int, max_part: int) -> None:
+        part = remaining if remaining < max_part else max_part
+        while part >= 2:
+            freq[part] += 1
+            walk(remaining - part, part)
+            freq[part] -= 1
+            part -= 1
+        freq[1] += remaining
+        for k, row in rows:
             m = 0
             while k <= n and freq[k] >= s:
                 k += M
                 m += 1
             row[m] += 1
-
-    def walk(remaining: int, max_part: int) -> None:
-        if remaining == 0:
-            visit()
-            return
-        part = min(remaining, max_part)
-        while part >= 1:
-            freq[part] += 1
-            walk(remaining - part, part)
-            freq[part] -= 1
-            part -= 1
+        freq[1] -= remaining
 
     walk(n, n)
     total = sum(live[0]) if live else 1

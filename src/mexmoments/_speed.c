@@ -3,9 +3,11 @@
  *
  * Same contract as mexmoments._pure.mex_value_counts, which the tests run
  * against this module: the same validation and error types, and row A-1
- * indexed by m where the value is A + m*M.  The walk runs on C integers
- * with the interpreter lock released; int64 counters hold every count up
- * to ENUMERATION_LIMIT (p(300) is about 9.3e15).
+ * indexed by m where the value is A + m*M.  Each partition is visited
+ * once: the walk recurses over its parts >= 2 only, and whatever remains
+ * is ones, placed in one step.  The walk runs on C integers with the
+ * interpreter lock released; int64 counters hold every count up to
+ * ENUMERATION_LIMIT (p(300) is about 9.3e15).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -36,15 +38,14 @@ static void visit(const walk_state *w)
 
 static void walk(walk_state *w, int remaining, int max_part)
 {
-    if (remaining == 0) {
-        visit(w);
-        return;
-    }
-    for (int part = remaining < max_part ? remaining : max_part; part >= 1; part--) {
+    for (int part = remaining < max_part ? remaining : max_part; part >= 2; part--) {
         w->freq[part]++;
         walk(w, remaining - part, part);
         w->freq[part]--;
     }
+    w->freq[1] += remaining;
+    visit(w);
+    w->freq[1] -= remaining;
 }
 
 /* M rows of width cells: the live rows from the counters, every other row

@@ -108,9 +108,15 @@ def varsigma_oracle(p: MexParams, n: int, cap: int | None = None) -> int:
 
     Sum of (congruence mex)^r over all partitions of n; equals the
     partition count p(n) when r = 0.
+
+    The kernel's modulus is capped at n+1: for M > n each class holds
+    one candidate part A <= n (so m is 0 or 1, and 1 exactly when A
+    occurs at least s times), and every A > n holds all p(n) partitions
+    at m = 0, so modulus n+1 gives the same row for min(A, n+1).  The
+    weights still use the real M.
     """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
     _check_cap(n, cap)
-    hist = mex_value_histogram(n, p.s, p.M)[p.A - 1]
+    hist = mex_value_histogram(n, p.s, min(p.M, n + 1))[min(p.A, n + 1) - 1]
     return sum(c * (p.A + m * p.M) ** p.r for m, c in enumerate(hist) if c)

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from mexmoments import _pure
-from reference import invert_unit_series
+from reference import invert_unit_series, mex_s_mod, partitions
 
 
 @pytest.fixture(params=["pure", "fast"])
@@ -49,6 +49,21 @@ def test_mex_value_counts_validation(impl):
         impl.mex_value_counts(1, 1, 0)
     with pytest.raises(ValueError):
         impl.mex_value_counts(impl.ENUMERATION_LIMIT + 1, 1, 1)
+
+
+def test_mex_value_counts_match_reference_walk(impl):
+    # Cell by cell against the definition: s = n+1 and M = n+2 reach past
+    # n, and s <= n lets the ones alone decide whether 1 is excluded.
+    for n in range(0, 19):
+        pis = list(partitions(n))
+        for s in sorted({1, 2, 3, 5, n + 1}):
+            for M in sorted({1, 2, 3, 4, 7, n + 2}):
+                rows = impl.mex_value_counts(n, s, M)
+                for A, row in enumerate(rows, 1):
+                    expected = [0] * len(row)
+                    for pi in pis:
+                        expected[(mex_s_mod(pi, s, M, A) - A) // M] += 1
+                    assert row == expected, (n, s, M, A)
 
 
 def test_backends_agree_on_histograms(speed):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -352,6 +353,25 @@ def test_bias_scan_budget_is_checked_before_any_work(capsys, product_calls):
     assert out == ""
     assert "a bias scan of 2000 residues to order 20000" in err
     assert product_calls == []
+
+
+def test_varsigma_oracle_with_a_huge_modulus_stays_small():
+    # Run under a 1 GiB address-space limit: a kernel that built one row
+    # per residue would fail here instead of exhausting the machine.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mexmoments.cli", "stats", "--kind", "varsigma",
+         "--mod", "1000000000", "--res", "7", "--method", "both", "--range", "0:40"],
+        capture_output=True, text=True, preexec_fn=limit,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    assert len(rows) == 41
+    assert all(row.endswith(",true") for row in rows)
 
 
 def test_bias_scan_budget_admits_two_hundred_residues(capsys, product_calls):

@@ -13,6 +13,7 @@ from mexmoments import (
     MexParams,
     ResourceCapError,
     ValidationError,
+    backend,
     partition_numbers,
     sigma_oracle,
     varsigma_oracle,
@@ -151,11 +152,12 @@ def test_varsigma_r0_counts_all_partitions():
 
 def test_oracles_match_direct_partition_walk():
     # Independent route: statistics recomputed per partition from the
-    # definitions rather than by the histogram kernels.
+    # definitions rather than by the histogram kernels.  s = 13 and
+    # M = 13 exceed every n here, M = 12 meets the largest.
     for n in range(0, 13):
         pis = list(partitions(n))
-        for s in (1, 2):
-            for M in (1, 2, 3):
+        for s in (1, 2, 13):
+            for M in (1, 2, 3, 12, 13):
                 for A in range(1, M + 1):
                     for r in (0, 1, 2):
                         params = MexParams(s, M, A, r)
@@ -165,6 +167,25 @@ def test_oracles_match_direct_partition_walk():
                         direct_varsigma = sum(mex_s_mod(pi, s, M, A) ** r for pi in pis)
                         assert sigma_oracle(params, n) == direct_sigma
                         assert varsigma_oracle(params, n) == direct_varsigma
+
+
+def test_varsigma_oracle_caps_the_kernel_modulus(monkeypatch):
+    # A modulus beyond n reads the same row from modulus n+1, so the
+    # kernel never builds 10^5 rows for a 10^5 modulus.
+    seen = []
+    kernel = backend.mex_value_counts
+    monkeypatch.setattr(backend, "mex_value_counts",
+                        lambda n, s, M: seen.append((n, M)) or kernel(n, s, M))
+    mex_value_histogram.cache_clear()
+    try:
+        for n in (0, 1, 7, 12):
+            for A in (1, 7, 99_999, 100_000):
+                params = MexParams(2, 100_000, A, 1)
+                expected = sum(mex_s_mod(pi, 2, 100_000, A) for pi in partitions(n))
+                assert varsigma_oracle(params, n) == expected
+    finally:
+        mex_value_histogram.cache_clear()
+    assert seen and all(M <= n + 1 for n, M in seen)
 
 
 def test_sigma_residue_classes_partition_everything():
