@@ -9,7 +9,8 @@ results never lose precision regardless of magnitude.
 
 from __future__ import annotations
 
-from operator import add, sub
+from itertools import chain, repeat
+from operator import add, neg, sub
 
 # Enumerating partitions of n visits p(n) leaves; beyond this the walk is
 # hopeless anyway and the compiled kernel's int64 counters could not hold
@@ -70,16 +71,10 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
     return counts
 
 
-def _signed_sum(terms: list, dense: list, length: int) -> list:
-    """sum over (e, w) in ``terms`` of sign(w / w0) * q^(e - e0) * dense,
-    truncated at q^(length - e0), where (e0, w0) is the first term and
-    every term has the same |w| and an exponent >= e0."""
-    e0, w0 = terms[0]
-    acc = dense[: length - e0]
-    for e, w in terms[1:]:
-        op = add if (w > 0) == (w0 > 0) else sub
-        acc[e - e0 :] = map(op, acc[e - e0 :], dense)
-    return acc
+# Bits in one packed block of the sparse x dense product: an int of this
+# size takes at most 504 bytes, inside CPython's 512-byte small-object
+# allocator.  Larger blocks lose most of the gain (README, Caching).
+_PACK_BITS = 3600
 
 
 def sparse_dense_product(sparse: list, dense: list, length: int) -> list:
@@ -92,20 +87,75 @@ def sparse_dense_product(sparse: list, dense: list, length: int) -> list:
     in one group are summed with plain adds and subtracts, and the sum is
     multiplied by the weight once, so the number of big-integer multiply
     passes is the number of distinct |weight|s, not of terms.
+
+    The sums run on blocks that pack K consecutive coefficients into one
+    int, in W-bit slots wide enough for any coefficient of the result and
+    its sign, so one add does the work of K.  ``dense`` enters biased by
+    2^(W-1) per slot, so every slot is a W-bit unsigned field and the
+    packed copies are cut from one byte string; each block of the result
+    is decoded by adding the bias back and slicing its bytes.  The term at
+    exponent e = qK + r adds copy r of the packed series (``dense``
+    shifted by r slots) from block q on.  A lone term is served as a plain
+    shifted copy of ``dense``, without packing.
     """
+    live = [(e, w) for e, w in sparse if w and e < length]
+    if len(live) < 2:
+        out = [0] * length
+        for e, w in live:
+            ys = dense[: length - e]
+            if w == -1:
+                ys = list(map(neg, ys))
+            elif w != 1:
+                ys = [w * y for y in ys]
+            out[e:] = ys
+        return out
     groups: dict[int, list] = {}
-    for e, w in sparse:
-        if w and e < length:
-            groups.setdefault(abs(w), []).append((e, w))
-    out = [0] * length
+    for e, w in live:
+        groups.setdefault(abs(w), []).append((e, w))
+
+    # |result| <= max|dense| * sum|w| < 2^(W-1), with W a whole number of bytes.
+    top = max(map(abs, dense[:length]))
+    S = (top.bit_length() + sum(k * len(t) for k, t in groups.items()).bit_length() + 8) // 8
+    W = 8 * S
+    K = max(1, min(_PACK_BITS // W, length))
+    nb = -(-length // K)
+    bias = 1 << (W - 1)
+    from_bytes = int.from_bytes
+    # K slots of bias on either side read as zeros once the bias is taken
+    # off, so every block is cut whole, the first and last included.
+    pad = bias.to_bytes(S, "little") * K
+    full = from_bytes(pad, "little")
+    stream = b"".join(chain([pad], map(int.to_bytes, map(add, dense[:length], repeat(bias)),
+                                        repeat(S), repeat("little")), [pad]))
+    view = memoryview(stream)
+    # Copy r packs q^r * dense: its block i holds dense[iK - r : iK - r + K].
+    # Only the residues that occur get a copy; the string goes before the sums.
+    copies = {
+        r: [from_bytes(view[a * S : (a + K) * S], "little") - full
+            for a in range(K - r, (nb + 1) * K - r, K)]
+        for r in {e % K for e, _ in live}
+    }
+    del view, stream
+    out = [0] * nb
     for terms in groups.values():
         terms.sort()
-        e0, w0 = terms[0]
-        ys = dense if len(terms) == 1 else _signed_sum(terms, dense, length)
+        q0, r = divmod(terms[0][0], K)
+        w0 = terms[0][1]
+        acc = copies[r][: nb - q0]
+        for e, w in terms[1:]:
+            q, r = divmod(e, K)
+            op = add if (w > 0) == (w0 > 0) else sub
+            acc[q - q0 :] = map(op, acc[q - q0 :], copies[r])
         if w0 == 1:
-            out[e0:] = map(add, out[e0:], ys)
+            out[q0:] = map(add, out[q0:], acc)
         elif w0 == -1:
-            out[e0:] = map(sub, out[e0:], ys)
+            out[q0:] = map(sub, out[q0:], acc)
         else:
-            out[e0:] = [x + w0 * y for x, y in zip(out[e0:], ys)]
-    return out
+            out[q0:] = [x + w0 * y for x, y in zip(out[q0:], acc)]
+    del acc, copies
+
+    blocks = map(int.to_bytes, map(add, out, repeat(full)), repeat(K * S), repeat("little"))
+    slots = range(0, K * S, S)
+    result = [from_bytes(data[j : j + S], "little") - bias for data in blocks for j in slots]
+    del result[length:]
+    return result

@@ -131,21 +131,26 @@ class MomentSequence:
     def __init__(self, kind: str, params: MexParams, values):
         if kind not in VALID_KINDS:
             raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
-        values = tuple(int(v) for v in values)
-        for n, v in enumerate(values):
-            if v < 0:
-                raise ValidationError(f"moment values must be >= 0, got {v} at n={n}")
+        # Both checks run in C; the offending n is looked up only on failure.
+        values = tuple(map(int, values))
+        if values and min(values) < 0:
+            n = next(n for n, v in enumerate(values) if v < 0)
+            raise ValidationError(f"moment values must be >= 0, got {values[n]} at n={n}")
         if kind == "varsigma" and params.r == 0:
             # The 0th varsigma moment counts every partition once, so the
             # sequence must literally be p(n).  Enforcing it here turns any
             # assembly bug into a loud failure.
             expected = partition_numbers(len(values) - 1)
-            for n, (got, want) in enumerate(zip(values, expected)):
-                if got != want:
-                    raise ValidationError(
-                        f"varsigma r=0 must equal the partition numbers; "
-                        f"mismatch at n={n}: {got} != {want}"
-                    )
+            if list(values) != expected:
+                n, got, want = next(
+                    (n, got, want)
+                    for n, (got, want) in enumerate(zip(values, expected))
+                    if got != want
+                )
+                raise ValidationError(
+                    f"varsigma r=0 must equal the partition numbers; "
+                    f"mismatch at n={n}: {got} != {want}"
+                )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "values", values)

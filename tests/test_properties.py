@@ -76,6 +76,61 @@ def test_sparse_dense_product_equals_schoolbook(args):
     )
 
 
+PN = partition_numbers(310)
+
+
+@st.composite
+def packed_product_args(draw):
+    """(sparse, dense, length) at the magnitudes the packed product meets:
+    dense values that grow like p(n) times a multiplier of either sign,
+    weights +-1, small weights and weights of 2^64..2^256, sometimes one
+    weight above 2^3600, which leaves one coefficient per block."""
+    length = draw(st.integers(0, 300))
+    extra = draw(st.integers(0, 3))
+    multipliers = st.integers(-(2**40), 2**40)
+    dense = [m * PN[n] for n, m in enumerate(
+        draw(st.lists(multipliers, min_size=length + extra, max_size=length + extra)))]
+    magnitude = st.one_of(st.just(1), st.integers(2, 9), st.integers(2**64, 2**256))
+    weight = st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+    sparse = draw(st.lists(st.tuples(st.integers(0, length + 2), weight), max_size=12))
+    if draw(st.booleans()):
+        sparse.append((draw(st.integers(0, length)), draw(st.integers(2**3600, 2**3700))))
+    return sparse, dense, length
+
+
+# Dense values below 2^594 and weights summing below 2^3 give 600-bit
+# slots and K = 3600 // 600 = 6 coefficients per block, so these lengths
+# end on a full block, one slot into a block and one slot short of one;
+# the support's exponents take every residue mod 6.
+_WIDE = [(-1) ** n * PN[n] << 540 for n in range(302)]
+_SUPPORT = [(0, 1), (1, -1), (2, 1), (9, -1), (16, 1), (29, 1)]
+# Weights summing to 7 on values just under 2^597 fill a slot up to its
+# sign bit.
+_FULL = ([(0, 1), (1, 2), (2, 4)], [(1 << 597) - 1 - n for n in range(30)], 30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_product_args())
+@example((_SUPPORT, _WIDE, 300))
+@example((_SUPPORT, _WIDE, 301))
+@example((_SUPPORT, _WIDE, 299))
+@example(_FULL)
+@example(([(0, 2**3601 + 5), (3, -1), (4, 7), (4, 2**70)], PN[:40], 40))
+@example(([(5, -1), (0, 0), (50, 1)], PN[:50], 50))
+def test_packed_product_equals_schoolbook(args):
+    sparse, dense, length = args
+    sparse_before, dense_before = list(sparse), list(dense)
+    poly = [0] * length
+    for e, w in sparse:
+        if e < length:
+            poly[e] += w
+    result = _pure.sparse_dense_product(sparse, dense, length)
+    assert result == cauchy_product(poly, dense[:length])
+    assert type(result) is list and len(result) == length
+    assert result is not dense and all(type(v) is int for v in result)
+    assert sparse == sparse_before and dense == dense_before
+
+
 def stdlib_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

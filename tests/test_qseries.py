@@ -189,6 +189,33 @@ def test_gf_assembly_equals_dense_series_mul():
             assert tuple(cauchy_product(pn, dense)) == gf.values
 
 
+@pytest.mark.parametrize("r", range(4))
+def test_gf_assembly_equals_dense_series_mul_over_many_blocks(r):
+    # At N = 600 the packed product holds at most 40 coefficients per
+    # block, so it runs over many blocks.  The supports shifted by
+    # t = 1..40 multiply by q^t and reach every residue shift.
+    from mexmoments.qseries import _sigma_support, _varsigma_support_telescoped
+
+    N = 600
+    pn = partition_numbers(N)
+    for (s, M, A) in [(1, 2, 1), (2, 3, 2), (1, 1, 1)]:
+        p = MexParams(s, M, A, r)
+        for support, gf in [
+            (_sigma_support(p, N), sigma_gf_coeffs(p, N)),
+            (_varsigma_support_telescoped(p, N), varsigma_gf_coeffs(p, N)),
+        ]:
+            dense = [0] * (N + 1)
+            for e, w in support:
+                dense[e] = w
+            expected = cauchy_product(pn, dense)
+            assert tuple(expected) == gf.values
+            if (s, M, A) == (1, 2, 1):
+                for t in range(1, 41):
+                    shifted = [(e + t, w) for e, w in support]
+                    assert backend.sparse_dense_product(shifted, pn, N + 1) == \
+                        [0] * t + expected[: N + 1 - t]
+
+
 def test_gf_calls_the_product_with_three_positional_arguments(monkeypatch):
     # The benchmark's tracer wraps backend.sparse_dense_product by name and
     # counts its work from exactly (sparse, dense, length).
@@ -253,6 +280,24 @@ def test_moment_sequence_validation():
     with pytest.raises(ValidationError):
         MomentSequence("varsigma", p, [1, 1, 2, 4])
     MomentSequence("varsigma", p, [1, 1, 2, 3])
+
+
+@pytest.mark.parametrize("kind, values, message", [
+    ("sigma", [3, 0, -2, 5, -7], "moment values must be >= 0, got -2 at n=2"),
+    ("sigma", [-1], "moment values must be >= 0, got -1 at n=0"),
+    ("varsigma", [-4, 1, 2, 3], "moment values must be >= 0, got -4 at n=0"),
+    ("varsigma", [1, 1, 2, 3, 5, 8, 11, 15],
+     "varsigma r=0 must equal the partition numbers; mismatch at n=5: 8 != 7"),
+    ("varsigma", [2], "varsigma r=0 must equal the partition numbers; mismatch at n=0: 2 != 1"),
+    ("varsigma", [*partition_numbers(299), 9253082936723602 + 1],
+     "varsigma r=0 must equal the partition numbers; "
+     "mismatch at n=300: 9253082936723603 != 9253082936723602"),
+])
+def test_moment_sequence_messages_name_the_first_bad_n(kind, values, message):
+    # Sign first, then the partition numbers; each names the first offending n.
+    with pytest.raises(ValidationError) as info:
+        MomentSequence(kind, MexParams(1, 2, 1, 0), values)
+    assert str(info.value) == message
 
 
 def test_moment_sequence_cache_returns_same_object():
