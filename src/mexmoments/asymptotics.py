@@ -338,7 +338,12 @@ def gf_boundary_log(kind: str, p: MexParams, t: float, order: int | None = None)
 # eta-style product inversion
 
 
-def eta_inversion_check(t: float, max_terms: int = 1_000_000) -> tuple[float, float]:
+#: Most product factors ``eta_inversion_check`` sums; t below about 4.6e-5
+#: needs more and raises ResourceCapError.
+ETA_MAX_TERMS = 1_000_000
+
+
+def eta_inversion_check(t: float) -> tuple[float, float]:
     """Compare log prod_{k<=K} (1 - e^-kt) against the modular-inversion
     estimate 0.5 log(2 pi) - 0.5 log t - pi^2/(6t).
 
@@ -348,10 +353,8 @@ def eta_inversion_check(t: float, max_terms: int = 1_000_000) -> tuple[float, fl
     if not 0 < t <= 1:
         raise ValidationError(f"t must satisfy 0 < t <= 1, got {t}")
     K = math.ceil(20.0 * math.log(10.0) / t)
-    if K > max_terms:
-        raise ResourceCapError(
-            f"t={t} needs {K} product terms, above the cap {max_terms}"
-        )
+    if K > ETA_MAX_TERMS:
+        raise ResourceCapError(f"t={t} needs {K} product terms, above the cap {ETA_MAX_TERMS}")
     lhs = math.fsum(math.log1p(-math.exp(-k * t)) for k in range(1, K + 1))
     rhs = 0.5 * LOG_2PI - 0.5 * math.log(t) - math.pi**2 / (6.0 * t)
     return lhs, rhs
@@ -416,7 +419,12 @@ def varsigma_asymp(p: MexParams, n: int) -> LogValue:
 
 
 def exact_over_asymptotic(kind: str, p: MexParams, n: int, order: int | None = None) -> float:
-    """Ratio exact_value(n) / growth_law(n), evaluated in log space."""
+    """Ratio exact_value(n) / growth_law(n), evaluated in log space.
+
+    ``order`` (default n) is the series order to compute to; a table over
+    several n passes its largest, so that every row reads one stored
+    sequence instead of a prefix view per n.
+    """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     seq = qseries.moment_sequence(kind, p, qseries.truncation_order(order, n))
@@ -433,7 +441,8 @@ def corollary_ratio(
 
     Raises ZeroDivisionError when the denominator value is still zero,
     which happens at small n for residues whose statistic needs a minimum
-    weight to occur.
+    weight to occur.  ``order`` (default n) is as in
+    ``exact_over_asymptotic``: one order per table.
     """
     if not 0 < a_prime <= p.M:
         raise ValidationError(f"residue must satisfy 0 < A' <= M, got A'={a_prime}, M={p.M}")

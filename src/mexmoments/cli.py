@@ -10,11 +10,11 @@ Subcommands:
 Exit codes: 0 success, 1 validation error, 2 verification mismatch,
 3 resource cap exceeded.
 
-Defaults resolve as: command-line flag > config file (--config, flat
-``key = value`` lines) > environment (MEXMOMENTS_TRUNCATION,
-MEXMOMENTS_ORACLE_CAP) > built-in.  Data outputs are deterministic:
-identical configuration yields byte-identical files; run metadata
-(timestamp, backend, argv) goes to a ``<out>.meta.json`` sidecar instead.
+Every command computes its series exactly to the largest n it serves.
+The oracle cap of ``stats`` and ``verify`` resolves as: --oracle-cap >
+MEXMOMENTS_ORACLE_CAP > 60.  Data outputs are deterministic: identical
+arguments yield byte-identical files; run metadata (timestamp, backend,
+argv) goes to a ``<out>.meta.json`` sidecar instead.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import sys
 import time
 from dataclasses import asdict, replace
 from operator import itemgetter
-from pathlib import Path
 
 from mexmoments import __version__, asymptotics, conjectures, qseries
 from mexmoments.backend import BACKEND
@@ -60,11 +59,11 @@ def _add_params(parser: argparse.ArgumentParser, residue: bool = True) -> None:
     parser.add_argument("--r", type=int, default=0, help="moment order (default 0)")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
+def _add_common(parser: argparse.ArgumentParser, oracle: bool = False) -> None:
     parser.add_argument("--out", help="write output to PATH (plus PATH.meta.json sidecar)")
-    parser.add_argument("--truncation", type=int, help="series truncation order N")
-    parser.add_argument("--oracle-cap", type=int, help="largest n the enumeration oracle accepts")
+    if oracle:
+        parser.add_argument("--oracle-cap", type=int,
+                            help="largest n the enumeration oracle accepts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,14 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="series extraction, brute-force enumeration, or both with a match column",
     )
     p_stats.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p_stats)
+    _add_common(p_stats, oracle=True)
 
     p_verify = sub.add_parser("verify", help="oracle-vs-series equivalence sweep")
     p_verify.add_argument("--max-mod", type=int, default=4)
     p_verify.add_argument("--max-s", type=int, default=3)
     p_verify.add_argument("--max-r", type=int, default=2)
     p_verify.add_argument("--max-n", type=int, default=30)
-    _add_common(p_verify)
+    _add_common(p_verify, oracle=True)
 
     p_asymp = sub.add_parser("asymp", help="exact vs asymptotic ratio tables")
     _add_params(p_asymp)
@@ -114,49 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
-
-
-def read_config_file(path: str) -> dict[str, str]:
-    """Flat config format: one ``key = value`` per line, # comments."""
-    out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        out[key.strip().lower()] = value.strip()
-    return out
-
-
-def _resolve_int(flag_value, cfg: dict, key: str, env: str | None, default):
-    """Precedence: flag > config file > environment > default."""
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        raw, source = cfg[key], f"config key {key}"
-    elif env and env in os.environ:
-        raw, source = os.environ[env], env
-    else:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{source} must be an integer, got {raw!r}") from exc
-
-
-def _truncation(args, cfg: dict, n_max: int) -> int:
-    """Series truncation order; defaults to the largest requested n."""
-    trunc = _resolve_int(args.truncation, cfg, "truncation", "MEXMOMENTS_TRUNCATION", None)
-    return qseries.truncation_order(trunc, n_max)
-
-
-def _oracle_cap(args, cfg: dict) -> int | None:
-    """Oracle cap from flag or config; None defers to the oracle layer."""
-    return _resolve_int(args.oracle_cap, cfg, "oracle_cap", None, None)
+# helpers
 
 
 def _params(args) -> MexParams:
@@ -334,7 +291,7 @@ def _params_comment(fields: dict) -> str:
 # subcommands
 
 
-def cmd_stats(args, cfg: dict) -> int:
+def cmd_stats(args) -> int:
     params = _params(args)
     if args.n is not None:
         ns = range(args.n, args.n + 1)
@@ -343,14 +300,13 @@ def cmd_stats(args, cfg: dict) -> int:
         ns = range(lo, hi + 1)
     if ns[0] < 0:
         raise ValidationError("n must be >= 0")
-    trunc = _truncation(args, cfg, ns[-1])
     _check_printable_up_front(args.kind, [params], ns[-1])
-    cap = _oracle_cap(args, cfg)
+    cap = args.oracle_cap
     need_oracle = args.method in ("oracle", "both")
     need_gf = args.method in ("gf", "both")
     if need_oracle:
         _check_cap(ns[-1], cap)
-    seq = qseries.moment_sequence(args.kind, params, trunc) if need_gf else None
+    seq = qseries.moment_sequence(args.kind, params, ns[-1]) if need_gf else None
     oracle_fn = sigma_oracle if args.kind == "sigma" else varsigma_oracle
 
     rows = []
@@ -367,7 +323,7 @@ def cmd_stats(args, cfg: dict) -> int:
         rows.append(row)
     _check_printable(v for row in rows for v in row.values())
 
-    meta = _meta(args, params, method=args.method, truncation=trunc)
+    meta = _meta(args, params, method=args.method, truncation=ns[-1])
     if args.format == "json":
         text = _json_text({"params": meta, "rows": rows}, "rows")
     else:
@@ -390,8 +346,8 @@ def cmd_stats(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: dict) -> int:
-    cap = _oracle_cap(args, cfg)
+def cmd_verify(args) -> int:
+    cap = args.oracle_cap
     if args.max_mod < 1 or args.max_s < 1 or args.max_r < 0 or args.max_n < 0:
         raise ValidationError("verify grid bounds must be positive (max-r, max-n may be 0)")
     _check_cap(args.max_n, cap)
@@ -423,16 +379,19 @@ def cmd_verify(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_asymp(args, cfg: dict) -> int:
+def cmd_asymp(args) -> int:
     params = _params(args)
     ns = _parse_n_list(args.n_list)
     if min(ns) < 1:
         raise ValidationError("asymp requires n >= 1")
-    trunc = _truncation(args, cfg, max(ns))
     if args.corollary and args.res_prime is None:
         raise ValidationError("corollary mode needs --res-prime")
+    if args.res_prime is not None and not args.corollary:
+        raise ValidationError("--res-prime is read only with --corollary")
+    # One order for the whole table, so every row reads the same stored sequence.
+    trunc = max(ns)
     params_b = replace(params, A=args.res_prime) if args.corollary else params
-    _check_printable_up_front(args.kind, [params, params_b], max(ns))
+    _check_printable_up_front(args.kind, [params, params_b], trunc)
     seq = qseries.moment_sequence(args.kind, params, trunc)
     seq_b = qseries.moment_sequence(args.kind, params_b, trunc) if args.corollary else seq
     _check_printable(v for n in ns for v in (seq[n], seq_b[n]))
@@ -461,13 +420,12 @@ def cmd_asymp(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_conjecture(args, cfg: dict) -> int:
+def cmd_conjecture(args) -> int:
     lo, hi = _parse_range(args.n_range)
-    trunc = _truncation(args, cfg, hi)
     if args.scan == "logconcave":
-        report = conjectures.scan_log_concavity(args.kind, _params(args), lo, hi, order=trunc)
+        report = conjectures.scan_log_concavity(args.kind, _params(args), lo, hi)
     else:
-        report = conjectures.scan_bias(args.kind, args.s, args.mod, args.r, lo, hi, order=trunc)
+        report = conjectures.scan_bias(args.kind, args.s, args.mod, args.r, lo, hi)
     _emit(_report_text(report), args)
     return EXIT_OK
 
@@ -483,17 +441,14 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
         return code
     args._argv = list(argv) if argv is not None else sys.argv[1:]
-    cfg: dict[str, str] = {}
     try:
-        if args.config:
-            cfg = read_config_file(args.config)
         if args.command == "stats":
-            return cmd_stats(args, cfg)
+            return cmd_stats(args)
         if args.command == "verify":
-            return cmd_verify(args, cfg)
+            return cmd_verify(args)
         if args.command == "asymp":
-            return cmd_asymp(args, cfg)
-        return cmd_conjecture(args, cfg)
+            return cmd_asymp(args)
+        return cmd_conjecture(args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

@@ -77,13 +77,7 @@ def _check_range(n_lo: int, n_hi: int) -> None:
         raise ValidationError(f"need n_lo <= n_hi, got [{n_lo}, {n_hi}]")
 
 
-def scan_log_concavity(
-    kind: str,
-    p: MexParams,
-    n_lo: int,
-    n_hi: int,
-    order: int | None = None,
-) -> ScanReport:
+def scan_log_concavity(kind: str, p: MexParams, n_lo: int, n_hi: int) -> ScanReport:
     """Check value(n)^2 > value(n-1) value(n+1) for n in [n_lo, n_hi - 1].
 
     Every n where the strict inequality fails is recorded as a violation;
@@ -92,8 +86,7 @@ def scan_log_concavity(
     suppressed.  Comparisons are exact integer arithmetic.
     """
     _check_range(n_lo, n_hi)
-    seq = qseries.moment_sequence(kind, p, qseries.truncation_order(order, n_hi))
-    values = seq.values
+    values = qseries.moment_sequence(kind, p, n_hi).values
     violations = []
     equalities = []
     for n in range(n_lo, n_hi):
@@ -120,15 +113,7 @@ def scan_log_concavity(
     )
 
 
-def scan_bias(
-    kind: str,
-    s: int,
-    M: int,
-    r: int,
-    n_lo: int,
-    n_hi: int,
-    order: int | None = None,
-) -> ScanReport:
+def scan_bias(kind: str, s: int, M: int, r: int, n_lo: int, n_hi: int) -> ScanReport:
     """Sort the residues 1..M by exact moment value at every n in
     [n_lo, n_hi] and report the orderings.
 
@@ -144,20 +129,19 @@ def scan_bias(
         raise ValidationError(f"kind must be one of {qseries.VALID_KINDS}, got {kind!r}")
     MexParams(s, M, 1, r)  # rejects s, M and r outside their domains
     _check_range(n_lo, n_hi)
-    N = qseries.truncation_order(order, n_hi)
     # The M sequences and the M residues per n of the ordering stay alive
     # together, so store eviction cannot bound them: refuse up front when
     # their pointers alone, 8 bytes each, exceed the store's limit.
-    nbytes = 8 * M * (N + 1) + 8 * M * (n_hi - n_lo + 1)
+    nbytes = 8 * M * (n_hi + 1) + 8 * M * (n_hi - n_lo + 1)
     if nbytes > qseries.STORE_BYTE_LIMIT:
         raise ResourceCapError(
-            f"a bias scan of {M} residues to order {N} holds at least {nbytes} bytes, "
+            f"a bias scan of {M} residues to order {n_hi} holds at least {nbytes} bytes, "
             f"above the limit {qseries.STORE_BYTE_LIMIT}"
         )
     sequences = {
-        a: qseries.moment_sequence(kind, MexParams(s, M, a, r), N) for a in range(1, M + 1)
+        a: qseries.moment_sequence(kind, MexParams(s, M, a, r), n_hi) for a in range(1, M + 1)
     }
-    pn = qseries.partition_numbers(N) if (kind == "sigma" and r == 0) else None
+    pn = qseries.partition_numbers(n_hi) if (kind == "sigma" and r == 0) else None
     entries = []
     for n in range(n_lo, n_hi + 1):
         row = [(sequences[a][n], a) for a in range(1, M + 1)]

@@ -32,18 +32,6 @@ from mexmoments.errors import ResourceCapError, ValidationError
 DEFAULT_ORACLE_CAP = 60
 
 
-def oracle_cap() -> int:
-    """Active oracle cap (environment override or the built-in default)."""
-    raw = os.environ.get("MEXMOMENTS_ORACLE_CAP")
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"MEXMOMENTS_ORACLE_CAP must be an integer, got {raw!r}") from exc
-    return cap
-
-
 @dataclass(frozen=True)
 class MexParams:
     """Parameter tuple (s, M, A, r) labelling a moment sequence.
@@ -79,12 +67,20 @@ def mex_value_histogram(n: int, s: int, M: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_cap(n: int, cap: int | None) -> None:
-    active = oracle_cap() if cap is None else cap
-    if active < 0:
-        raise ValidationError(f"oracle cap must be >= 0, got {active}")
-    if n > active:
+    """Refuse n above the oracle cap: ``cap`` when given, else
+    MEXMOMENTS_ORACLE_CAP when set, else ``DEFAULT_ORACLE_CAP``."""
+    if cap is None:
+        raw = os.environ.get("MEXMOMENTS_ORACLE_CAP", str(DEFAULT_ORACLE_CAP))
+        try:
+            cap = int(raw)
+        except ValueError as exc:
+            msg = f"MEXMOMENTS_ORACLE_CAP must be an integer, got {raw!r}"
+            raise ValidationError(msg) from exc
+    if cap < 0:
+        raise ValidationError(f"oracle cap must be >= 0, got {cap}")
+    if n > cap:
         raise ResourceCapError(
-            f"oracle request n={n} exceeds cap {active}; raise the cap explicitly "
+            f"oracle request n={n} exceeds cap {cap}; raise the cap explicitly "
             "or use the generating-function route"
         )
 

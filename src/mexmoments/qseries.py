@@ -33,10 +33,6 @@ from mexmoments.partitions import MexParams
 
 VALID_KINDS = ("sigma", "varsigma")
 
-#: Default truncation order for convergence studies; configurable
-#: everywhere it is consumed (CLI flag / env var MEXMOMENTS_TRUNCATION).
-DEFAULT_TRUNCATION = 4096
-
 #: Largest truncation order the series route accepts.  The p(n) table
 #: alone takes about 30 s to reach it on a 2-core machine, which still
 #: admits scans to n = 10^5; larger orders raise ResourceCapError before
@@ -330,7 +326,7 @@ class _SequenceStore:
 _store = _SequenceStore()
 
 
-def moment_sequence(kind: str, p: MexParams, order: int = DEFAULT_TRUNCATION) -> MomentSequence:
+def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
     """Stored accessor used by the asymptotics checks, the scanners and
     the CLI.
 

@@ -284,7 +284,7 @@ def test_eta_inversion_values_and_monotonicity():
 
 def test_eta_inversion_cap_and_validation():
     with pytest.raises(ResourceCapError):
-        eta_inversion_check(1e-5, max_terms=100_000)
+        eta_inversion_check(1e-5)  # needs 4,605,171 terms
     with pytest.raises(ValidationError):
         eta_inversion_check(0.0)
     with pytest.raises(ValidationError):

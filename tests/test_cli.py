@@ -1,5 +1,6 @@
 """CLI contract tests: row formats, exit codes, determinism, precedence."""
 
+import argparse
 import json
 import os
 import resource
@@ -102,53 +103,32 @@ def test_stats_negative_oracle_cap_flag_rejected(capsys):
     assert "oracle cap must be >= 0" in err
 
 
-def test_stats_negative_oracle_cap_config_rejected(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("oracle_cap = -1\n", encoding="utf-8")
+def test_stats_negative_oracle_cap_env_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("MEXMOMENTS_ORACLE_CAP", "-1")
     code, _, err = run_cli(
         capsys, "stats", "--kind", "varsigma", "--n", "3", "--method", "oracle",
-        "--config", str(cfg),
     )
     assert code == 1
     assert "oracle cap must be >= 0" in err
 
 
-def test_stats_truncation_below_n_rejected(capsys):
-    code, _, err = run_cli(
-        capsys, "stats", "--kind", "sigma", "--n", "10", "--truncation", "5",
-    )
-    assert code == 1
-    assert err == "error: truncation order 5 is below the largest requested n=10\n"
-
-
-def test_truncation_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("MEXMOMENTS_TRUNCATION", "5")
-    code, _, _ = run_cli(capsys, "stats", "--kind", "sigma", "--n", "10")
-    assert code == 1  # env default too small for the request
-    monkeypatch.setenv("MEXMOMENTS_TRUNCATION", "16")
-    code, out, _ = run_cli(capsys, "stats", "--kind", "sigma", "--n", "10")
+@pytest.mark.parametrize("argv, largest", [
+    (("stats", "--n", "10"), 10),
+    (("stats", "--range", "3:17"), 17),
+    (("asymp", "--n-list", "64,16"), 64),
+])
+def test_params_record_the_largest_n_as_truncation(capsys, argv, largest):
+    code, out, _ = run_cli(capsys, *argv, "--kind", "sigma")
     assert code == 0
-    assert json.loads(out.splitlines()[0][len("# params: "):])["truncation"] == 16
-    monkeypatch.setenv("MEXMOMENTS_TRUNCATION", "x")
-    code, _, err = run_cli(capsys, "stats", "--kind", "sigma", "--n", "10")
-    assert code == 1
-    assert err == "error: MEXMOMENTS_TRUNCATION must be an integer, got 'x'\n"
+    assert json.loads(out.splitlines()[0][len("# params: "):])["truncation"] == largest
 
 
 def test_stats_series_order_limit_flag(capsys):
-    for flags in (("--n", "10000000"), ("--n", "5", "--truncation", "10000000"),
-                  ("--range", "0:10000000")):
+    for flags in (("--n", "10000000"), ("--range", "0:10000000")):
         code, out, err = run_cli(capsys, "stats", "--kind", "sigma", *flags)
         assert code == 3
         assert out == ""
         assert "above the limit" in err
-
-
-def test_stats_series_order_limit_env(capsys, monkeypatch):
-    monkeypatch.setenv("MEXMOMENTS_TRUNCATION", "10000000")
-    code, _, err = run_cli(capsys, "stats", "--kind", "varsigma", "--n", "5")
-    assert code == 3
-    assert "above the limit" in err
 
 
 def test_conjecture_bias_modulus_zero_is_a_validation_error(capsys):
@@ -160,34 +140,67 @@ def test_conjecture_bias_modulus_zero_is_a_validation_error(capsys):
     assert "M must be a positive integer" in err
 
 
-def test_config_file_and_flag_precedence(capsys, tmp_path, monkeypatch):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# sample config\ntruncation = 5\n", encoding="utf-8")
-    code, _, _ = run_cli(
-        capsys, "stats", "--kind", "sigma", "--n", "10", "--config", str(cfg),
-    )
+def test_oracle_cap_flag_beats_environment(capsys, monkeypatch):
+    argv = ("stats", "--kind", "sigma", "--n", "8", "--method", "oracle")
+    monkeypatch.setenv("MEXMOMENTS_ORACLE_CAP", "5")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "exceeds cap 5" in err
+    assert run_cli(capsys, *argv, "--oracle-cap", "8")[0] == 0
+    # With the flag given, the environment is not read at all.
+    monkeypatch.setenv("MEXMOMENTS_ORACLE_CAP", "x")
+    assert run_cli(capsys, *argv, "--oracle-cap", "8")[0] == 0
+    code, _, err = run_cli(capsys, *argv)
     assert code == 1
-    # flag beats config
-    code, _, _ = run_cli(
-        capsys, "stats", "--kind", "sigma", "--n", "10", "--config", str(cfg),
-        "--truncation", "12",
-    )
-    assert code == 0
-    # config beats environment
-    monkeypatch.setenv("MEXMOMENTS_TRUNCATION", "20")
-    code, out, _ = run_cli(
-        capsys, "stats", "--kind", "sigma", "--n", "4", "--config", str(cfg),
-    )
-    assert code == 0
-    assert json.loads(out.splitlines()[0][len("# params: "):])["truncation"] == 5
+    assert err == "error: MEXMOMENTS_ORACLE_CAP must be an integer, got 'x'\n"
 
 
-def test_config_file_bad_line(capsys, tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("truncation 9\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "stats", "--kind", "sigma", "--n", "1", "--config", str(cfg))
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--max-n", "5", "--truncation", "1"), "unrecognized arguments: --truncation"),
+    (("asymp", "--kind", "sigma", "--n-list", "100", "--oracle-cap", "3"),
+     "unrecognized arguments: --oracle-cap"),
+    (("conjecture", "logconcave", "--kind", "sigma", "--range", "1:10", "--oracle-cap", "3"),
+     "unrecognized arguments: --oracle-cap"),
+    (("conjecture", "bias", "--kind", "sigma", "--range", "1:10", "--oracle-cap", "3"),
+     "unrecognized arguments: --oracle-cap"),
+    (("asymp", "--kind", "sigma", "--mod", "2", "--n-list", "50", "--res-prime", "2"),
+     "error: --res-prime is read only with --corollary\n"),
+], ids=["verify-truncation", "asymp-oracle-cap", "logconcave-oracle-cap", "bias-oracle-cap",
+        "asymp-res-prime"])
+def test_flags_a_command_would_ignore_are_rejected(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1
-    assert "key=value" in err
+    assert out == ""
+    assert message in err
+
+
+def _options(parser) -> list[str]:
+    return sorted(opt for action in parser._actions for opt in action.option_strings)
+
+
+def _subparsers(parser) -> dict:
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_option_surface():
+    # Every option of every command, so that adding a knob takes a test edit.
+    commands = _subparsers(cli.build_parser())
+    scans = _subparsers(commands["conjecture"])
+    surface = {name: _options(commands[name]) for name in ("stats", "verify", "asymp")}
+    surface.update({f"conjecture {name}": _options(scans[name]) for name in scans})
+    params = ["--kind", "--mod", "--r", "--res", "--s"]
+    assert surface == {
+        "stats": sorted(["-h", "--help", *params, "--n", "--range", "--method", "--format",
+                         "--out", "--oracle-cap"]),
+        "verify": sorted(["-h", "--help", "--max-mod", "--max-s", "--max-r", "--max-n",
+                          "--out", "--oracle-cap"]),
+        "asymp": sorted(["-h", "--help", *params, "--n-list", "--corollary", "--res-prime",
+                         "--out"]),
+        "conjecture logconcave": sorted(["-h", "--help", *params, "--range", "--out"]),
+        "conjecture bias": sorted(["-h", "--help", "--kind", "--mod", "--r", "--s", "--range",
+                                   "--out"]),
+    }
 
 
 def test_verify_small_grid(capsys):
@@ -324,9 +337,14 @@ def product_calls(monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ("conjecture", "bias", "--kind", "sigma", "--mod", "4", "--r", "10000000", "--range", "1:300"),
-    ("stats", "--kind", "varsigma", "--r", "10000000", "--n", "0", "--truncation", "300"),
+    ("stats", "--kind", "varsigma", "--r", "10000000", "--range", "0:300"),
 ])
-def test_coefficient_budget_is_checked_before_any_work(capsys, product_calls, argv):
+def test_coefficient_budget_is_checked_before_any_work(
+    capsys, product_calls, set_int_str_limit, argv
+):
+    # With no int-to-str limit the up-front digit check passes, so the
+    # stats request meets the coefficient budget, not the print limit.
+    set_int_str_limit(0)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -464,13 +482,6 @@ def test_asymp_corollary_needs_res_prime(capsys):
     assert "res-prime" in err
 
 
-def test_asymp_rejects_n_above_truncation(capsys):
-    code, _, _ = run_cli(
-        capsys, "asymp", "--kind", "sigma", "--n-list", "100", "--truncation", "50",
-    )
-    assert code == 1
-
-
 def test_asymp_rejects_bad_n_list(capsys):
     code, _, _ = run_cli(capsys, "asymp", "--kind", "sigma", "--n-list", "5,x")
     assert code == 1
@@ -565,13 +576,6 @@ def test_long_out_file_is_written_whole(tmp_path, capsys):
     assert code == 0 and len(out) > 2 * edge
     assert main(args + ["--out", str(tmp_path / "p.json")]) == 0
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == out
-
-
-def test_missing_config_file(capsys):
-    code, _, err = run_cli(
-        capsys, "stats", "--kind", "sigma", "--n", "1", "--config", "/nonexistent/x.cfg",
-    )
-    assert code == 1
 
 
 def test_out_directory_is_an_error_not_a_traceback(tmp_path, capsys):

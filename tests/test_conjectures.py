@@ -54,8 +54,6 @@ def test_logconcave_validation():
         scan_log_concavity("sigma", MexParams(1, 2, 1, 0), 0, 10)
     with pytest.raises(ValidationError):
         scan_log_concavity("sigma", MexParams(1, 2, 1, 0), 10, 5)
-    with pytest.raises(ValidationError):
-        scan_log_concavity("sigma", MexParams(1, 2, 1, 0), 1, 50, order=20)
 
 
 def test_bias_trivial_modulus():
@@ -119,8 +117,6 @@ def test_bias_validation():
         scan_bias("bogus", 1, 2, 0, 1, 10)
     with pytest.raises(ValidationError):
         scan_bias("sigma", 1, 2, 0, 0, 10)
-    with pytest.raises(ValidationError):
-        scan_bias("sigma", 1, 2, 0, 1, 50, order=10)
 
 
 def test_bias_validates_parameters_up_front():
@@ -130,17 +126,17 @@ def test_bias_validates_parameters_up_front():
 
 
 def test_bias_budget_counts_sequences_and_orderings(monkeypatch):
-    # M sequences to order N, and M residues at each scanned n, 8 bytes a
+    # M sequences to order hi, and M residues at each scanned n, 8 bytes a
     # pointer: a limit one byte short refuses, the exact bytes admit.
-    M, N, lo, hi = 3, 40, 11, 30
-    need = 8 * M * (N + 1) + 8 * M * (hi - lo + 1)
+    M, lo, hi = 3, 11, 30
+    need = 8 * M * (hi + 1) + 8 * M * (hi - lo + 1)
     monkeypatch.setattr(qseries, "_store", qseries._SequenceStore())
     monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need - 1)
     with pytest.raises(ResourceCapError, match=f"at least {need} bytes"):
-        scan_bias("sigma", 1, M, 1, lo, hi, order=N)
+        scan_bias("sigma", 1, M, 1, lo, hi)
     assert not qseries._store.entries
     monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need)
-    assert len(scan_bias("sigma", 1, M, 1, lo, hi, order=N).ordering) == hi - lo + 1
+    assert len(scan_bias("sigma", 1, M, 1, lo, hi).ordering) == hi - lo + 1
 
 
 class Admitted(Exception):

@@ -3,6 +3,7 @@ that several entry points share, and the independence of the references
 in ``reference.py``."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -42,8 +43,6 @@ BELOW = "truncation order 10 is below the largest requested n=50"
     lambda: qseries.truncation_order(10, 50),
     lambda: asymptotics.exact_over_asymptotic("sigma", P, 50, order=10),
     lambda: asymptotics.corollary_ratio("sigma", P, 2, 50, order=10),
-    lambda: conjectures.scan_log_concavity("sigma", P, 1, 50, order=10),
-    lambda: conjectures.scan_bias("sigma", 1, 2, 1, 1, 50, order=10),
 ])
 def test_one_truncation_message(call):
     with pytest.raises(ValidationError, match=f"^{BELOW}$"):
@@ -55,3 +54,11 @@ def test_truncation_order_defaults_to_the_largest_n():
     assert qseries.truncation_order(50, 50) == 50
     assert qseries.truncation_order(80, 50) == 80
 
+
+def test_scanners_compute_to_their_range_and_moment_sequence_needs_an_order():
+    # The scanners compute exactly to n_hi; no caller chooses an order for them.
+    for scan in (conjectures.scan_log_concavity, conjectures.scan_bias):
+        assert "order" not in inspect.signature(scan).parameters
+    order = inspect.signature(qseries.moment_sequence).parameters["order"]
+    assert order.default is inspect.Parameter.empty
+    assert not hasattr(qseries, "DEFAULT_TRUNCATION")
