@@ -12,8 +12,8 @@ from __future__ import annotations
 from itertools import chain, repeat
 from operator import add, neg, sub
 
-# Enumerating partitions of n visits p(n) leaves; beyond this the walk is
-# hopeless anyway and the compiled kernel's int64 counters could not hold
+# The walk over the partitions of n has p(n) - p(n-2) nodes; beyond this it
+# is hopeless anyway and the compiled kernel's int64 counters could not hold
 # the counts.
 ENUMERATION_LIMIT = 300
 
@@ -39,8 +39,14 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
     so their rows hold all p(n) partitions at m = 0.  With M=1 the single
     row is the histogram of the plain frequency-s mex, shifted by one.
 
-    Each partition is visited once: the walk recurses over its parts >= 2
-    only, and whatever remains is ones, placed in one step.
+    The walk recurses over the parts >= 3 only, so it has p(n) - p(n-2)
+    nodes.  At a node the remainder R is c2 twos and R - 2*c2 ones, for
+    each c2 in 0..R//2, and a row takes all R//2 + 1 of those partitions
+    at once.  Its chain A, A+M, ... meets 1 and 2 only at its first two
+    positions: 1 stays in the chain while c2 <= (R - s)//2 (enough
+    ones), 2 while c2 >= s (enough twos).  So the c2 that break the chain
+    at 1 or at 2 are whole intervals, each added to one cell, and the rest
+    share the cell that the fixed tail of parts >= 3 decides.
     """
     _check_histogram_args(n, s, M)
     counts = [[0] * (n // M + 2) for _ in range(M)]
@@ -50,19 +56,28 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
 
     def walk(remaining: int, max_part: int) -> None:
         part = remaining if remaining < max_part else max_part
-        while part >= 2:
+        while part >= 3:
             freq[part] += 1
             walk(remaining - part, part)
             freq[part] -= 1
             part -= 1
-        freq[1] += remaining
+        choices = remaining // 2 + 1  # c2 = 0..remaining//2
+        with_ones = max((remaining - s) // 2 + 1, 0)  # c2 with at least s ones
         for k, row in rows:
-            m = 0
-            while k <= n and freq[k] >= s:
-                k += M
-                m += 1
-            row[m] += 1
-        freq[1] -= remaining
+            # alive: how many c2 keep the chain unbroken up to k.
+            alive, m = choices, 0
+            if k == 1:
+                row[0] += alive - with_ones
+                alive, m, k = with_ones, 1, k + M
+            if k == 2:
+                with_twos = alive - s if alive > s else 0
+                row[m] += alive - with_twos
+                alive, m, k = with_twos, m + 1, k + M
+            if alive:
+                while k <= n and freq[k] >= s:
+                    k += M
+                    m += 1
+                row[m] += alive
 
     walk(n, n)
     total = sum(live[0]) if live else 1

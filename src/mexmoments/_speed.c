@@ -3,11 +3,15 @@
  *
  * Same contract as mexmoments._pure.mex_value_counts, which the tests run
  * against this module: the same validation and error types, and row A-1
- * indexed by m where the value is A + m*M.  Each partition is visited
- * once: the walk recurses over its parts >= 2 only, and whatever remains
- * is ones, placed in one step.  The walk runs on C integers with the
- * interpreter lock released; int64 counters hold every count up to
- * ENUMERATION_LIMIT (p(300) is about 9.3e15).
+ * indexed by m where the value is A + m*M.  The walk recurses over the
+ * parts >= 3 only, p(n) - p(n-2) nodes.  At a node the remainder R is c2
+ * twos and R - 2*c2 ones, c2 = 0..R/2, and each row takes those R/2 + 1
+ * partitions at once: 1 stays in its chain while c2 <= (R - s)/2, 2
+ * while c2 >= s, so the c2 that break the chain at 1 or 2 are whole
+ * intervals, and the rest share the cell of the fixed tail of parts >= 3.
+ * The walk runs on C integers with the interpreter lock released; int64
+ * counters hold every count up to ENUMERATION_LIMIT (p(300) is about
+ * 9.3e15).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -20,32 +24,51 @@ typedef struct {
     int n, s, M;
     int live;        /* rows with residue A <= n; the rest never move */
     Py_ssize_t width;
-    int *freq;       /* freq[k] = multiplicity of part k, k = 1..n */
+    int *freq;       /* freq[k] = multiplicity of part k, k = 3..n */
     int64_t *counts; /* live rows of width cells */
 } walk_state;
 
-static void visit(const walk_state *w)
+/* The partitions of the node: its parts >= 3 in freq, then c2 twos and
+ * remaining - 2*c2 ones for every c2 = 0..remaining/2. */
+static void visit(const walk_state *w, int remaining)
 {
+    const int64_t choices = remaining / 2 + 1;
+    const int64_t with_ones = remaining >= w->s ? (remaining - w->s) / 2 + 1 : 0;
     for (int a0 = 0; a0 < w->live; a0++) {
+        int64_t *row = w->counts + a0 * w->width;
+        int64_t alive = choices; /* how many c2 keep the chain unbroken up to k */
         int k = a0 + 1, m = 0;
-        while (k <= w->n && w->freq[k] >= w->s) {
+        if (k == 1) {
+            row[0] += alive - with_ones;
+            alive = with_ones;
+            m = 1;
             k += w->M;
-            m++;
         }
-        w->counts[a0 * w->width + m]++;
+        if (k == 2) {
+            int64_t with_twos = alive > w->s ? alive - w->s : 0;
+            row[m] += alive - with_twos;
+            alive = with_twos;
+            m++;
+            k += w->M;
+        }
+        if (alive) {
+            while (k <= w->n && w->freq[k] >= w->s) {
+                k += w->M;
+                m++;
+            }
+            row[m] += alive;
+        }
     }
 }
 
 static void walk(walk_state *w, int remaining, int max_part)
 {
-    for (int part = remaining < max_part ? remaining : max_part; part >= 2; part--) {
+    for (int part = remaining < max_part ? remaining : max_part; part >= 3; part--) {
         w->freq[part]++;
         walk(w, remaining - part, part);
         w->freq[part]--;
     }
-    w->freq[1] += remaining;
-    visit(w);
-    w->freq[1] -= remaining;
+    visit(w, remaining);
 }
 
 /* M rows of width cells: the live rows from the counters, every other row

@@ -301,11 +301,10 @@ def cmd_stats(args) -> int:
     if ns[0] < 0:
         raise ValidationError("n must be >= 0")
     _check_printable_up_front(args.kind, [params], ns[-1])
-    cap = args.oracle_cap
     need_oracle = args.method in ("oracle", "both")
     need_gf = args.method in ("gf", "both")
     if need_oracle:
-        _check_cap(ns[-1], cap)
+        cap = _check_cap(ns[-1], args.oracle_cap)
     seq = qseries.moment_sequence(args.kind, params, ns[-1]) if need_gf else None
     oracle_fn = sigma_oracle if args.kind == "sigma" else varsigma_oracle
 
@@ -347,10 +346,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cap = args.oracle_cap
     if args.max_mod < 1 or args.max_s < 1 or args.max_r < 0 or args.max_n < 0:
         raise ValidationError("verify grid bounds must be positive (max-r, max-n may be 0)")
-    _check_cap(args.max_n, cap)
+    cap = _check_cap(args.max_n, args.oracle_cap)
     grid = (
         MexParams(s, M, A, r)
         for M in range(1, args.max_mod + 1)

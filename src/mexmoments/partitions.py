@@ -66,9 +66,11 @@ def mex_value_histogram(n: int, s: int, M: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in backend.mex_value_counts(n, s, M))
 
 
-def _check_cap(n: int, cap: int | None) -> None:
+def _check_cap(n: int, cap: int | None) -> int:
     """Refuse n above the oracle cap: ``cap`` when given, else
-    MEXMOMENTS_ORACLE_CAP when set, else ``DEFAULT_ORACLE_CAP``."""
+    MEXMOMENTS_ORACLE_CAP when set, else ``DEFAULT_ORACLE_CAP``.  Returns
+    that cap, so a caller that makes many oracle calls resolves it once
+    and passes the int on."""
     if cap is None:
         raw = os.environ.get("MEXMOMENTS_ORACLE_CAP", str(DEFAULT_ORACLE_CAP))
         try:
@@ -83,6 +85,7 @@ def _check_cap(n: int, cap: int | None) -> None:
             f"oracle request n={n} exceeds cap {cap}; raise the cap explicitly "
             "or use the generating-function route"
         )
+    return cap
 
 
 def sigma_oracle(p: MexParams, n: int, cap: int | None = None) -> int:

@@ -9,6 +9,7 @@ is an independent route.
 
 import math
 from fractions import Fraction
+from operator import add, mul
 
 
 def cauchy_product(a: list, b: list) -> list:
@@ -43,6 +44,17 @@ def euler_product_coeffs(order: int) -> list:
         for j in range(order, k - 1, -1):
             c[j] -= c[j - k]
     return c
+
+
+def d2_coeffs(order: int) -> list:
+    """Coefficients D_2(0..order) of (-q;q)_inf^2: the product
+    prod_{k=1..order} (1 + q^k), counting partitions into distinct parts,
+    then squared term by term.  Andrews and Newman show that D_2(n) is the
+    sum of mex(pi) over the partitions pi of n."""
+    d = [1] + [0] * order
+    for k in range(1, order + 1):
+        d[k:] = list(map(add, d[k:], d[: order + 1 - k]))
+    return [sum(map(mul, d[: j + 1], reversed(d[: j + 1]))) for j in range(order + 1)]
 
 
 def varsigma_support_direct(s: int, M: int, A: int, r: int, order: int) -> list:

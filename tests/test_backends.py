@@ -4,11 +4,15 @@ checks of the sparse x dense product, which has only a pure-Python
 implementation."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mexmoments import _pure
-from reference import invert_unit_series, mex_s_mod, partitions
+from mexmoments.partitions import DEFAULT_ORACLE_CAP
+from reference import d2_coeffs, invert_unit_series, mex_s_mod, partitions
 
 
 @pytest.fixture(params=["pure", "fast"])
@@ -51,19 +55,54 @@ def test_mex_value_counts_validation(impl):
         impl.mex_value_counts(impl.ENUMERATION_LIMIT + 1, 1, 1)
 
 
+@lru_cache(maxsize=None)
+def _reference_rows(n: int, s: int, M: int) -> list:
+    pis = list(partitions(n))
+    rows = [[0] * (n // M + 2) for _ in range(M)]
+    for A, row in enumerate(rows, 1):
+        for pi in pis:
+            row[(mex_s_mod(pi, s, M, A) - A) // M] += 1
+    return rows
+
+
 def test_mex_value_counts_match_reference_walk(impl):
     # Cell by cell against the definition: s = n+1 and M = n+2 reach past
     # n, and s <= n lets the ones alone decide whether 1 is excluded.
     for n in range(0, 19):
-        pis = list(partitions(n))
         for s in sorted({1, 2, 3, 5, n + 1}):
             for M in sorted({1, 2, 3, 4, 7, n + 2}):
-                rows = impl.mex_value_counts(n, s, M)
-                for A, row in enumerate(rows, 1):
-                    expected = [0] * len(row)
-                    for pi in pis:
-                        expected[(mex_s_mod(pi, s, M, A) - A) // M] += 1
-                    assert row == expected, (n, s, M, A)
+                assert impl.mex_value_counts(n, s, M) == _reference_rows(n, s, M), (n, s, M)
+
+
+def test_mex_sum_is_andrews_newman_d2(impl):
+    # Andrews and Newman: the mex summed over the partitions of n is D_2(n),
+    # the coefficient of q^n in (-q;q)_inf^2.  Held for every n the oracle
+    # serves by default, far past the reference walk above.
+    for n, want in enumerate(d2_coeffs(DEFAULT_ORACLE_CAP)):
+        row = impl.mex_value_counts(n, 1, 1)[0]
+        assert sum(v * c for v, c in enumerate(row, 1)) == want, n
+
+
+@st.composite
+def histogram_args(draw):
+    # The kernels count the twos and ones of a node with remainder R as
+    # c2 intervals bounded by (R - s)//2 and s.  Thresholds near n and n/2
+    # make those intervals empty or single at some nodes, and M = 1, M = 2
+    # and M >= 3 put 1 and 2 in one row, in two rows and in rows A = 1, 2
+    # beside rows A >= 3.
+    n = draw(st.integers(0, 22))
+    s = draw(st.one_of(st.integers(1, n + 2),
+                       st.sampled_from([max(1, n // 2 + d) for d in (-1, 0, 1)] + [n + 1])))
+    M = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, n + 3)))
+    return n, s, M
+
+
+@settings(max_examples=120, deadline=None)
+@given(histogram_args())
+def test_kernels_equal_reference_at_interval_boundaries(speed, args):
+    expected = _reference_rows(*args)
+    assert _pure.mex_value_counts(*args) == expected
+    assert speed.mex_value_counts(*args) == expected
 
 
 def test_backends_agree_on_histograms(speed):

@@ -155,6 +155,23 @@ def test_oracle_cap_flag_beats_environment(capsys, monkeypatch):
     assert err == "error: MEXMOMENTS_ORACLE_CAP must be an integer, got 'x'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("stats", "--kind", "varsigma", "--mod", "3", "--range", "0:6", "--method", "both"),
+    ("verify", "--max-mod", "2", "--max-s", "1", "--max-r", "0", "--max-n", "6"),
+])
+def test_oracle_cap_resolves_once_per_command(capsys, monkeypatch, argv):
+    # Each oracle call gets the resolved int, so the environment is read
+    # once per command, not once per value.
+    monkeypatch.setenv("MEXMOMENTS_ORACLE_CAP", "12")
+    caps = []
+    for name in ("sigma_oracle", "varsigma_oracle"):
+        oracle = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda p, n, cap, oracle=oracle:
+                            caps.append(cap) or oracle(p, n, cap=cap))
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(caps) > 1 and set(caps) == {12}
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--max-n", "5", "--truncation", "1"), "unrecognized arguments: --truncation"),
     (("asymp", "--kind", "sigma", "--n-list", "100", "--oracle-cap", "3"),

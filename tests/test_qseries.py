@@ -23,6 +23,7 @@ from mexmoments import (
 from mexmoments import backend, qseries
 from reference import (
     cauchy_product,
+    d2_coeffs,
     euler_product_coeffs,
     invert_unit_series,
     varsigma_support_direct,
@@ -436,3 +437,12 @@ def test_coefficient_budget_refuses_before_any_work(gf_calls):
         with pytest.raises(ResourceCapError, match="coefficient bytes"):
             qseries.moment_sequence(kind, MexParams(1, 4, 1, 10**7), 300)
     assert gf_calls == []
+
+
+def test_sigma_first_moment_is_andrews_newman_d2():
+    # sigma (s, M, A, r) = (1, 1, 1, 1) sums the mex over all partitions,
+    # which Andrews and Newman show is D_2(n), the coefficient of q^n in
+    # (-q;q)_inf^2: exact evidence far beyond the oracle cap.
+    order = 2000
+    seq = qseries.moment_sequence("sigma", MexParams(1, 1, 1, 1), order)
+    assert list(seq.values) == d2_coeffs(order)
