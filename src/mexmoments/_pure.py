@@ -1,7 +1,8 @@
-"""Pure-Python kernels: the partition-enumeration histogram, twin of the
-compiled ``mexmoments._speed`` (the active one is chosen in
-:mod:`mexmoments.backend`; keep the two in sync), and the sparse x dense
-product behind every moment sequence, which has no compiled twin.
+"""Pure-Python kernels: the partition-enumeration histograms of every
+n' <= n from one walk, twin of the compiled ``mexmoments._speed`` (the
+active one is chosen in :mod:`mexmoments.backend`; keep the two in
+sync), and the sparse x dense product behind every moment sequence,
+which has no compiled twin.
 
 Both work on plain ``list`` objects holding exact Python integers, so
 results never lose precision regardless of magnitude.
@@ -9,12 +10,12 @@ results never lose precision regardless of magnitude.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from operator import add, neg, sub
+from itertools import accumulate, chain, repeat
+from operator import add, mul, neg, sub
 
-# The walk over the partitions of n has p(n) - p(n-2) nodes; beyond this it
-# is hopeless anyway and the compiled kernel's int64 counters could not hold
-# the counts.
+# The walk for the partitions of n' <= n has p(n) - p(n-2) nodes; beyond
+# this it is hopeless anyway and the compiled kernel's int64 counters could
+# not hold the counts.
 ENUMERATION_LIMIT = 300
 
 
@@ -30,59 +31,130 @@ def _check_histogram_args(n: int, s: int, M: int) -> None:
 
 
 def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
-    """Histogram the frequency-s mex statistics over all partitions of n.
+    """Histogram the frequency-s mex statistics over the partitions of
+    every n' = 0..n, from one walk.
 
-    Returns M rows.  Row A-1 (for each residue A in 1..M) maps m to the
-    number of partitions of n whose smallest positive integer congruent to
-    A mod M with part-frequency < s equals A + m*M.  Rows have n//M + 2
-    entries, which bounds every m.  Residues A > n never occur as parts,
-    so their rows hold all p(n) partitions at m = 0.  With M=1 the single
-    row is the histogram of the plain frequency-s mex, shifted by one.
+    Returns M rows.  Row A-1 (for each residue A in 1..M) is one flat
+    list: the block of n' = 0, then that of n' = 1, ..., then that of n.
+    The block of n' has n'//M + 2 cells, and its cell m counts the
+    partitions of n' whose smallest positive integer congruent to A mod M
+    with part-frequency < s equals A + m*M (n'//M + 2 cells bound every
+    m).  Residues A > n' never occur as parts of n', so their block holds
+    all p(n') partitions at m = 0.  With M=1 the single row holds the
+    histograms of the plain frequency-s mex, shifted by one.
 
-    The walk recurses over the parts >= 3 only, so it has p(n) - p(n-2)
-    nodes.  At a node the remainder R is c2 twos and R - 2*c2 ones, for
-    each c2 in 0..R//2, and a row takes all R//2 + 1 of those partitions
-    at once.  Its chain A, A+M, ... meets 1 and 2 only at its first two
-    positions: 1 stays in the chain while c2 <= (R - s)//2 (enough
-    ones), 2 while c2 >= s (enough twos).  So the c2 that break the chain
-    at 1 or at 2 are whole intervals, each added to one cell, and the rest
-    share the cell that the fixed tail of parts >= 3 decides.
+    A partition is a tail of parts >= 3, of sum t, plus c2 twos and
+    R - 2*c2 ones, R = n' - t.  The walk visits each tail with t <= n
+    once, p(n) - p(n-2) nodes.  Only the first two places of a row's
+    chain A, A+M, ... can be 1 or 2, and the twos and ones break it there
+    for whole intervals of c2: 1 stays in the chain while c2 <= (R - s)//2
+    (enough ones), 2 while c2 >= s (enough twos).  Those counts depend on
+    R alone.  The c2 that keep the chain alive leave it to the tail,
+    which breaks it at a cell of its own, wherever R is.  So the walk
+    counts the tails per (t, cell) of each row, and each block of n'
+    comes from short convolutions over t of those counts with the counts
+    of c2 per R.
+
+    A row's first place >= 3 holds its cell unless that part is
+    saturated (frequency >= s).  Each part k in 3..M+2 is the first place
+    >= 3 of exactly one chain, so a node follows only the chains that its
+    saturated parts k <= M+2 start, and every other row keeps its first
+    cell: the cost of a node does not grow with M.
     """
     _check_histogram_args(n, s, M)
-    counts = [[0] * (n // M + 2) for _ in range(M)]
-    live = counts[: min(M, n)]
-    rows = list(enumerate(live, 1))
-    freq = [0] * (n + 2)
+    stride = n + 1
+    nodes = [0] * stride  # tails of parts >= 3 per sum t
+    # first[a0]: the index m of row a0's first place >= 3.  breaks[a0]
+    # holds, at c * stride + t, the tails of sum t that break the chain
+    # of row a0 at cell c > first[a0]; the rest break it at first[a0].
+    first = [(3 - A + M - 1) // M if A < 3 else 0 for A in range(1, min(M, n) + 1)]
+    breaks = [[0] * ((n // M + 2) * stride) for _ in first]
+    # A saturated part k <= M+2 follows its chain from the next place on.
+    starts = {k: (k, breaks[(k - 1) % M], (first[(k - 1) % M] + 1) * stride)
+              for k in range(3, min(M + 2, n) + 1)}
+    freq = [0] * (n + 1)
+    followed: list = []
 
-    def walk(remaining: int, max_part: int) -> None:
-        part = remaining if remaining < max_part else max_part
+    def walk(t: int, max_part: int) -> None:
+        nodes[t] += 1
+        for k, row, i in followed:
+            i += t
+            k += M
+            while k <= n and freq[k] >= s:
+                k += M
+                i += stride
+            row[i] += 1
+        part = n - t if n - t < max_part else max_part
         while part >= 3:
             freq[part] += 1
-            walk(remaining - part, part)
+            if freq[part] == s and part in starts:
+                followed.append(starts[part])
+                walk(t + part, part)
+                followed.pop()
+            else:
+                walk(t + part, part)
             freq[part] -= 1
             part -= 1
-        choices = remaining // 2 + 1  # c2 = 0..remaining//2
-        with_ones = max((remaining - s) // 2 + 1, 0)  # c2 with at least s ones
-        for k, row in rows:
-            # alive: how many c2 keep the chain unbroken up to k.
-            alive, m = choices, 0
-            if k == 1:
-                row[0] += alive - with_ones
-                alive, m, k = with_ones, 1, k + M
-            if k == 2:
-                with_twos = alive - s if alive > s else 0
-                row[m] += alive - with_twos
-                alive, m, k = with_twos, m + 1, k + M
-            if alive:
-                while k <= n and freq[k] >= s:
-                    k += M
-                    m += 1
-                row[m] += alive
 
-    walk(n, n)
-    total = sum(live[0]) if live else 1
-    for row in counts[len(live) :]:
-        row[0] = total
+    walk(0, n)
+
+    offsets = list(accumulate((j // M + 2 for j in range(stride)), initial=0))
+    size = offsets[-1]
+
+    def add(row: list, cell: int, xs: list, ys: list, sign: int = 1) -> None:
+        """Add sign * sum_t xs[t] * ys[n' - t] to ``cell`` of each block n'."""
+        lo = next((t for t, x in enumerate(xs) if x), stride)
+        xs, rev = xs[lo:], ys[::-1]
+        # The block of n' has n'//M + 2 cells; a cell past it counts nothing.
+        for j in range(max(lo, (cell - 1) * M), stride):
+            row[offsets[j] + cell] += sign * sum(map(mul, xs, rev[n - j + lo :]))
+
+    def base_row(fixed: list) -> list:
+        row = [0] * size
+        for cell, ys in fixed:
+            add(row, cell, nodes, ys)
+        return row
+
+    # The c2 = 0..R//2 per remainder R: all, those with at least s ones,
+    # and how many of the first x of them have at least s twos.
+    choices = [R // 2 + 1 for R in range(stride)]
+    with_ones = [max((R - s) // 2 + 1, 0) for R in range(stride)]
+
+    def with_twos(xs: list) -> list:
+        return [x - s if x > s else 0 for x in xs]
+
+    def row_class(A: int) -> tuple[list, list]:
+        """The cells that the ones and twos decide, as (cell, c2 per R),
+        and the c2 per R that they leave to the tail."""
+        if A == 1:
+            fixed = [(0, list(map(sub, choices, with_ones)))]
+            if M > 1:
+                return fixed, with_ones
+            alive = with_twos(with_ones)
+            return fixed + [(1, list(map(sub, with_ones, alive)))], alive
+        if A == 2:
+            alive = with_twos(choices)
+            return [(0, list(map(sub, choices, alive)))], alive
+        return [], choices
+
+    # Rows A >= 3 start from all p(n') partitions at m = 0; rows A > n
+    # stay there.
+    plain = base_row([(0, choices)])
+    counts = []
+    for a0 in range(M):
+        if a0 >= len(first):
+            counts.append(plain[:])
+            continue
+        m0 = first[a0]
+        fixed, alive = row_class(a0 + 1)
+        row = base_row(fixed + [(m0, alive)]) if fixed else plain[:]
+        tails = breaks[a0]
+        for cell in range(m0 + 1, n // M + 2):
+            xs = tails[cell * stride : (cell + 1) * stride]
+            if any(xs):
+                add(row, cell, xs, alive)
+                add(row, m0, xs, alive, -1)
+        counts.append(row)
     return counts
 
 

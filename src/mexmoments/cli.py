@@ -287,6 +287,12 @@ def _params_comment(fields: dict) -> str:
     return f"# params: {json.dumps(fields, sort_keys=True)}\n"
 
 
+def _oracle_values(oracle_fn, params: MexParams, ns: range, cap: int) -> list[int]:
+    """The oracle's values at ``ns``, asked largest n first: the histogram
+    table walked for it then serves every smaller n."""
+    return [oracle_fn(params, n, cap=cap) for n in reversed(ns)][::-1]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -306,14 +312,16 @@ def cmd_stats(args) -> int:
     if need_oracle:
         cap = _check_cap(ns[-1], args.oracle_cap)
     seq = qseries.moment_sequence(args.kind, params, ns[-1]) if need_gf else None
-    oracle_fn = sigma_oracle if args.kind == "sigma" else varsigma_oracle
+    if need_oracle:
+        oracle = _oracle_values(sigma_oracle if args.kind == "sigma" else varsigma_oracle,
+                                params, ns, cap)
 
     rows = []
     mismatch = False
     for n in ns:
         row: dict = {"n": n}
         if need_oracle:
-            row["oracle"] = oracle_fn(params, n, cap=cap)
+            row["oracle"] = oracle[n - ns[0]]
         if need_gf:
             row["gf"] = seq[n]
         if args.method == "both":
@@ -362,8 +370,8 @@ def cmd_verify(args) -> int:
         for kind, oracle_fn in (("sigma", sigma_oracle), ("varsigma", varsigma_oracle)):
             seq = qseries.moment_sequence(kind, params, args.max_n)
             sequences += 1
-            for n in range(args.max_n + 1):
-                want = oracle_fn(params, n, cap=cap)
+            ns = range(args.max_n + 1)
+            for n, want in zip(ns, _oracle_values(oracle_fn, params, ns, cap)):
                 checked += 1
                 if seq[n] != want:
                     sys.stderr.write(

@@ -4,7 +4,7 @@ This module is the ground truth: every statistic is obtained by walking
 actual partitions (the histogram kernel of :mod:`mexmoments.backend`),
 with no generating-function shortcuts, and the other modules are
 cross-checked against it.  It holds the parameter tuple ``MexParams``,
-the oracle cap, the histogram cache and the two oracles.
+the oracle cap, the histogram store and the two oracles.
 
 Terminology used throughout the package, for a partition pi:
 
@@ -20,8 +20,10 @@ Terminology used throughout the package, for a partition pi:
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate, pairwise
 
 from mexmoments import backend
 from mexmoments.errors import ResourceCapError, ValidationError
@@ -56,14 +58,44 @@ class MexParams:
             raise ValidationError(f"moment order r must be >= 0, got {self.r}")
 
 
-# Histogram cache: the kernel enumerates once per (n, s, M) and every moment
-# order r is then a cheap weighted sum.  lru_cache gives the concurrency
-# contract for free (atomic dict ops; at worst a duplicated computation).
-@lru_cache(maxsize=4096)
+#: Cells the histogram store keeps before it drops whole tables, least
+#: recently used first.  The largest table the oracle builds by default,
+#: (s, M) = (1, 61) at n = 60, has 7,442.
+STORE_CELL_LIMIT = 1 << 19
+
+# One histogram table per (s, M): the histograms of every n' <= N, at the
+# largest N walked so far, so one walk serves every smaller n and a
+# repeated request returns the same object.  Entries are (cells, table);
+# the entry just used is never dropped.
+_tables: OrderedDict[tuple[int, int], tuple[int, tuple]] = OrderedDict()
+_tables_lock = threading.Lock()
+
+
 def mex_value_histogram(n: int, s: int, M: int) -> tuple[tuple[int, ...], ...]:
     """Row A-1 counts, per m, the partitions of n whose congruence mex
-    for (s, M, A) is A + m*M.  Rows have n//M + 2 entries."""
-    return tuple(tuple(row) for row in backend.mex_value_counts(n, s, M))
+    for (s, M, A) is A + m*M.  Rows have n//M + 2 entries.
+
+    Served from the table of (s, M); a table shorter than n is walked
+    again to n, so a caller with several n asks for the largest first."""
+    key = (s, M)
+    with _tables_lock:
+        entry = _tables.get(key)
+        if entry is not None and 0 <= n < len(entry[1]):
+            _tables.move_to_end(key)
+            return entry[1][n]
+    rows = [tuple(row) for row in backend.mex_value_counts(n, s, M)]  # refuses n < 0
+    starts = list(accumulate((j // M + 2 for j in range(n + 1)), initial=0))
+    table = tuple(tuple(row[a:b] for row in rows) for a, b in pairwise(starts))
+    with _tables_lock:
+        held = _tables.pop(key, None)
+        if held is not None and len(held[1]) > len(table):
+            _tables[key] = held  # a longer table landed meanwhile
+        else:
+            _tables[key] = (M * starts[-1], table)
+        cells = sum(c for c, _ in _tables.values())
+        while len(_tables) > 1 and cells > STORE_CELL_LIMIT:
+            cells -= _tables.popitem(last=False)[1][0]
+        return _tables[key][1][n]
 
 
 def _check_cap(n: int, cap: int | None) -> int:

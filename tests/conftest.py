@@ -34,3 +34,19 @@ def speed(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The (n, s, M) of every histogram kernel call, from an empty
+    histogram store; the store the other tests share is put back after."""
+    from collections import OrderedDict
+
+    from mexmoments import backend, partitions
+
+    calls = []
+    kernel = backend.mex_value_counts
+    monkeypatch.setattr(partitions, "_tables", OrderedDict())
+    monkeypatch.setattr(backend, "mex_value_counts",
+                        lambda n, s, M: calls.append((n, s, M)) or kernel(n, s, M))
+    return calls

@@ -20,15 +20,26 @@ def impl(request):
     return _pure if request.param == "pure" else request.getfixturevalue("speed")
 
 
+def block(rows: list, n: int, M: int) -> list:
+    """The histogram of n in a kernel table: each row's cells after the
+    blocks of n' = 0..n-1, n'//M + 2 cells each."""
+    start = sum(j // M + 2 for j in range(n))
+    return [row[start : start + n // M + 2] for row in rows]
+
+
+def counts(impl, n: int, s: int, M: int) -> list:
+    return block(impl.mex_value_counts(n, s, M), n, M)
+
+
 def test_mex_value_counts_small_cases(impl):
     # n=0: the empty partition; every residue A > n is its own mex (m = 0).
-    assert impl.mex_value_counts(0, 1, 3) == [[1, 0], [1, 0], [1, 0]]
+    assert counts(impl, 0, 1, 3) == [[1, 0], [1, 0], [1, 0]]
     # n=4, s=1, M=1: mex values of the 5 partitions are 1,2,1,3,2 (m = v-1).
-    row = impl.mex_value_counts(4, 1, 1)[0]
+    row = counts(impl, 4, 1, 1)[0]
     assert row == [2, 2, 1, 0, 0, 0]
     # n=2, s=1, M=3 over (2) and (1,1): A=1 gives 1 and 4, A=2 gives 5 and 2,
     # and A=3 exceeds n, so both partitions land at m=0.
-    assert impl.mex_value_counts(2, 1, 3) == [[1, 1], [1, 1], [2, 0]]
+    assert counts(impl, 2, 1, 3) == [[1, 1], [1, 1], [2, 0]]
 
 
 def test_mex_value_counts_total_is_partition_count(impl):
@@ -37,7 +48,7 @@ def test_mex_value_counts_total_is_partition_count(impl):
     for n in (0, 5, 12):
         for s in (1, 2):
             for M in (1, 3, 20):
-                rows = impl.mex_value_counts(n, s, M)
+                rows = counts(impl, n, s, M)
                 assert len(rows) == M
                 for row in rows:
                     assert len(row) == n // M + 2
@@ -71,15 +82,16 @@ def test_mex_value_counts_match_reference_walk(impl):
     for n in range(0, 19):
         for s in sorted({1, 2, 3, 5, n + 1}):
             for M in sorted({1, 2, 3, 4, 7, n + 2}):
-                assert impl.mex_value_counts(n, s, M) == _reference_rows(n, s, M), (n, s, M)
+                assert counts(impl, n, s, M) == _reference_rows(n, s, M), (n, s, M)
 
 
 def test_mex_sum_is_andrews_newman_d2(impl):
     # Andrews and Newman: the mex summed over the partitions of n is D_2(n),
     # the coefficient of q^n in (-q;q)_inf^2.  Held for every n the oracle
-    # serves by default, far past the reference walk above.
+    # serves by default, far past the reference walk above, from one table.
+    table = impl.mex_value_counts(DEFAULT_ORACLE_CAP, 1, 1)
     for n, want in enumerate(d2_coeffs(DEFAULT_ORACLE_CAP)):
-        row = impl.mex_value_counts(n, 1, 1)[0]
+        row = block(table, n, 1)[0]
         assert sum(v * c for v, c in enumerate(row, 1)) == want, n
 
 
@@ -89,20 +101,27 @@ def histogram_args(draw):
     # c2 intervals bounded by (R - s)//2 and s.  Thresholds near n and n/2
     # make those intervals empty or single at some nodes, and M = 1, M = 2
     # and M >= 3 put 1 and 2 in one row, in two rows and in rows A = 1, 2
-    # beside rows A >= 3.
+    # beside rows A >= 3.  Moduli past n' leave rows A > n' with all p(n')
+    # at m = 0, and small moduli let chains cross many blocks.
     n = draw(st.integers(0, 22))
     s = draw(st.one_of(st.integers(1, n + 2),
                        st.sampled_from([max(1, n // 2 + d) for d in (-1, 0, 1)] + [n + 1])))
-    M = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, n + 3)))
+    M = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 5, 6, n + 1, n + 2, n + 3]),
+                       st.integers(3, n + 3)))
     return n, s, M
 
 
 @settings(max_examples=120, deadline=None)
 @given(histogram_args())
 def test_kernels_equal_reference_at_interval_boundaries(speed, args):
-    expected = _reference_rows(*args)
-    assert _pure.mex_value_counts(*args) == expected
-    assert speed.mex_value_counts(*args) == expected
+    # One walk to n gives the histogram of every n' <= n.
+    n, s, M = args
+    for impl in (_pure, speed):
+        table = impl.mex_value_counts(n, s, M)
+        assert len(table) == M
+        assert all(len(row) == sum(j // M + 2 for j in range(n + 1)) for row in table)
+        for j in range(n + 1):
+            assert block(table, j, M) == _reference_rows(j, s, M), (impl, j)
 
 
 def test_backends_agree_on_histograms(speed):

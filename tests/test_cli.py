@@ -251,6 +251,20 @@ def test_verify_injected_mismatch_detected(capsys, monkeypatch):
     assert "1 mismatch" in out
 
 
+def test_default_verify_walks_each_table_once(capsys, kernel_calls):
+    # The largest n first: one walk per (s, M') serves n = 0..30, where
+    # M' = min(M, n + 1) runs over 1..4 for s = 1..3.
+    assert run_cli(capsys, "verify")[0] == 0
+    assert sorted(kernel_calls) == [(30, s, M) for s in (1, 2, 3) for M in (1, 2, 3, 4)]
+
+
+def test_oracle_range_walks_once(capsys, kernel_calls):
+    code, out, _ = run_cli(capsys, "stats", "--kind", "sigma", "--mod", "2", "--r", "1",
+                           "--range", "0:60", "--method", "oracle")
+    assert code == 0 and len(out.splitlines()) == 63
+    assert kernel_calls == [(60, 1, 1)]
+
+
 @pytest.fixture
 def oracle_calls(monkeypatch):
     """The (params, n) of every oracle call the CLI makes."""

@@ -7,17 +7,20 @@ walker and mex functions of ``reference``, versus the histogram kernels
 the oracle uses).
 """
 
+import sys
+import threading
+
 import pytest
 
 from mexmoments import (
     MexParams,
     ResourceCapError,
     ValidationError,
-    backend,
     partition_numbers,
     sigma_oracle,
     varsigma_oracle,
 )
+import mexmoments.partitions
 from mexmoments.partitions import mex_value_histogram
 from reference import mex_s, mex_s_mod, partitions
 
@@ -169,23 +172,76 @@ def test_oracles_match_direct_partition_walk():
                         assert varsigma_oracle(params, n) == direct_varsigma
 
 
-def test_varsigma_oracle_caps_the_kernel_modulus(monkeypatch):
+def test_varsigma_oracle_caps_the_kernel_modulus(kernel_calls):
     # A modulus beyond n reads the same row from modulus n+1, so the
     # kernel never builds 10^5 rows for a 10^5 modulus.
-    seen = []
-    kernel = backend.mex_value_counts
-    monkeypatch.setattr(backend, "mex_value_counts",
-                        lambda n, s, M: seen.append((n, M)) or kernel(n, s, M))
-    mex_value_histogram.cache_clear()
+    for n in (0, 1, 7, 12):
+        for A in (1, 7, 99_999, 100_000):
+            params = MexParams(2, 100_000, A, 1)
+            expected = sum(mex_s_mod(pi, 2, 100_000, A) for pi in partitions(n))
+            assert varsigma_oracle(params, n) == expected
+    assert kernel_calls and all(M <= n + 1 for n, _, M in kernel_calls)
+
+
+def test_one_walk_serves_every_smaller_n(kernel_calls):
+    # The table of (s, M) at n = 20 holds the histogram of every n <= 20;
+    # a longer request walks again, and the longer table then serves all.
+    first = mex_value_histogram(20, 2, 3)
+    assert [mex_value_histogram(n, 2, 3) for n in range(21)][-1] == first
+    assert kernel_calls == [(20, 2, 3)]
+    assert mex_value_histogram(25, 2, 3)[0][0] > 0
+    assert mex_value_histogram(20, 2, 3) == first
+    assert kernel_calls == [(20, 2, 3), (25, 2, 3)]
+
+
+def test_histogram_store_evicts_whole_tables(kernel_calls, monkeypatch):
+    # Four tables of 104 (M = 1) or 124 (M = 2) cells at n = 12, under a
+    # limit that holds two: the least recently used go first, and a table
+    # asked for again is walked again and gives the same histograms.
+    store = mexmoments.partitions
+    monkeypatch.setattr(store, "STORE_CELL_LIMIT", 300)
+    keys = [(1, 1), (2, 1), (1, 2), (2, 2)]
+    first = {key: [mex_value_histogram(n, *key) for n in (12, 5)] for key in keys}
+    assert len(kernel_calls) == 4
+    assert list(store._tables) == [(1, 2), (2, 2)]
+    again = {key: [mex_value_histogram(n, *key) for n in (12, 5)] for key in keys}
+    assert again == first
+    assert kernel_calls[4][1:] == (1, 1)
+    # One table above the limit is kept alone.
+    monkeypatch.setattr(store, "STORE_CELL_LIMIT", 1)
+    mex_value_histogram(3, 1, 1)
+    assert list(store._tables) == [(1, 1)]
+
+
+def test_histogram_store_threads_agree(kernel_calls):
+    # More threads than cores and a short switch interval, so that racing
+    # requests for one table at different n interleave inside the store.
+    ns = [24, 9, 24, 17, 9, 24]
+    start = threading.Barrier(len(ns))
+    results = [None] * len(ns)
+
+    def ask(i):
+        start.wait(timeout=30)
+        results[i] = mex_value_histogram(ns[i], 2, 3)
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(ns))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        for n in (0, 1, 7, 12):
-            for A in (1, 7, 99_999, 100_000):
-                params = MexParams(2, 100_000, A, 1)
-                expected = sum(mex_s_mod(pi, 2, 100_000, A) for pi in partitions(n))
-                assert varsigma_oracle(params, n) == expected
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
     finally:
-        mex_value_histogram.cache_clear()
-    assert seen and all(M <= n + 1 for n, M in seen)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(mexmoments.partitions._tables[(2, 3)][1]) == 25  # n = 0..24
+    for n, rows in zip(ns, results):
+        assert [list(row) for row in rows] == [
+            [sum(1 for pi in partitions(n) if mex_s_mod(pi, 2, 3, A) == A + m * 3)
+             for m in range(n // 3 + 2)]
+            for A in (1, 2, 3)
+        ]
 
 
 def test_sigma_residue_classes_partition_everything():
