@@ -13,9 +13,10 @@ from __future__ import annotations
 from itertools import accumulate, chain, repeat
 from operator import add, mul, neg, sub
 
-# The walk for the partitions of n' <= n has p(n) - p(n-2) nodes; beyond
-# this it is hopeless anyway and the compiled kernel's int64 counters could
-# not hold the counts.
+# Guards direct kernel calls (the oracles stop at partitions.ORACLE_CAP
+# first): the walk for the partitions of n' <= n has p(n) - p(n-2) nodes,
+# beyond this it is hopeless anyway, and the compiled kernel's int64
+# counters could not hold the counts.
 ENUMERATION_LIMIT = 300
 
 

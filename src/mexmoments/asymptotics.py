@@ -308,22 +308,21 @@ def qexpansion_ingham_params(kind: str, s: int, M: int, r: int) -> InghamParams:
     return InghamParams(lam, (1 - r) / 2, growth)
 
 
-def gf_boundary_log(kind: str, p: MexParams, t: float, order: int | None = None) -> float:
+def gf_boundary_log(kind: str, p: MexParams, t: float) -> float:
     """log of the moment generating function evaluated at q = e^-t from
     exact coefficients: log sum_{n<=N} value(n) e^(-nt).
 
     The summand peaks near n* = (pi^2/6)/t^2 and dies off past 4 n*, so
-    the default truncation order 6 n* makes the dropped tail negligible
-    at double precision.  Together with qexpansion_ingham_params this
-    cross-checks the intermediate t -> 0+ estimates directly against the
-    exact sequences, independently of the Tauberian transfer.
+    the truncation order N = max(256, 6 n*) makes the dropped tail
+    negligible at double precision.  Together with
+    qexpansion_ingham_params this cross-checks the intermediate t -> 0+
+    estimates directly against the exact sequences, independently of the
+    Tauberian transfer.
     """
     if not 0 < t <= 1:
         raise ValidationError(f"t must satisfy 0 < t <= 1, got {t}")
     growth = math.pi**2 / 6.0
-    if order is None:
-        order = max(256, math.ceil(6.0 * growth / (t * t)))
-    seq = qseries.moment_sequence(kind, p, order)
+    seq = qseries.moment_sequence(kind, p, max(256, math.ceil(6.0 * growth / (t * t))))
     # Factor out the peak magnitude so the float sum cannot overflow.
     peak = growth / t
     total = math.fsum(
@@ -418,42 +417,36 @@ def varsigma_asymp(p: MexParams, n: int) -> LogValue:
 # exact-versus-asymptotic ratios
 
 
-def exact_over_asymptotic(kind: str, p: MexParams, n: int, order: int | None = None) -> float:
+def exact_over_asymptotic(kind: str, p: MexParams, n: int) -> float:
     """Ratio exact_value(n) / growth_law(n), evaluated in log space.
 
-    ``order`` (default n) is the series order to compute to; a table over
-    several n passes its largest, so that every row reads one stored
-    sequence instead of a prefix view per n.
+    The value comes from ``qseries.moment_value``: a table over several n
+    asks for its largest first, and one stored sequence serves every row.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    seq = qseries.moment_sequence(kind, p, qseries.truncation_order(order, n))
-    exact = LogValue.from_int(seq[n])
+    exact = LogValue.from_int(qseries.moment_value(kind, p, n))
     asymp = sigma_asymp(p, n) if kind == "sigma" else varsigma_asymp(p, n)
     return (exact / asymp).to_float()
 
 
-def corollary_ratio(
-    kind: str, p: MexParams, a_prime: int, n: int, order: int | None = None
-) -> float:
+def corollary_ratio(kind: str, p: MexParams, a_prime: int, n: int) -> float:
     """Exact-value ratio between the moment sequences of two residues
     A and A' (same s, M, r), computed in log space from exact integers.
 
     Raises ZeroDivisionError when the denominator value is still zero,
     which happens at small n for residues whose statistic needs a minimum
-    weight to occur.  ``order`` (default n) is as in
-    ``exact_over_asymptotic``: one order per table.
+    weight to occur.  The values come from ``qseries.moment_value``, as
+    in ``exact_over_asymptotic``.
     """
     if not 0 < a_prime <= p.M:
         raise ValidationError(f"residue must satisfy 0 < A' <= M, got A'={a_prime}, M={p.M}")
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    N = qseries.truncation_order(order, n)
     if a_prime == p.A:
         return 1.0
-    seq_a = qseries.moment_sequence(kind, p, N)
-    seq_b = qseries.moment_sequence(kind, MexParams(p.s, p.M, a_prime, p.r), N)
-    num, den = seq_a[n], seq_b[n]
+    num = qseries.moment_value(kind, p, n)
+    den = qseries.moment_value(kind, MexParams(p.s, p.M, a_prime, p.r), n)
     if den == 0:
         raise ZeroDivisionError(
             f"denominator moment is zero at n={n} for A'={a_prime} (kind={kind})"

@@ -11,10 +11,12 @@ Exit codes: 0 success, 1 validation error, 2 verification mismatch,
 3 resource cap exceeded.
 
 Every command computes its series exactly to the largest n it serves.
-The oracle cap of ``stats`` and ``verify`` resolves as: --oracle-cap >
-MEXMOMENTS_ORACLE_CAP > 60.  Data outputs are deterministic: identical
-arguments yield byte-identical files; run metadata (timestamp, backend,
-argv) goes to a ``<out>.meta.json`` sidecar instead.
+The enumeration oracle of ``stats`` and ``verify`` serves n <= 60
+(``partitions.ORACLE_CAP``), a fixed limit that both commands check
+against their largest n before any work.  Data outputs are
+deterministic: identical arguments yield byte-identical files; run
+metadata (timestamp, backend, argv) goes to a ``<out>.meta.json``
+sidecar instead.
 """
 
 from __future__ import annotations
@@ -59,11 +61,8 @@ def _add_params(parser: argparse.ArgumentParser, residue: bool = True) -> None:
     parser.add_argument("--r", type=int, default=0, help="moment order (default 0)")
 
 
-def _add_common(parser: argparse.ArgumentParser, oracle: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write output to PATH (plus PATH.meta.json sidecar)")
-    if oracle:
-        parser.add_argument("--oracle-cap", type=int,
-                            help="largest n the enumeration oracle accepts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,14 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="series extraction, brute-force enumeration, or both with a match column",
     )
     p_stats.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p_stats, oracle=True)
+    _add_common(p_stats)
 
     p_verify = sub.add_parser("verify", help="oracle-vs-series equivalence sweep")
     p_verify.add_argument("--max-mod", type=int, default=4)
     p_verify.add_argument("--max-s", type=int, default=3)
     p_verify.add_argument("--max-r", type=int, default=2)
     p_verify.add_argument("--max-n", type=int, default=30)
-    _add_common(p_verify, oracle=True)
+    _add_common(p_verify)
 
     p_asymp = sub.add_parser("asymp", help="exact vs asymptotic ratio tables")
     _add_params(p_asymp)
@@ -287,10 +286,10 @@ def _params_comment(fields: dict) -> str:
     return f"# params: {json.dumps(fields, sort_keys=True)}\n"
 
 
-def _oracle_values(oracle_fn, params: MexParams, ns: range, cap: int) -> list[int]:
+def _oracle_values(oracle_fn, params: MexParams, ns: range) -> list[int]:
     """The oracle's values at ``ns``, asked largest n first: the histogram
     table walked for it then serves every smaller n."""
-    return [oracle_fn(params, n, cap=cap) for n in reversed(ns)][::-1]
+    return [oracle_fn(params, n) for n in reversed(ns)][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +309,11 @@ def cmd_stats(args) -> int:
     need_oracle = args.method in ("oracle", "both")
     need_gf = args.method in ("gf", "both")
     if need_oracle:
-        cap = _check_cap(ns[-1], args.oracle_cap)
+        _check_cap(ns[-1])
     seq = qseries.moment_sequence(args.kind, params, ns[-1]) if need_gf else None
     if need_oracle:
         oracle = _oracle_values(sigma_oracle if args.kind == "sigma" else varsigma_oracle,
-                                params, ns, cap)
+                                params, ns)
 
     rows = []
     mismatch = False
@@ -356,7 +355,7 @@ def cmd_stats(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_mod < 1 or args.max_s < 1 or args.max_r < 0 or args.max_n < 0:
         raise ValidationError("verify grid bounds must be positive (max-r, max-n may be 0)")
-    cap = _check_cap(args.max_n, args.oracle_cap)
+    _check_cap(args.max_n)
     grid = (
         MexParams(s, M, A, r)
         for M in range(1, args.max_mod + 1)
@@ -371,7 +370,7 @@ def cmd_verify(args) -> int:
             seq = qseries.moment_sequence(kind, params, args.max_n)
             sequences += 1
             ns = range(args.max_n + 1)
-            for n, want in zip(ns, _oracle_values(oracle_fn, params, ns, cap)):
+            for n, want in zip(ns, _oracle_values(oracle_fn, params, ns)):
                 checked += 1
                 if seq[n] != want:
                     sys.stderr.write(
@@ -394,7 +393,7 @@ def cmd_asymp(args) -> int:
         raise ValidationError("corollary mode needs --res-prime")
     if args.res_prime is not None and not args.corollary:
         raise ValidationError("--res-prime is read only with --corollary")
-    # One order for the whole table, so every row reads the same stored sequence.
+    # The largest n first: the ratio helpers then read every row from it.
     trunc = max(ns)
     params_b = replace(params, A=args.res_prime) if args.corollary else params
     _check_printable_up_front(args.kind, [params, params_b], trunc)
@@ -408,9 +407,7 @@ def cmd_asymp(args) -> int:
         buf.write("n,exact_a,exact_a_prime,ratio\n")
         for n in ns:
             try:
-                ratio = asymptotics.corollary_ratio(
-                    args.kind, params, args.res_prime, n, order=trunc
-                )
+                ratio = asymptotics.corollary_ratio(args.kind, params, args.res_prime, n)
             except ZeroDivisionError as exc:
                 raise ValidationError(str(exc)) from exc
             buf.write(f"{n},{seq[n]},{seq_b[n]},{ratio!r}\n")
@@ -420,7 +417,7 @@ def cmd_asymp(args) -> int:
         )
         buf.write("n,exact,asymp_log,ratio\n")
         for n in ns:
-            ratio = asymptotics.exact_over_asymptotic(args.kind, params, n, order=trunc)
+            ratio = asymptotics.exact_over_asymptotic(args.kind, params, n)
             buf.write(f"{n},{seq[n]},{asymp_fn(params, n).log_abs!r},{ratio!r}\n")
     _emit(buf.getvalue(), args)
     return EXIT_OK

@@ -6,4 +6,6 @@ class ValidationError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """Raised when a computation would exceed a configured resource cap."""
+    """Raised when a computation would exceed one of the package's fixed
+    resource limits (the oracle's n, the series order, the stores' sizes,
+    the int-to-str digits)."""

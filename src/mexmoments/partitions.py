@@ -4,7 +4,8 @@ This module is the ground truth: every statistic is obtained by walking
 actual partitions (the histogram kernel of :mod:`mexmoments.backend`),
 with no generating-function shortcuts, and the other modules are
 cross-checked against it.  It holds the parameter tuple ``MexParams``,
-the oracle cap, the histogram store and the two oracles.
+the oracle's fixed limit ``ORACLE_CAP``, the histogram store and the two
+oracles.
 
 Terminology used throughout the package, for a partition pi:
 
@@ -19,7 +20,6 @@ Terminology used throughout the package, for a partition pi:
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -28,10 +28,10 @@ from itertools import accumulate, pairwise
 from mexmoments import backend
 from mexmoments.errors import ResourceCapError, ValidationError
 
-#: Hard default for the oracle range; p(60) ~ 9.7e5 partitions keeps a full
-#: parameter sweep at seconds scale.  Override per call or via the
-#: MEXMOMENTS_ORACLE_CAP environment variable.
-DEFAULT_ORACLE_CAP = 60
+#: Largest n the oracles accept; p(60) ~ 9.7e5 partitions keeps a full
+#: parameter sweep at seconds scale.  Fixed: the walk grows like p(n), so
+#: a larger n is the series route's job.
+ORACLE_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -98,43 +98,31 @@ def mex_value_histogram(n: int, s: int, M: int) -> tuple[tuple[int, ...], ...]:
         return _tables[key][1][n]
 
 
-def _check_cap(n: int, cap: int | None) -> int:
-    """Refuse n above the oracle cap: ``cap`` when given, else
-    MEXMOMENTS_ORACLE_CAP when set, else ``DEFAULT_ORACLE_CAP``.  Returns
-    that cap, so a caller that makes many oracle calls resolves it once
-    and passes the int on."""
-    if cap is None:
-        raw = os.environ.get("MEXMOMENTS_ORACLE_CAP", str(DEFAULT_ORACLE_CAP))
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            msg = f"MEXMOMENTS_ORACLE_CAP must be an integer, got {raw!r}"
-            raise ValidationError(msg) from exc
-    if cap < 0:
-        raise ValidationError(f"oracle cap must be >= 0, got {cap}")
-    if n > cap:
+def _check_cap(n: int) -> None:
+    """Refuse a negative n, and n above ``ORACLE_CAP``."""
+    if n < 0:
+        raise ValidationError(f"n must be >= 0, got {n}")
+    if n > ORACLE_CAP:
         raise ResourceCapError(
-            f"oracle request n={n} exceeds cap {cap}; raise the cap explicitly "
-            "or use the generating-function route"
+            f"oracle request n={n} exceeds cap {ORACLE_CAP}; "
+            "use the generating-function route"
         )
-    return cap
 
 
-def sigma_oracle(p: MexParams, n: int, cap: int | None = None) -> int:
+def sigma_oracle(p: MexParams, n: int) -> int:
     """Exact sigma moment by brute-force enumeration.
 
     Sum of mex^r over the partitions of n whose mex with frequency s lies
     in the class A mod M.  The r=0 moment is a pure count (v^0 = 1 for every value v).
+    The kernel's threshold is capped at n+1, as in ``varsigma_oracle``.
     """
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    _check_cap(n, cap)
-    hist = mex_value_histogram(n, p.s, 1)[0]
+    _check_cap(n)
+    hist = mex_value_histogram(n, min(p.s, n + 1), 1)[0]
     residue = p.A % p.M
     return sum(c * v**p.r for v, c in enumerate(hist, 1) if c and v % p.M == residue)
 
 
-def varsigma_oracle(p: MexParams, n: int, cap: int | None = None) -> int:
+def varsigma_oracle(p: MexParams, n: int) -> int:
     """Exact varsigma moment by brute-force enumeration.
 
     Sum of (congruence mex)^r over all partitions of n; equals the
@@ -144,10 +132,10 @@ def varsigma_oracle(p: MexParams, n: int, cap: int | None = None) -> int:
     one candidate part A <= n (so m is 0 or 1, and 1 exactly when A
     occurs at least s times), and every A > n holds all p(n) partitions
     at m = 0, so modulus n+1 gives the same row for min(A, n+1).  The
-    weights still use the real M.
+    weights still use the real M.  Likewise the threshold: no part of a
+    partition of n' <= n occurs n+1 times, so every s > n gives the
+    histograms of s = n+1.
     """
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    _check_cap(n, cap)
-    hist = mex_value_histogram(n, p.s, min(p.M, n + 1))[min(p.A, n + 1) - 1]
+    _check_cap(n)
+    hist = mex_value_histogram(n, min(p.s, n + 1), min(p.M, n + 1))[min(p.A, n + 1) - 1]
     return sum(c * (p.A + m * p.M) ** p.r for m, c in enumerate(hist) if c)

@@ -53,17 +53,6 @@ def _check_order(order: int) -> None:
         )
 
 
-def truncation_order(order: int | None, n_max: int) -> int:
-    """The truncation order of a request that needs the values up to
-    ``n_max``: ``n_max`` when no order is given, else ``order``, which
-    must reach ``n_max``."""
-    if order is None:
-        return n_max
-    if order < n_max:
-        raise ValidationError(f"truncation order {order} is below the largest requested n={n_max}")
-    return order
-
-
 # Growing table of partition numbers.  Entries never change once appended,
 # so concurrent reads are safe; extension is serialized by the lock.
 _pn_table: list[int] = [1]
@@ -288,6 +277,16 @@ class _SequenceStore:
         with self.lock:
             return self._serve(key, order)
 
+    def value(self, key: tuple, n: int) -> int | None:
+        """The value of ``key`` at ``n`` from its longest sequence, with
+        no prefix view, or None if the entry is missing or shorter."""
+        with self.lock:
+            views = self.entries.get(key)
+            if views is None or max(views) < n:
+                return None
+            self.entries.move_to_end(key)
+            return views[max(views)][n]
+
     def put(self, key: tuple, seq: MomentSequence) -> MomentSequence:
         """Store ``seq`` unless a longer entry landed meanwhile, and serve
         ``seq.order`` from the entry."""
@@ -349,3 +348,12 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
         seq = _store.put(key, gf_coeffs(p, order))
     return seq
 
+
+def moment_value(kind: str, p: MexParams, n: int) -> int:
+    """``moment_sequence(kind, p, n)[n]``, read from the stored sequence
+    when it already reaches n, so that a caller asking for several n,
+    the largest first, computes one sequence and builds no prefix view
+    per n."""
+    _check_order(n)
+    value = _store.value((kind, p), n)
+    return moment_sequence(kind, p, n)[n] if value is None else value

@@ -403,40 +403,36 @@ def test_gamma_half_integer_table():
 def test_corollary_ratio_same_residue_is_one():
     p = MexParams(1, 3, 2, 1)
     for n in (0, 5, 40):
-        assert corollary_ratio("sigma", p, 2, n, order=40) == 1.0
+        assert corollary_ratio("sigma", p, 2, n) == 1.0
 
 
 def test_corollary_ratio_varsigma_r0_always_one():
     p = MexParams(2, 3, 1, 0)
-    for n in range(0, 60):
-        assert corollary_ratio("varsigma", p, 3, n, order=60) == 1.0
+    for n in range(59, -1, -1):
+        assert corollary_ratio("varsigma", p, 3, n) == 1.0
 
 
 def test_corollary_ratio_zero_denominator():
     # sigma with A'=3 mod 3 is zero until the partition (2,1) appears.
     with pytest.raises(ZeroDivisionError):
-        corollary_ratio("sigma", MexParams(1, 3, 1, 0), 3, 0, order=10)
+        corollary_ratio("sigma", MexParams(1, 3, 1, 0), 3, 0)
 
 
 def test_corollary_ratio_validation():
     p = MexParams(1, 3, 1, 0)
     with pytest.raises(ValidationError):
-        corollary_ratio("sigma", p, 4, 5, order=10)
-    with pytest.raises(ValidationError):
-        corollary_ratio("sigma", p, 2, 20, order=10)
+        corollary_ratio("sigma", p, 4, 5)
 
 
 def test_corollary_ratio_converges_spot():
     p = MexParams(1, 3, 1, 1)
-    d_small = abs(corollary_ratio("sigma", p, 2, 64, order=512) - 1.0)
-    d_large = abs(corollary_ratio("sigma", p, 2, 512, order=512) - 1.0)
+    d_large = abs(corollary_ratio("sigma", p, 2, 512) - 1.0)
+    d_small = abs(corollary_ratio("sigma", p, 2, 64) - 1.0)
     assert d_large < d_small
 
 
 def test_exact_over_asymptotic_spot():
-    assert abs(exact_over_asymptotic("sigma", MexParams(1, 2, 1, 1), 500, order=500) - 1.0) < 0.05
-    with pytest.raises(ValidationError):
-        exact_over_asymptotic("sigma", MexParams(1, 2, 1, 1), 50, order=10)
+    assert abs(exact_over_asymptotic("sigma", MexParams(1, 2, 1, 1), 500) - 1.0) < 0.05
 
 
 def test_exact_over_asymptotic_r0_transcription():
@@ -449,5 +445,5 @@ def test_exact_over_asymptotic_r0_transcription():
     n = 100
     exact = moment_sequence("sigma", p, n)[n]
     want = exact * 4 * math.sqrt(3) * n * p.M / math.exp(math.pi * math.sqrt(2 * n / 3))
-    got = exact_over_asymptotic("sigma", p, n, order=n)
+    got = exact_over_asymptotic("sigma", p, n)
     assert got == pytest.approx(want, rel=1e-12)

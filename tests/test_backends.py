@@ -4,14 +4,16 @@ checks of the sparse x dense product, which has only a pure-Python
 implementation."""
 
 import random
+from collections import OrderedDict
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mexmoments import _pure
-from mexmoments.partitions import DEFAULT_ORACLE_CAP
+import mexmoments.partitions
+from mexmoments import MexParams, _pure, backend, sigma_oracle, varsigma_oracle
+from mexmoments.partitions import ORACLE_CAP
 from reference import d2_coeffs, invert_unit_series, mex_s_mod, partitions
 
 
@@ -89,10 +91,30 @@ def test_mex_sum_is_andrews_newman_d2(impl):
     # Andrews and Newman: the mex summed over the partitions of n is D_2(n),
     # the coefficient of q^n in (-q;q)_inf^2.  Held for every n the oracle
     # serves by default, far past the reference walk above, from one table.
-    table = impl.mex_value_counts(DEFAULT_ORACLE_CAP, 1, 1)
-    for n, want in enumerate(d2_coeffs(DEFAULT_ORACLE_CAP)):
+    table = impl.mex_value_counts(ORACLE_CAP, 1, 1)
+    for n, want in enumerate(d2_coeffs(ORACLE_CAP)):
         row = block(table, n, 1)[0]
         assert sum(v * c for v, c in enumerate(row, 1)) == want, n
+
+
+def test_oracles_serve_a_threshold_no_c_int_holds(impl, monkeypatch):
+    # No part of a partition of n occurs n + 1 times, so the oracles ask
+    # the kernel for s = n + 1 whenever s > n: a threshold beyond a C int
+    # reads the table of s = n + 1 and walks nothing more.
+    calls = []
+    monkeypatch.setattr(mexmoments.partitions, "_tables", OrderedDict())
+    monkeypatch.setattr(backend, "mex_value_counts",
+                        lambda n, s, M: calls.append((n, s, M)) or impl.mex_value_counts(n, s, M))
+    n, M, r = 9, 2, 1
+    pis = list(partitions(n))
+    for A in (1, 2):
+        sigma = sum(mex_s_mod(pi, n + 1, 1, 1) ** r for pi in pis
+                    if mex_s_mod(pi, n + 1, 1, 1) % M == A % M)
+        varsigma = sum(mex_s_mod(pi, n + 1, M, A) ** r for pi in pis)
+        for s in (n + 1, 3_000_000_000, 2**64):
+            assert sigma_oracle(MexParams(s, M, A, r), n) == sigma, (s, A)
+            assert varsigma_oracle(MexParams(s, M, A, r), n) == varsigma, (s, A)
+    assert calls == [(n, n + 1, 1), (n, n + 1, M)]
 
 
 @st.composite

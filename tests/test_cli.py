@@ -81,37 +81,6 @@ def test_stats_oracle_cap_exit_code(capsys):
     assert "cap" in err
 
 
-def test_stats_oracle_cap_flag_override(capsys):
-    code, out, _ = run_cli(
-        capsys, "stats", "--kind", "sigma", "--mod", "2", "--n", "8",
-        "--method", "oracle", "--oracle-cap", "8",
-    )
-    assert code == 0
-    code, _, _ = run_cli(
-        capsys, "stats", "--kind", "sigma", "--mod", "2", "--n", "9",
-        "--method", "oracle", "--oracle-cap", "8",
-    )
-    assert code == 3
-
-
-def test_stats_negative_oracle_cap_flag_rejected(capsys):
-    code, _, err = run_cli(
-        capsys, "stats", "--kind", "sigma", "--n", "3", "--method", "oracle",
-        "--oracle-cap", "-1",
-    )
-    assert code == 1
-    assert "oracle cap must be >= 0" in err
-
-
-def test_stats_negative_oracle_cap_env_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("MEXMOMENTS_ORACLE_CAP", "-1")
-    code, _, err = run_cli(
-        capsys, "stats", "--kind", "varsigma", "--n", "3", "--method", "oracle",
-    )
-    assert code == 1
-    assert "oracle cap must be >= 0" in err
-
-
 @pytest.mark.parametrize("argv, largest", [
     (("stats", "--n", "10"), 10),
     (("stats", "--range", "3:17"), 17),
@@ -140,38 +109,6 @@ def test_conjecture_bias_modulus_zero_is_a_validation_error(capsys):
     assert "M must be a positive integer" in err
 
 
-def test_oracle_cap_flag_beats_environment(capsys, monkeypatch):
-    argv = ("stats", "--kind", "sigma", "--n", "8", "--method", "oracle")
-    monkeypatch.setenv("MEXMOMENTS_ORACLE_CAP", "5")
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 3
-    assert "exceeds cap 5" in err
-    assert run_cli(capsys, *argv, "--oracle-cap", "8")[0] == 0
-    # With the flag given, the environment is not read at all.
-    monkeypatch.setenv("MEXMOMENTS_ORACLE_CAP", "x")
-    assert run_cli(capsys, *argv, "--oracle-cap", "8")[0] == 0
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 1
-    assert err == "error: MEXMOMENTS_ORACLE_CAP must be an integer, got 'x'\n"
-
-
-@pytest.mark.parametrize("argv", [
-    ("stats", "--kind", "varsigma", "--mod", "3", "--range", "0:6", "--method", "both"),
-    ("verify", "--max-mod", "2", "--max-s", "1", "--max-r", "0", "--max-n", "6"),
-])
-def test_oracle_cap_resolves_once_per_command(capsys, monkeypatch, argv):
-    # Each oracle call gets the resolved int, so the environment is read
-    # once per command, not once per value.
-    monkeypatch.setenv("MEXMOMENTS_ORACLE_CAP", "12")
-    caps = []
-    for name in ("sigma_oracle", "varsigma_oracle"):
-        oracle = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda p, n, cap, oracle=oracle:
-                            caps.append(cap) or oracle(p, n, cap=cap))
-    assert run_cli(capsys, *argv)[0] == 0
-    assert len(caps) > 1 and set(caps) == {12}
-
-
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--max-n", "5", "--truncation", "1"), "unrecognized arguments: --truncation"),
     (("asymp", "--kind", "sigma", "--n-list", "100", "--oracle-cap", "3"),
@@ -182,8 +119,11 @@ def test_oracle_cap_resolves_once_per_command(capsys, monkeypatch, argv):
      "unrecognized arguments: --oracle-cap"),
     (("asymp", "--kind", "sigma", "--mod", "2", "--n-list", "50", "--res-prime", "2"),
      "error: --res-prime is read only with --corollary\n"),
+    (("stats", "--kind", "sigma", "--n", "301", "--method", "oracle", "--oracle-cap", "400"),
+     "unrecognized arguments: --oracle-cap 400"),
+    (("verify", "--max-n", "9", "--oracle-cap", "8"), "unrecognized arguments: --oracle-cap 8"),
 ], ids=["verify-truncation", "asymp-oracle-cap", "logconcave-oracle-cap", "bias-oracle-cap",
-        "asymp-res-prime"])
+        "asymp-res-prime", "stats-oracle-cap", "verify-oracle-cap"])
 def test_flags_a_command_would_ignore_are_rejected(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -209,9 +149,9 @@ def test_option_surface():
     params = ["--kind", "--mod", "--r", "--res", "--s"]
     assert surface == {
         "stats": sorted(["-h", "--help", *params, "--n", "--range", "--method", "--format",
-                         "--out", "--oracle-cap"]),
+                         "--out"]),
         "verify": sorted(["-h", "--help", "--max-mod", "--max-s", "--max-r", "--max-n",
-                          "--out", "--oracle-cap"]),
+                          "--out"]),
         "asymp": sorted(["-h", "--help", *params, "--n-list", "--corollary", "--res-prime",
                          "--out"]),
         "conjecture logconcave": sorted(["-h", "--help", *params, "--range", "--out"]),
@@ -239,8 +179,8 @@ def test_verify_injected_mismatch_detected(capsys, monkeypatch):
     wrong_at = (MexParams(1, 2, 2, 0), 6)
     real = cli.varsigma_oracle
 
-    def off_by_one(p, n, cap=None):
-        return real(p, n, cap=cap) + ((p, n) == wrong_at)
+    def off_by_one(p, n):
+        return real(p, n) + ((p, n) == wrong_at)
 
     monkeypatch.setattr(cli, "varsigma_oracle", off_by_one)
     code, out, err = run_cli(
@@ -270,9 +210,9 @@ def oracle_calls(monkeypatch):
     """The (params, n) of every oracle call the CLI makes."""
     calls = []
     for name in ("sigma_oracle", "varsigma_oracle"):
-        def counted(p, n, cap=None, real=getattr(cli, name)):
+        def counted(p, n, real=getattr(cli, name)):
             calls.append((p, n))
-            return real(p, n, cap=cap)
+            return real(p, n)
         monkeypatch.setattr(cli, name, counted)
     return calls
 
@@ -281,7 +221,6 @@ def oracle_calls(monkeypatch):
     ("stats", "--kind", "sigma", "--method", "oracle", "--range", "0:61"),
     ("stats", "--kind", "varsigma", "--method", "both", "--range", "0:61"),
     ("verify", "--max-n", "61"),
-    ("verify", "--max-n", "9", "--oracle-cap", "8"),
 ])
 def test_oracle_cap_is_checked_before_any_work(capsys, oracle_calls, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -291,11 +230,14 @@ def test_oracle_cap_is_checked_before_any_work(capsys, oracle_calls, argv):
     assert oracle_calls == []
 
 
-def test_verify_negative_oracle_cap_rejected(capsys, oracle_calls):
-    code, _, err = run_cli(capsys, "verify", "--max-n", "3", "--oracle-cap", "-1")
-    assert code == 1
-    assert "oracle cap must be >= 0" in err
-    assert oracle_calls == []
+def test_stats_huge_threshold_is_served_by_the_oracle(capsys, kernel_calls):
+    # Every s > n gives the histograms of s = n + 1, so an s that no C int
+    # holds never reaches the kernel.
+    code, out, err = run_cli(capsys, "stats", "--kind", "varsigma", "--s", "3000000000",
+                             "--mod", "2", "--n", "5", "--method", "both")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == "5,7,7,true"
+    assert kernel_calls == [(5, 6, 2)]
 
 
 TOO_LONG_TO_PRINT = [

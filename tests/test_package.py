@@ -1,15 +1,13 @@
-"""Package-wide contracts: the public surface, one wording for the checks
-that several entry points share, and the independence of the references
-in ``reference.py``."""
+"""Package-wide contracts: the public surface, the parameters no caller
+sets (no order, no oracle cap, no environment variable), and the
+independence of the references in ``reference.py``."""
 
 import ast
 import inspect
 from pathlib import Path
 
-import pytest
-
 import mexmoments
-from mexmoments import MexParams, ValidationError, asymptotics, conjectures, qseries
+from mexmoments import asymptotics, conjectures, qseries
 
 PUBLIC_NAMES = [
     "BACKEND", "MexParams", "MomentSequence", "ResourceCapError", "ValidationError",
@@ -35,26 +33,6 @@ def test_reference_imports_nothing_from_the_package():
     assert not [name for name in imported if name.split(".")[0] == "mexmoments"]
 
 
-P = MexParams(1, 2, 1, 1)
-BELOW = "truncation order 10 is below the largest requested n=50"
-
-
-@pytest.mark.parametrize("call", [
-    lambda: qseries.truncation_order(10, 50),
-    lambda: asymptotics.exact_over_asymptotic("sigma", P, 50, order=10),
-    lambda: asymptotics.corollary_ratio("sigma", P, 2, 50, order=10),
-])
-def test_one_truncation_message(call):
-    with pytest.raises(ValidationError, match=f"^{BELOW}$"):
-        call()
-
-
-def test_truncation_order_defaults_to_the_largest_n():
-    assert qseries.truncation_order(None, 50) == 50
-    assert qseries.truncation_order(50, 50) == 50
-    assert qseries.truncation_order(80, 50) == 80
-
-
 def test_scanners_compute_to_their_range_and_moment_sequence_needs_an_order():
     # The scanners compute exactly to n_hi; no caller chooses an order for them.
     for scan in (conjectures.scan_log_concavity, conjectures.scan_bias):
@@ -62,3 +40,39 @@ def test_scanners_compute_to_their_range_and_moment_sequence_needs_an_order():
     order = inspect.signature(qseries.moment_sequence).parameters["order"]
     assert order.default is inspect.Parameter.empty
     assert not hasattr(qseries, "DEFAULT_TRUNCATION")
+
+
+def test_no_caller_sets_an_order_or_an_oracle_cap():
+    # The ratio helpers compute to their own n, gf_boundary_log to a
+    # width fixed by t, and the oracles stop at the fixed ORACLE_CAP.
+    for fn in (asymptotics.exact_over_asymptotic, asymptotics.corollary_ratio,
+               asymptotics.gf_boundary_log):
+        assert "order" not in inspect.signature(fn).parameters
+    for oracle in (mexmoments.sigma_oracle, mexmoments.varsigma_oracle):
+        assert list(inspect.signature(oracle).parameters) == ["p", "n"]
+    assert not hasattr(qseries, "truncation_order")
+
+
+def _environment_reads(tree: ast.AST) -> list[str]:
+    """``os.environ`` / ``os.getenv`` attribute reads and ``from os import``
+    of either name in a parsed module."""
+    names = {"environ", "getenv", "environb", "getenvb"}
+    found = [f"line {node.lineno}: os.{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names
+             and isinstance(node.value, ast.Name) and node.value.id == "os"]
+    found += [f"line {node.lineno}: from os import {alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "os"
+              for alias in node.names if alias.name in names]
+    return found
+
+
+def test_no_module_reads_the_environment():
+    # Every limit is a constant of the package, so a knob can come back
+    # through an environment variable only by editing this test.
+    src = Path(mexmoments.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert {m.name for m in modules} >= {"cli.py", "partitions.py", "qseries.py"}
+    reads = {m.name: _environment_reads(ast.parse(m.read_text(encoding="utf-8")))
+             for m in modules}
+    assert {name: found for name, found in reads.items() if found} == {}
+    assert _environment_reads(ast.parse("import os\nos.environ.get('X')\n"))  # the walk sees one

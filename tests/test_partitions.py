@@ -263,34 +263,15 @@ def test_histogram_value_bound():
 
 
 def test_oracle_cap_enforced():
-    params = MexParams(1, 2, 1, 0)
-    with pytest.raises(ResourceCapError):
-        sigma_oracle(params, 12, cap=10)
-    with pytest.raises(ResourceCapError):
-        varsigma_oracle(params, 12, cap=10)
-    assert sigma_oracle(params, 12, cap=12) >= 0
-
-
-def test_oracle_cap_env_override(monkeypatch):
-    params = MexParams(1, 2, 1, 0)
-    monkeypatch.setenv("MEXMOMENTS_ORACLE_CAP", "9")
-    with pytest.raises(ResourceCapError):
-        sigma_oracle(params, 10)
-    assert varsigma_oracle(params, 9) >= 0
-    monkeypatch.setenv("MEXMOMENTS_ORACLE_CAP", "not-a-number")
-    with pytest.raises(ValidationError, match="^MEXMOMENTS_ORACLE_CAP must be an integer, got "):
-        sigma_oracle(params, 1)
-
-
-def test_oracle_negative_cap_rejected(monkeypatch):
-    params = MexParams(1, 2, 1, 0)
-    with pytest.raises(ValidationError, match="oracle cap must be >= 0"):
-        sigma_oracle(params, 0, cap=-1)
-    monkeypatch.setenv("MEXMOMENTS_ORACLE_CAP", "-1")
-    with pytest.raises(ValidationError, match="oracle cap must be >= 0"):
-        varsigma_oracle(params, 0)
+    # The limit is fixed at 60 for both oracles; one table serves both here.
+    params = MexParams(1, 1, 1, 0)
+    assert sigma_oracle(params, 60) == varsigma_oracle(params, 60) == partition_numbers(60)[60]
+    for oracle in (sigma_oracle, varsigma_oracle):
+        with pytest.raises(ResourceCapError, match="^oracle request n=61 exceeds cap 60;"):
+            oracle(params, 61)
 
 
 def test_oracle_negative_n_rejected():
-    with pytest.raises(ValidationError):
-        sigma_oracle(MexParams(1, 1, 1, 0), -1)
+    for oracle in (sigma_oracle, varsigma_oracle):
+        with pytest.raises(ValidationError, match="^n must be >= 0, got -1$"):
+            oracle(MexParams(1, 1, 1, 0), -1)

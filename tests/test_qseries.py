@@ -350,6 +350,20 @@ def test_store_grows_and_serves_later_prefixes(gf_calls, kind, p):
     assert gf_calls == [(kind, p, 40), (kind, p, 250)]
 
 
+@pytest.mark.parametrize("kind,p", STORE_CASES)
+def test_moment_value_reads_the_stored_sequence(gf_calls, kind, p):
+    # Largest n first: one sequence serves every smaller n, and no
+    # prefix view is built for the values read from it.
+    want = FRESH_GF[kind](p, 150).values
+    assert [qseries.moment_value(kind, p, n) for n in range(150, -1, -1)] == list(want[::-1])
+    assert gf_calls == [(kind, p, 150)]
+    assert list(qseries._store.entries[(kind, p)]) == [150]
+    assert qseries.moment_value(kind, p, 200) == FRESH_GF[kind](p, 200)[200]
+    assert gf_calls == [(kind, p, 150), (kind, p, 200)]
+    with pytest.raises(ValidationError):
+        qseries.moment_value(kind, p, -1)
+
+
 def test_store_evicts_least_recently_used(gf_calls, monkeypatch):
     a, b, c = (MexParams(1, 2, 1, r) for r in (1, 2, 3))
     for p in (a, b, c):

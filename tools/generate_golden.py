@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the golden files under tests/golden/.
 
-Run from the repository root after any intentional change to the scanned
-sequences or report schema:
+Run after any intentional change to the scanned sequences or report
+schema; the script imports the package from this checkout's src/, so it
+needs no install and no PYTHONPATH:
 
     python tools/generate_golden.py
 
@@ -12,13 +13,17 @@ any exact sequence shows up as a golden mismatch.
 """
 
 import json
+import sys
 from pathlib import Path
 
-from mexmoments.conjectures import scan_bias, scan_log_concavity
-from mexmoments.partitions import MexParams
-from mexmoments.qseries import moment_sequence
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this checkout's package, not an installed one
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
+from mexmoments.conjectures import scan_bias, scan_log_concavity  # noqa: E402
+from mexmoments.partitions import MexParams  # noqa: E402
+from mexmoments.qseries import moment_sequence  # noqa: E402
+
+GOLDEN_DIR = ROOT / "tests" / "golden"
 
 MONOTONICITY_ORDER = 2000
 LOGCONCAVE_RANGE = (26, 1000)
