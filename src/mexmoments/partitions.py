@@ -4,8 +4,10 @@ This module is the ground truth: every statistic is obtained by walking
 actual partitions (the histogram kernel of :mod:`mexmoments.backend`),
 with no generating-function shortcuts, and the other modules are
 cross-checked against it.  It holds the parameter tuple ``MexParams``,
-the oracle's fixed limit ``ORACLE_CAP``, the histogram store and the two
-oracles.
+the oracle's fixed limit ``ORACLE_CAP``, the two oracles and ``Store``,
+the one cache policy of the package: one instance keeps the histogram
+tables here, in cells, and one keeps the moment sequences of
+:mod:`mexmoments.qseries`, in bytes.
 
 Terminology used throughout the package, for a partition pi:
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Hashable
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
@@ -58,6 +61,47 @@ class MexParams:
             raise ValidationError(f"moment order r must be >= 0, got {self.r}")
 
 
+class Store:
+    """Growing results per key: each entry ``(n, cost, value)`` holds the
+    value at the largest n computed so far, which serves every smaller n.
+
+    Entries are dropped whole, least recently used first, while ``total``
+    (the running sum of the entries' costs) exceeds ``limit``; the entry
+    just used is never dropped.  ``lock`` guards every change.
+    """
+
+    def __init__(self, limit: int):
+        self.entries: OrderedDict[Hashable, tuple[int, int, object]] = OrderedDict()
+        self.total = 0
+        self.limit = limit
+        self.lock = threading.Lock()
+
+    def get(self, key: Hashable, n: int):
+        """The value of ``key`` if its entry reaches ``n`` >= 0, else None."""
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is None or not 0 <= n <= entry[0]:
+                return None
+            self.entries.move_to_end(key)
+            return entry[2]
+
+    def put(self, key: Hashable, n: int, cost: int, value):
+        """Store ``value`` unless an entry reaching ``n`` is already held
+        (so a value already handed out stays the one served), evict, and
+        return the stored value."""
+        with self.lock:
+            held = self.entries.pop(key, None)
+            if held is not None and held[0] >= n:
+                self.entries[key] = held
+            else:
+                self.total += cost - (0 if held is None else held[1])
+                self.entries[key] = (n, cost, value)
+            # A running total: summing the values would hash every key.
+            while len(self.entries) > 1 and self.total > self.limit:
+                self.total -= self.entries.popitem(last=False)[1][1]
+            return self.entries[key][2]
+
+
 #: Cells the histogram store keeps before it drops whole tables, least
 #: recently used first.  The largest table the oracle builds by default,
 #: (s, M) = (1, 61) at n = 60, has 7,442.
@@ -65,10 +109,8 @@ STORE_CELL_LIMIT = 1 << 19
 
 # One histogram table per (s, M): the histograms of every n' <= N, at the
 # largest N walked so far, so one walk serves every smaller n and a
-# repeated request returns the same object.  Entries are (cells, table);
-# the entry just used is never dropped.
-_tables: OrderedDict[tuple[int, int], tuple[int, tuple]] = OrderedDict()
-_tables_lock = threading.Lock()
+# repeated request returns the same object.  The cost is the table's cells.
+_tables = Store(STORE_CELL_LIMIT)
 
 
 def mex_value_histogram(n: int, s: int, M: int) -> tuple[tuple[int, ...], ...]:
@@ -77,25 +119,13 @@ def mex_value_histogram(n: int, s: int, M: int) -> tuple[tuple[int, ...], ...]:
 
     Served from the table of (s, M); a table shorter than n is walked
     again to n, so a caller with several n asks for the largest first."""
-    key = (s, M)
-    with _tables_lock:
-        entry = _tables.get(key)
-        if entry is not None and 0 <= n < len(entry[1]):
-            _tables.move_to_end(key)
-            return entry[1][n]
-    rows = [tuple(row) for row in backend.mex_value_counts(n, s, M)]  # refuses n < 0
-    starts = list(accumulate((j // M + 2 for j in range(n + 1)), initial=0))
-    table = tuple(tuple(row[a:b] for row in rows) for a, b in pairwise(starts))
-    with _tables_lock:
-        held = _tables.pop(key, None)
-        if held is not None and len(held[1]) > len(table):
-            _tables[key] = held  # a longer table landed meanwhile
-        else:
-            _tables[key] = (M * starts[-1], table)
-        cells = sum(c for c, _ in _tables.values())
-        while len(_tables) > 1 and cells > STORE_CELL_LIMIT:
-            cells -= _tables.popitem(last=False)[1][0]
-        return _tables[key][1][n]
+    table = _tables.get((s, M), n)
+    if table is None:
+        rows = [tuple(row) for row in backend.mex_value_counts(n, s, M)]  # refuses n < 0
+        starts = list(accumulate((j // M + 2 for j in range(n + 1)), initial=0))
+        table = tuple(tuple(row[a:b] for row in rows) for a, b in pairwise(starts))
+        table = _tables.put((s, M), n, M * starts[-1], table)
+    return table[n]
 
 
 def _check_cap(n: int) -> None:

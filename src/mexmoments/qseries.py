@@ -10,12 +10,14 @@ support grows quadratically, so only O(sqrt(N)) terms contribute below
 any truncation order N.
 
 Coefficients at n <= N do not depend on the truncation order N, so two
-process-wide caches only ever grow: the p(n) table, and a store holding
-one moment sequence per (kind, params) at the largest order requested so
-far, which serves every smaller order as a prefix.  The store is bounded
-by ``STORE_BYTE_LIMIT`` coefficient bytes, and refuses up front a single
-sequence that would need more; every series entry point refuses orders
-above ``SERIES_ORDER_LIMIT`` with ``ResourceCapError``.
+process-wide caches only ever grow: the p(n) table, and a
+``partitions.Store`` holding one moment sequence per (kind, params) at
+the largest order requested so far.  A smaller order is a prefix of it,
+built on request and not kept, so only the stored order returns the
+same object each time.  The store is bounded by ``STORE_BYTE_LIMIT``
+bytes, and a single sequence that would need more is refused up front;
+every series entry point refuses orders above ``SERIES_ORDER_LIMIT``
+with ``ResourceCapError``.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
 
 from mexmoments import backend
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams
+from mexmoments.partitions import MexParams, Store
 
 VALID_KINDS = ("sigma", "varsigma")
 
@@ -39,8 +40,8 @@ VALID_KINDS = ("sigma", "varsigma")
 #: any work.
 SERIES_ORDER_LIMIT = 2**18
 
-#: Coefficient bytes the sequence store keeps alive before it evicts
-#: whole entries, least recently used first.
+#: Bytes of stored sequences (the tuple and its ints) the store keeps
+#: before it evicts whole entries, least recently used first.
 STORE_BYTE_LIMIT = 256 * 2**20
 
 
@@ -118,7 +119,9 @@ class MomentSequence:
             raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
         # Both checks run in C; the offending n is looked up only on failure.
         values = tuple(map(int, values))
-        if values and min(values) < 0:
+        if not values:
+            raise ValidationError("moment values must include n=0, got none")
+        if min(values) < 0:
             n = next(n for n, v in enumerate(values) if v < 0)
             raise ValidationError(f"moment values must be >= 0, got {values[n]} at n={n}")
         if kind == "varsigma" and params.r == 0:
@@ -256,73 +259,7 @@ def varsigma_gf_coeffs(p: MexParams, order: int) -> MomentSequence:
     return MomentSequence("varsigma", p, values)
 
 
-class _SequenceStore:
-    """One moment sequence per (kind, params), at the largest order
-    computed so far, plus the prefix views served from it.
-
-    A view per order is kept so that the same request returns the same
-    object.  Entries are evicted whole, least recently used first, once
-    the store holds more than ``STORE_BYTE_LIMIT`` bytes; the entry just
-    used is never evicted.  ``lock`` guards every mutation.
-    """
-
-    def __init__(self):
-        self.entries: OrderedDict[tuple, dict[int, MomentSequence]] = OrderedDict()
-        self.nbytes: dict[tuple, int] = {}
-        self.lock = threading.Lock()
-
-    def get(self, key: tuple, order: int) -> MomentSequence | None:
-        """The stored view of ``key`` at ``order``, or None if the entry
-        is missing or shorter."""
-        with self.lock:
-            return self._serve(key, order)
-
-    def value(self, key: tuple, n: int) -> int | None:
-        """The value of ``key`` at ``n`` from its longest sequence, with
-        no prefix view, or None if the entry is missing or shorter."""
-        with self.lock:
-            views = self.entries.get(key)
-            if views is None or max(views) < n:
-                return None
-            self.entries.move_to_end(key)
-            return views[max(views)][n]
-
-    def put(self, key: tuple, seq: MomentSequence) -> MomentSequence:
-        """Store ``seq`` unless a longer entry landed meanwhile, and serve
-        ``seq.order`` from the entry."""
-        with self.lock:
-            views = self.entries.pop(key, {})
-            if not views or max(views) < seq.order:
-                # The old views are prefixes of the new sequence, so they stay.
-                views[seq.order] = seq
-                self.nbytes[key] = sum(map(sys.getsizeof, seq.values)) + sum(
-                    sys.getsizeof(v.values) for v in views.values()
-                )
-            self.entries[key] = views
-            self._evict()
-            return self._serve(key, seq.order)
-
-    def _serve(self, key: tuple, order: int) -> MomentSequence | None:
-        views = self.entries.get(key)
-        if views is None or max(views) < order:
-            return None
-        self.entries.move_to_end(key)
-        view = views.get(order)
-        if view is None:
-            full = views[max(views)]
-            view = MomentSequence(full.kind, full.params, full.values[: order + 1])
-            views[order] = view
-            self.nbytes[key] += sys.getsizeof(view.values)
-            self._evict()
-        return view
-
-    def _evict(self) -> None:
-        while len(self.entries) > 1 and sum(self.nbytes.values()) > STORE_BYTE_LIMIT:
-            key, _ = self.entries.popitem(last=False)
-            del self.nbytes[key]
-
-
-_store = _SequenceStore()
+_store = Store(STORE_BYTE_LIMIT)
 
 
 def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
@@ -330,12 +267,13 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
     the CLI.
 
     Each (kind, params) is computed once at the largest order requested
-    so far; a smaller order is served as a prefix of it (coefficients at
-    n <= N do not depend on the truncation order), a larger one is
-    computed afresh and replaces it.  Repeating a request returns the
-    same object.  A sequence whose coefficients take more than
-    ``STORE_BYTE_LIMIT`` bytes by a lower bound raises ``ResourceCapError``
-    before any work.
+    so far; a larger order is computed afresh and replaces it, and
+    repeating a request at that order returns the same object.  A smaller
+    order is a new ``MomentSequence`` over a prefix of the stored values
+    (coefficients at n <= N do not depend on the truncation order), built
+    per call and not stored.  A sequence whose coefficients take more
+    than ``STORE_BYTE_LIMIT`` bytes by a lower bound raises
+    ``ResourceCapError`` before any work.
     """
     if kind not in VALID_KINDS:
         raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
@@ -345,15 +283,18 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
     if seq is None:
         _check_coefficient_bytes(kind, p, order)
         gf_coeffs = sigma_gf_coeffs if kind == "sigma" else varsigma_gf_coeffs
-        seq = _store.put(key, gf_coeffs(p, order))
-    return seq
+        seq = gf_coeffs(p, order)
+        cost = sys.getsizeof(seq.values) + sum(map(sys.getsizeof, seq.values))
+        seq = _store.put(key, order, cost, seq)
+    if seq.order == order:
+        return seq
+    return MomentSequence(kind, p, seq.values[: order + 1])
 
 
 def moment_value(kind: str, p: MexParams, n: int) -> int:
     """``moment_sequence(kind, p, n)[n]``, read from the stored sequence
     when it already reaches n, so that a caller asking for several n,
-    the largest first, computes one sequence and builds no prefix view
-    per n."""
+    the largest first, computes one sequence and builds no prefix per n."""
     _check_order(n)
-    value = _store.value((kind, p), n)
-    return moment_sequence(kind, p, n)[n] if value is None else value
+    seq = _store.get((kind, p), n)
+    return (moment_sequence(kind, p, n) if seq is None else seq)[n]

@@ -292,3 +292,34 @@ def test_criterion_11_richardson_growth_law_limit():
     _report(11, ok, "Richardson limit 2 R(32768) - R(8192) of exact/asymptotic "
                     "is within 2e-4 of 1 and closer to 1 than R(32768)")
     assert ok, f"failures: {failures}"
+
+
+def _identity_failures(N):
+    """The (s, M, r) whose residue sums or M = 1 varsigma differ from
+    sigma (s, 1, 1, r) at some n <= N."""
+    failures = []
+    for s, r in itertools.product((1, 2, 3), range(4)):
+        whole = qseries.moment_sequence("sigma", MexParams(s, 1, 1, r), N).values
+        if qseries.moment_sequence("varsigma", MexParams(s, 1, 1, r), N).values != whole:
+            failures.append((s, 1, r))
+        for M in (2, 3, 5):
+            classes = [qseries.moment_sequence("sigma", MexParams(s, M, A, r), N).values
+                       for A in range(1, M + 1)]
+            if list(map(sum, zip(*classes))) != list(whole):
+                failures.append((s, M, r))
+    return failures
+
+
+def test_criterion_12_exact_identities_beyond_the_oracle(gf_calls):
+    # The residue classes split the partitions, and the congruence mex
+    # mod 1 is the mex, so both identities hold exactly at every n.  The
+    # smaller N is served from the stored sequences with no new product.
+    failures = _identity_failures(4096)
+    products = len(gf_calls)
+    failures += _identity_failures(2048)
+    ok = not failures and len(gf_calls) == products == 144
+    _report(12, ok, "sum over A of sigma (s,M,A,r) = sigma (s,1,1,r) and varsigma "
+                    "(s,1,1,r) = sigma (s,1,1,r) for every n <= 4096, s in {1,2,3}, "
+                    "M in {2,3,5}, r in {0..3}; N = 2048 computes nothing new")
+    assert not failures, f"failures: {failures}"
+    assert len(gf_calls) == products == 144, gf_calls

@@ -4,7 +4,6 @@ checks of the sparse x dense product, which has only a pure-Python
 implementation."""
 
 import random
-from collections import OrderedDict
 from functools import lru_cache
 
 import pytest
@@ -102,7 +101,8 @@ def test_oracles_serve_a_threshold_no_c_int_holds(impl, monkeypatch):
     # the kernel for s = n + 1 whenever s > n: a threshold beyond a C int
     # reads the table of s = n + 1 and walks nothing more.
     calls = []
-    monkeypatch.setattr(mexmoments.partitions, "_tables", OrderedDict())
+    monkeypatch.setattr(mexmoments.partitions, "_tables",
+                        mexmoments.partitions.Store(mexmoments.partitions.STORE_CELL_LIMIT))
     monkeypatch.setattr(backend, "mex_value_counts",
                         lambda n, s, M: calls.append((n, s, M)) or impl.mex_value_counts(n, s, M))
     n, M, r = 9, 2, 1

@@ -300,7 +300,7 @@ def test_huge_r_is_refused_before_any_work(
 def product_calls(monkeypatch):
     """An empty sequence store, and the arguments of every sparse x dense
     product the series route runs."""
-    monkeypatch.setattr(cli.qseries, "_store", cli.qseries._SequenceStore())
+    monkeypatch.setattr(cli.qseries, "_store", cli.qseries.Store(cli.qseries.STORE_BYTE_LIMIT))
     calls = []
     product = backend.sparse_dense_product
     monkeypatch.setattr(backend, "sparse_dense_product",

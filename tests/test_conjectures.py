@@ -130,7 +130,7 @@ def test_bias_budget_counts_sequences_and_orderings(monkeypatch):
     # pointer: a limit one byte short refuses, the exact bytes admit.
     M, lo, hi = 3, 11, 30
     need = 8 * M * (hi + 1) + 8 * M * (hi - lo + 1)
-    monkeypatch.setattr(qseries, "_store", qseries._SequenceStore())
+    monkeypatch.setattr(qseries, "_store", qseries.Store(qseries.STORE_BYTE_LIMIT))
     monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need - 1)
     with pytest.raises(ResourceCapError, match=f"at least {need} bytes"):
         scan_bias("sigma", 1, M, 1, lo, hi)

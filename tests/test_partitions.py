@@ -198,19 +198,20 @@ def test_histogram_store_evicts_whole_tables(kernel_calls, monkeypatch):
     # Four tables of 104 (M = 1) or 124 (M = 2) cells at n = 12, under a
     # limit that holds two: the least recently used go first, and a table
     # asked for again is walked again and gives the same histograms.
-    store = mexmoments.partitions
-    monkeypatch.setattr(store, "STORE_CELL_LIMIT", 300)
+    store = mexmoments.partitions._tables
+    monkeypatch.setattr(store, "limit", 300)
     keys = [(1, 1), (2, 1), (1, 2), (2, 2)]
     first = {key: [mex_value_histogram(n, *key) for n in (12, 5)] for key in keys}
     assert len(kernel_calls) == 4
-    assert list(store._tables) == [(1, 2), (2, 2)]
+    assert list(store.entries) == [(1, 2), (2, 2)]
     again = {key: [mex_value_histogram(n, *key) for n in (12, 5)] for key in keys}
     assert again == first
     assert kernel_calls[4][1:] == (1, 1)
     # One table above the limit is kept alone.
-    monkeypatch.setattr(store, "STORE_CELL_LIMIT", 1)
+    monkeypatch.setattr(store, "limit", 1)
     mex_value_histogram(3, 1, 1)
-    assert list(store._tables) == [(1, 1)]
+    assert list(store.entries) == [(1, 1)]
+    assert store.total == sum(cost for _, cost, _ in store.entries.values())
 
 
 def test_histogram_store_threads_agree(kernel_calls):
@@ -235,7 +236,10 @@ def test_histogram_store_threads_agree(kernel_calls):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(mexmoments.partitions._tables[(2, 3)][1]) == 25  # n = 0..24
+    store = mexmoments.partitions._tables
+    n, cost, table = store.entries[(2, 3)]
+    assert n == 24 and len(table) == 25  # n = 0..24
+    assert store.total == cost == sum(cost for _, cost, _ in store.entries.values())
     for n, rows in zip(ns, results):
         assert [list(row) for row in rows] == [
             [sum(1 for pi in partitions(n) if mex_s_mod(pi, 2, 3, A) == A + m * 3)

@@ -3,9 +3,11 @@ functions and the sequence store, checked against the reference series
 arithmetic of ``reference`` (the Euler product, its inverse and the
 schoolbook product)."""
 
+import gc
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -21,6 +23,7 @@ from mexmoments import (
     varsigma_oracle,
 )
 from mexmoments import backend, qseries
+from mexmoments.partitions import Store
 from reference import (
     cauchy_product,
     d2_coeffs,
@@ -293,15 +296,19 @@ def test_moment_sequence_validation():
     ("varsigma", [*partition_numbers(299), 9253082936723602 + 1],
      "varsigma r=0 must equal the partition numbers; "
      "mismatch at n=300: 9253082936723603 != 9253082936723602"),
+    ("sigma", [], "moment values must include n=0, got none"),
+    ("varsigma", [], "moment values must include n=0, got none"),
 ])
 def test_moment_sequence_messages_name_the_first_bad_n(kind, values, message):
-    # Sign first, then the partition numbers; each names the first offending n.
+    # Emptiness first, then sign, then the partition numbers; the last two
+    # name the first offending n.
     with pytest.raises(ValidationError) as info:
         MomentSequence(kind, MexParams(1, 2, 1, 0), values)
     assert str(info.value) == message
 
 
-def test_moment_sequence_cache_returns_same_object():
+def test_moment_sequence_cache_returns_same_object(gf_calls):
+    # From an empty store, so that 50 is the stored order.
     p = MexParams(1, 2, 1, 1)
     assert qseries.moment_sequence("sigma", p, 50) is qseries.moment_sequence("sigma", p, 50)
     with pytest.raises(ValidationError):
@@ -314,20 +321,6 @@ STORE_CASES = [
     ("varsigma", MexParams(2, 3, 2, 1)),
     ("varsigma", MexParams(1, 3, 2, 0)),
 ]
-
-
-@pytest.fixture
-def gf_calls(monkeypatch):
-    """An empty sequence store, and the (kind, params, order) of every
-    sequence it computes."""
-    monkeypatch.setattr(qseries, "_store", qseries._SequenceStore())
-    calls = []
-    for kind, gf in FRESH_GF.items():
-        def counted(p, order, kind=kind, gf=gf):
-            calls.append((kind, p, order))
-            return gf(p, order)
-        monkeypatch.setattr(qseries, f"{kind}_gf_coeffs", counted)
-    return calls
 
 
 @pytest.mark.parametrize("kind,p", STORE_CASES)
@@ -346,18 +339,39 @@ def test_store_grows_and_serves_later_prefixes(gf_calls, kind, p):
     assert large.values == FRESH_GF[kind](p, 250).values
     for order in (0, 40, 100, 250):
         assert qseries.moment_sequence(kind, p, order).values == large.values[: order + 1]
-    assert qseries.moment_sequence(kind, p, 40) is small
+    assert qseries.moment_sequence(kind, p, 250) is large
+    assert small.values == large.values[:41]
     assert gf_calls == [(kind, p, 40), (kind, p, 250)]
+
+
+@pytest.mark.parametrize("kind,p", STORE_CASES)
+def test_superseded_sequence_is_not_kept(gf_calls, kind, p):
+    # Growing an entry drops the shorter sequence: nothing the store
+    # does not count keeps it alive.
+    small = weakref.ref(qseries.moment_sequence(kind, p, 40))
+    qseries.moment_sequence(kind, p, 250)
+    gc.collect()
+    assert small() is None
+
+
+def test_prefix_requests_are_not_kept(gf_calls):
+    p = MexParams(1, 2, 1, 1)
+    qseries.moment_sequence("sigma", p, 300)
+    total = qseries._store.total
+    for order in range(100):
+        assert qseries.moment_sequence("sigma", p, order).order == order
+    assert qseries._store.total == total
+    assert gf_calls == [("sigma", p, 300)]
 
 
 @pytest.mark.parametrize("kind,p", STORE_CASES)
 def test_moment_value_reads_the_stored_sequence(gf_calls, kind, p):
     # Largest n first: one sequence serves every smaller n, and no
-    # prefix view is built for the values read from it.
+    # prefix is built for the values read from it.
     want = FRESH_GF[kind](p, 150).values
     assert [qseries.moment_value(kind, p, n) for n in range(150, -1, -1)] == list(want[::-1])
     assert gf_calls == [(kind, p, 150)]
-    assert list(qseries._store.entries[(kind, p)]) == [150]
+    assert qseries._store.entries[(kind, p)][0] == 150
     assert qseries.moment_value(kind, p, 200) == FRESH_GF[kind](p, 200)[200]
     assert gf_calls == [(kind, p, 150), (kind, p, 200)]
     with pytest.raises(ValidationError):
@@ -368,12 +382,11 @@ def test_store_evicts_least_recently_used(gf_calls, monkeypatch):
     a, b, c = (MexParams(1, 2, 1, r) for r in (1, 2, 3))
     for p in (a, b, c):
         qseries.moment_sequence("sigma", p, 200)
-    nbytes = qseries._store.nbytes
-    limit = nbytes[("sigma", a)] + nbytes[("sigma", c)]
-    assert limit < sum(nbytes.values())
+    cost = {key: entry[1] for key, entry in qseries._store.entries.items()}
+    limit = cost[("sigma", a)] + cost[("sigma", c)]
+    assert limit < sum(cost.values())
 
-    monkeypatch.setattr(qseries, "_store", qseries._SequenceStore())
-    monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", limit)
+    monkeypatch.setattr(qseries, "_store", Store(limit))
     gf_calls.clear()
     qseries.moment_sequence("sigma", a, 200)
     qseries.moment_sequence("sigma", b, 200)
@@ -383,7 +396,7 @@ def test_store_evicts_least_recently_used(gf_calls, monkeypatch):
     again = qseries.moment_sequence("sigma", b, 200)
     assert again.values == sigma_gf_coeffs(b, 200).values
     assert [p for _, p, _ in gf_calls] == [a, b, c, b]
-    assert sum(qseries._store.nbytes.values()) <= limit
+    assert qseries._store.total == sum(e[1] for e in qseries._store.entries.values()) <= limit
 
 
 def test_store_threads_agree(gf_calls):
@@ -412,11 +425,10 @@ def test_store_threads_agree(gf_calls):
     fresh = varsigma_gf_coeffs(p, 600).values
     for order, seq in zip(orders, results):
         assert seq.values == fresh[: order + 1]
-    views = qseries._store.entries[("varsigma", p)]
-    assert max(views) == 600
-    assert qseries._store.nbytes[("varsigma", p)] == sum(map(sys.getsizeof, fresh)) + sum(
-        sys.getsizeof(v.values) for v in views.values()
-    )
+    n, cost, seq = qseries._store.entries[("varsigma", p)]
+    assert n == 600 and seq.values == fresh
+    assert cost == sys.getsizeof(fresh) + sum(map(sys.getsizeof, fresh))
+    assert qseries._store.total == cost
 
 
 def test_series_orders_above_the_limit_are_refused(gf_calls):
