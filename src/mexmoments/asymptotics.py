@@ -1,14 +1,16 @@
 """Asymptotic layer: log-space closed forms and the analytic machinery
 behind them.
 
-Exact moment values grow like exp(pi * sqrt(2n/3)), so everything here is
-carried as a LogValue (sign plus natural log of the magnitude) and big
-integers only ever enter through a mantissa/exponent log extraction.
+Exact moment values grow like exp(pi * sqrt(2n/3)), so every growth law
+returns the natural log of its value as a float, and big integers only
+ever enter through ``math.log``, which is accurate for ints far beyond
+float range.
 
 The pieces fit together in a chain that the tests re-run numerically:
 
 * weighted partial theta sums and their Euler-Maclaurin-style expansion
-  (with exact Bernoulli-polynomial coefficients),
+  (with exact Bernoulli-polynomial coefficients), both evaluated with
+  mpmath, imported on first use,
 * the modular inversion estimate for the Euler product at q = e^-t,
 * a Tauberian transfer from t -> 0+ behaviour of a generating function to
   n -> infinity behaviour of its coefficients,
@@ -29,52 +31,9 @@ from mexmoments.partitions import MexParams
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-
-# ---------------------------------------------------------------------------
-# log-space values
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A real number stored as (sign, ln |x|); sign 0 means exactly zero."""
-
-    sign: int
-    log_abs: float
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValidationError(f"sign must be -1, 0 or +1, got {self.sign}")
-        if self.sign == 0 and self.log_abs != 0.0:
-            object.__setattr__(self, "log_abs", 0.0)
-
-    @classmethod
-    def from_int(cls, x: int) -> "LogValue":
-        """Exact integer to log-space; relative error of the log is a few
-        ulp even for integers far beyond float range."""
-        if x == 0:
-            return cls(0, 0.0)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogValue(0, 0.0)
-        return LogValue(self.sign * other.sign, self.log_abs + other.log_abs)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by an exactly-zero LogValue")
-        if self.sign == 0:
-            return LogValue(0, 0.0)
-        return LogValue(self.sign * other.sign, self.log_abs - other.log_abs)
-
-    def to_float(self) -> float:
-        """Collapse to a float; overflows saturate to +-inf."""
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log_abs)
-        except OverflowError:
-            return self.sign * math.inf
+# Decimal digits the partial-theta functions work at when the caller asks
+# for a float: double precision plus guard digits.
+_FLOAT_DPS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -102,17 +61,14 @@ def bernoulli_poly_coeffs(m: int) -> tuple[Fraction, ...]:
     return tuple(math.comb(m, j) * bernoulli_number(m - j) for j in range(m + 1))
 
 
-def bernoulli_poly(m: int, x: float) -> float:
-    """B_m(x): exact coefficients, floating-point Horner evaluation."""
-    acc = 0.0
-    for c in reversed(bernoulli_poly_coeffs(m)):
-        acc = acc * x + float(c)
-    return acc
+def bernoulli_poly(m: int, x: float | Fraction) -> float | Fraction:
+    """B_m(x) by Horner's rule over the exact coefficients.
 
-
-def bernoulli_poly_exact(m: int, x: Fraction) -> Fraction:
-    """B_m(x) as an exact rational, for rational x."""
-    acc = Fraction(0)
+    A float x gives a float (``float + Fraction`` rounds the coefficient
+    to a float first, so each step is one float multiply-add); a Fraction
+    x gives the exact rational value.
+    """
+    acc = 0
     for c in reversed(bernoulli_poly_coeffs(m)):
         acc = acc * x + c
     return acc
@@ -132,49 +88,27 @@ def _theta_args(u: float, r: int, t: float) -> None:
 
 
 def partial_theta_sum(u: float, r: int, t: float, dps: int | None = None):
-    """sum_{n>=0} (n+u)^r exp(-(n+u)^2 t^2) by direct summation.
+    """sum_{n>=0} (n+u)^r exp(-(n+u)^2 t^2) by direct summation in mpmath.
 
-    Terms are accumulated until, past the peak, they fall below 1e-18 of
-    the running total, plus a fixed safety margin of eight further terms.
-    With ``dps`` set, the same sum is evaluated with mpmath at that many
-    decimal digits (needed by remainder-order checks whose scale sits far
-    below double precision) and an mpf is returned.
+    Terms are accumulated until, past the peak, they fall below
+    10^-(digits+10) of the running total, plus a fixed safety margin of
+    eight further terms.  With ``dps`` left at None the sum runs at 20
+    digits and a float is returned; an integer ``dps`` runs it at that
+    many decimal digits (needed by remainder-order checks whose scale sits
+    far below double precision) and returns an mpf.
     """
     _theta_args(u, r, t)
-    if dps is not None:
-        return _partial_theta_sum_mp(u, r, t, dps)
-    terms = []
-    total = 0.0
-    prev = math.inf
-    tail = 0
-    n = 0
-    while True:
-        x = (n + u) * t
-        term = (n + u) ** r * math.exp(-(x * x))
-        terms.append(term)
-        total += term
-        past_peak = term <= prev
-        prev = term
-        n += 1
-        if past_peak and (term <= total * 1e-18 or term == 0.0):
-            tail += 1
-            if tail >= 8:
-                break
-    return math.fsum(terms)
-
-
-def _partial_theta_sum_mp(u: float, r: int, t: float, dps: int):
     from mpmath import mp, mpf
 
-    with mp.workdps(dps):
+    with mp.workdps(_FLOAT_DPS if dps is None else dps):
         uu = mpf(u)
         tt = mpf(t)
-        cutoff = mpf(10) ** (-(dps + 10))
+        cutoff = mpf(10) ** (-(mp.dps + 10))
         total = mpf(0)
         prev = None
         tail = 0
         n = 0
-        while True:
+        while tail < 8:
             base = uu + n
             term = base**r * mp.exp(-((base * tt) ** 2))
             total += term
@@ -183,8 +117,7 @@ def _partial_theta_sum_mp(u: float, r: int, t: float, dps: int):
             n += 1
             if past_peak and term <= total * cutoff:
                 tail += 1
-                if tail >= 8:
-                    return total
+        return float(total) if dps is None else total
 
 
 def partial_theta_expansion(u: float, r: int, t: float, N: int, dps: int | None = None):
@@ -193,42 +126,30 @@ def partial_theta_expansion(u: float, r: int, t: float, N: int, dps: int | None 
         Gamma((r+1)/2) / (2 t^(r+1))
           - sum_{n=0}^{N-1} (-1)^n B_{2n+r+1}(u) t^(2n) / ((2n+r+1) n!)
 
-    with remainder O(t^(2N)).
+    with remainder O(t^(2N)), evaluated in mpmath from the exact
+    Bernoulli values.  ``dps`` works as in ``partial_theta_sum``: None
+    gives a float, an integer gives an mpf at that many digits.
     """
     _theta_args(u, r, t)
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
-    if dps is not None:
-        return _partial_theta_expansion_mp(u, r, t, N, dps)
-    lead = math.gamma((r + 1) / 2) / (2.0 * t ** (r + 1))
-    corr = math.fsum(
-        (-1) ** n
-        * bernoulli_poly(2 * n + r + 1, u)
-        * t ** (2 * n)
-        / ((2 * n + r + 1) * math.factorial(n))
-        for n in range(N)
-    )
-    return lead - corr
-
-
-def _partial_theta_expansion_mp(u: float, r: int, t: float, N: int, dps: int):
     from mpmath import mp, mpf
 
-    with mp.workdps(dps):
+    with mp.workdps(_FLOAT_DPS if dps is None else dps):
         tt = mpf(t)
         ux = Fraction(u)
         lead = mp.gamma(mpf(r + 1) / 2) / (2 * tt ** (r + 1))
         corr = mpf(0)
         for n in range(N):
-            b = bernoulli_poly_exact(2 * n + r + 1, ux)
-            term = (
+            b = bernoulli_poly(2 * n + r + 1, ux)
+            corr += (
                 (-1) ** n
                 * (mpf(b.numerator) / b.denominator)
                 * tt ** (2 * n)
                 / ((2 * n + r + 1) * math.factorial(n))
             )
-            corr += term
-        return lead - corr
+        result = lead - corr
+        return float(result) if dps is None else result
 
 
 def theta_remainder_coefficient(u: float, r: int, N: int) -> Fraction:
@@ -239,7 +160,7 @@ def theta_remainder_coefficient(u: float, r: int, N: int) -> Fraction:
     x = 1/2 and x = 1) the remainder drops below every power of t and a
     t^(2N) order check is meaningless; callers use this to detect that.
     """
-    b = bernoulli_poly_exact(2 * N + r + 1, Fraction(u))
+    b = bernoulli_poly(2 * N + r + 1, Fraction(u))
     return b / ((2 * N + r + 1) * math.factorial(N))
 
 
@@ -263,22 +184,22 @@ class InghamParams:
             raise ValidationError(f"growth_A must be > 0, got {self.growth_A}")
 
 
-def ingham_transfer(p: InghamParams, n: int) -> LogValue:
-    """Coefficient growth implied by the Tauberian transfer:
+def ingham_transfer(p: InghamParams, n: int) -> float:
+    """Natural log of the coefficient growth implied by the Tauberian
+    transfer:
 
         f(n) ~ lam / (2 sqrt(pi)) * A^(alpha/2 + 1/4)
                / n^(alpha/2 + 3/4) * exp(2 sqrt(A n)).
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    log_val = (
+    return (
         math.log(p.lam)
         - math.log(2.0 * math.sqrt(math.pi))
         + (p.alpha / 2 + 0.25) * math.log(p.growth_A)
         - (p.alpha / 2 + 0.75) * math.log(n)
         + 2.0 * math.sqrt(p.growth_A * n)
     )
-    return LogValue(1, log_val)
 
 
 def qexpansion_ingham_params(kind: str, s: int, M: int, r: int) -> InghamParams:
@@ -326,7 +247,7 @@ def gf_boundary_log(kind: str, p: MexParams, t: float) -> float:
     # Factor out the peak magnitude so the float sum cannot overflow.
     peak = growth / t
     total = math.fsum(
-        math.exp(LogValue.from_int(v).log_abs - n * t - peak)
+        math.exp(math.log(v) - n * t - peak)
         for n, v in enumerate(seq.values)
         if v
     )
@@ -363,19 +284,16 @@ def eta_inversion_check(t: float) -> tuple[float, float]:
 # closed-form growth laws
 
 
-def hardy_ramanujan_asymp(n: int) -> LogValue:
-    """Leading-order partition count growth:
-    p(n) ~ exp(pi sqrt(2n/3)) / (4 sqrt(3) n), in log space."""
+def hardy_ramanujan_asymp(n: int) -> float:
+    """Natural log of the leading-order partition count growth
+    p(n) ~ exp(pi sqrt(2n/3)) / (4 sqrt(3) n)."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    log_val = (
-        -math.log(4.0 * math.sqrt(3.0)) - math.log(n) + math.pi * math.sqrt(2.0 * n / 3.0)
-    )
-    return LogValue(1, log_val)
+    return -math.log(4.0 * math.sqrt(3.0)) - math.log(n) + math.pi * math.sqrt(2.0 * n / 3.0)
 
 
-def sigma_asymp(p: MexParams, n: int) -> LogValue:
-    """Growth law of the sigma moments.
+def sigma_asymp(p: MexParams, n: int) -> float:
+    """Natural log of the growth law of the sigma moments.
 
     r = 0:   2^-2 3^-1/2 M^-1 n^-1 exp(pi sqrt(2n/3))
     r >= 1:  2^((3r-12)/4) 3^((r-2)/4) pi^(-r/2) M^-1 s^(-r/2)
@@ -386,8 +304,8 @@ def sigma_asymp(p: MexParams, n: int) -> LogValue:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if p.r == 0:
-        return LogValue(1, hardy_ramanujan_asymp(n).log_abs - math.log(p.M))
-    log_val = (
+        return hardy_ramanujan_asymp(n) - math.log(p.M)
+    return (
         (3 * p.r - 12) / 4 * math.log(2.0)
         + (p.r - 2) / 4 * math.log(3.0)
         - p.r / 2 * math.log(math.pi)
@@ -398,19 +316,18 @@ def sigma_asymp(p: MexParams, n: int) -> LogValue:
         + (p.r - 4) / 4 * math.log(n)
         + math.pi * math.sqrt(2.0 * n / 3.0)
     )
-    return LogValue(1, log_val)
 
 
-def varsigma_asymp(p: MexParams, n: int) -> LogValue:
-    """Growth law of the varsigma moments: identical to the sigma law for
-    r >= 1 except that M^(r/2) replaces M^-1; for r = 0 the sequence is
-    the partition numbers, so the Hardy-Ramanujan law applies as is."""
+def varsigma_asymp(p: MexParams, n: int) -> float:
+    """Natural log of the growth law of the varsigma moments: identical
+    to the sigma law for r >= 1 except that M^(r/2) replaces M^-1; for
+    r = 0 the sequence is the partition numbers, so the Hardy-Ramanujan
+    law applies as is."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if p.r == 0:
         return hardy_ramanujan_asymp(n)
-    base = sigma_asymp(p, n)
-    return LogValue(1, base.log_abs + math.log(p.M) + p.r / 2 * math.log(p.M))
+    return sigma_asymp(p, n) + math.log(p.M) + p.r / 2 * math.log(p.M)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +342,14 @@ def exact_over_asymptotic(kind: str, p: MexParams, n: int) -> float:
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    exact = LogValue.from_int(qseries.moment_value(kind, p, n))
+    exact = qseries.moment_value(kind, p, n)
+    if exact == 0:
+        return 0.0
     asymp = sigma_asymp(p, n) if kind == "sigma" else varsigma_asymp(p, n)
-    return (exact / asymp).to_float()
+    try:
+        return math.exp(math.log(exact) - asymp)
+    except OverflowError:
+        return math.inf
 
 
 def corollary_ratio(kind: str, p: MexParams, a_prime: int, n: int) -> float:
@@ -461,5 +383,5 @@ def corollary_ratio(kind: str, p: MexParams, a_prime: int, n: int) -> float:
         # exact rational difference instead.
         log_ratio = math.log1p(float(Fraction(num - den, den)))
     else:
-        log_ratio = LogValue.from_int(num).log_abs - LogValue.from_int(den).log_abs
+        log_ratio = math.log(num) - math.log(den)
     return math.exp(log_ratio)

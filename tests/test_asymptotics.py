@@ -7,13 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from mexmoments import MexParams, ValidationError, partition_numbers
+from mexmoments import MexParams, ValidationError, partition_numbers, qseries
 from mexmoments.asymptotics import (
     InghamParams,
-    LogValue,
     bernoulli_number,
     bernoulli_poly,
-    bernoulli_poly_exact,
     corollary_ratio,
     eta_inversion_check,
     exact_over_asymptotic,
@@ -47,16 +45,16 @@ def test_bernoulli_numbers_table():
 def test_bernoulli_poly_low_degrees():
     assert bernoulli_poly(0, 123.4) == 1.0
     assert bernoulli_poly(1, 0.75) == pytest.approx(0.25, abs=1e-15)
-    assert bernoulli_poly_exact(2, Fraction(0)) == Fraction(1, 6)
+    assert bernoulli_poly(2, Fraction(0)) == Fraction(1, 6)
     # B_2(x) = x^2 - x + 1/6
-    assert bernoulli_poly_exact(2, Fraction(1, 2)) == Fraction(-1, 12)
+    assert bernoulli_poly(2, Fraction(1, 2)) == Fraction(-1, 12)
 
 
 def test_bernoulli_poly_translation_identity():
     # B_m(x+1) - B_m(x) = m x^(m-1), exactly.
     for m in range(1, 9):
         for x in (Fraction(0), Fraction(1, 3), Fraction(-5, 7), Fraction(2)):
-            lhs = bernoulli_poly_exact(m, x + 1) - bernoulli_poly_exact(m, x)
+            lhs = bernoulli_poly(m, x + 1) - bernoulli_poly(m, x)
             assert lhs == m * x ** (m - 1)
 
 
@@ -64,7 +62,7 @@ def test_bernoulli_poly_reflection_identity():
     # B_m(1-x) = (-1)^m B_m(x), exactly.
     for m in range(0, 9):
         for x in (Fraction(1, 4), Fraction(2, 5)):
-            assert bernoulli_poly_exact(m, 1 - x) == (-1) ** m * bernoulli_poly_exact(m, x)
+            assert bernoulli_poly(m, 1 - x) == (-1) ** m * bernoulli_poly(m, x)
 
 
 def test_bernoulli_validation():
@@ -162,39 +160,14 @@ def test_partial_theta_validation():
 
 
 # ---------------------------------------------------------------------------
-# LogValue and the Tauberian transfer
-
-
-def test_logvalue_algebra():
-    a = LogValue.from_int(6)
-    b = LogValue.from_int(-2)
-    assert (a * b).sign == -1
-    assert (a * b).log_abs == pytest.approx(math.log(12))
-    assert (a / b).log_abs == pytest.approx(math.log(3))
-    zero = LogValue.from_int(0)
-    assert zero.sign == 0 and zero.to_float() == 0.0
-    assert (a * zero).sign == 0
-    with pytest.raises(ZeroDivisionError):
-        a / zero
-    with pytest.raises(ValidationError):
-        LogValue(2, 0.0)
-
-
-def test_logvalue_from_big_int_accuracy():
-    x = 10**500 + 12345
-    got = LogValue.from_int(x).log_abs
-    want = 500 * math.log(10)
-    assert got == pytest.approx(want, rel=1e-15)
-    assert LogValue(1, 1000.0).to_float() == math.inf
+# the Tauberian transfer
 
 
 def test_ingham_transfer_direct_substitution():
     # lam = 2 sqrt(pi), alpha = -1/2, A = 1, n = 1 collapses the prefactor
     # to 1 and leaves e^2.
     p = InghamParams(2 * math.sqrt(math.pi), -0.5, 1.0)
-    got = ingham_transfer(p, 1)
-    assert got.sign == 1
-    assert got.log_abs == pytest.approx(2.0, abs=1e-13)
+    assert ingham_transfer(p, 1) == pytest.approx(2.0, abs=1e-13)
 
 
 def test_ingham_params_validation():
@@ -214,14 +187,14 @@ def test_qexpansion_params_reproduce_growth_laws():
             for n in (10, 1000):
                 got = ingham_transfer(qexpansion_ingham_params("sigma", s, M, 0), n)
                 want = sigma_asymp(MexParams(s, M, 1, 0), n)
-                assert got.log_abs == pytest.approx(want.log_abs, rel=1e-13)
+                assert got == pytest.approx(want, rel=1e-13)
                 for r in (1, 2, 3):
                     got = ingham_transfer(qexpansion_ingham_params("sigma", s, M, r), n)
                     want = sigma_asymp(MexParams(s, M, 1, r), n)
-                    assert got.log_abs == pytest.approx(want.log_abs, rel=1e-13)
+                    assert got == pytest.approx(want, rel=1e-13)
                     got = ingham_transfer(qexpansion_ingham_params("varsigma", s, M, r), n)
                     want = varsigma_asymp(MexParams(s, M, 1, r), n)
-                    assert got.log_abs == pytest.approx(want.log_abs, rel=1e-13)
+                    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_qexpansion_params_validation():
@@ -298,19 +271,17 @@ def test_eta_inversion_cap_and_validation():
 def test_hardy_ramanujan_point_value():
     got = hardy_ramanujan_asymp(1)
     want = math.log(1 / (4 * math.sqrt(3))) + math.pi * math.sqrt(2 / 3)
-    assert got.log_abs == pytest.approx(want, rel=1e-15)
+    assert got == pytest.approx(want, rel=1e-15)
     with pytest.raises(ValidationError):
         hardy_ramanujan_asymp(0)
 
 
 def test_hardy_ramanujan_increasing_and_converging():
-    logs = [hardy_ramanujan_asymp(n).log_abs for n in (1, 10, 100, 1000)]
+    logs = [hardy_ramanujan_asymp(n) for n in (1, 10, 100, 1000)]
     assert all(b > a for a, b in zip(logs, logs[1:]))
     pn = partition_numbers(1000)
     dev = {
-        n: abs(
-            (LogValue.from_int(pn[n]) / hardy_ramanujan_asymp(n)).to_float() - 1.0
-        )
+        n: abs(math.exp(math.log(pn[n]) - hardy_ramanujan_asymp(n)) - 1.0)
         for n in (100, 1000)
     }
     assert dev[1000] < dev[100]
@@ -320,8 +291,8 @@ def test_sigma_asymp_r0_is_hr_over_m():
     for M in (1, 2, 5):
         for A in (1, M):
             got = sigma_asymp(MexParams(2, M, A, 0), 50)
-            assert got.log_abs == pytest.approx(
-                hardy_ramanujan_asymp(50).log_abs - math.log(M), rel=1e-15
+            assert got == pytest.approx(
+                hardy_ramanujan_asymp(50) - math.log(M), rel=1e-15
             )
 
 
@@ -330,13 +301,13 @@ def test_sigma_asymp_s_scaling():
     for r in (1, 2, 3):
         a = sigma_asymp(MexParams(4, 2, 1, r), 30)
         b = sigma_asymp(MexParams(1, 2, 1, r), 30)
-        assert a.log_abs - b.log_abs == pytest.approx(-r * math.log(2), rel=1e-12)
+        assert a - b == pytest.approx(-r * math.log(2), rel=1e-12)
 
 
 def test_asymp_laws_independent_of_residue():
     for r in (0, 1, 2):
-        vals_s = {A: sigma_asymp(MexParams(1, 4, A, r), 64).log_abs for A in range(1, 5)}
-        vals_v = {A: varsigma_asymp(MexParams(1, 4, A, r), 64).log_abs for A in range(1, 5)}
+        vals_s = {A: sigma_asymp(MexParams(1, 4, A, r), 64) for A in range(1, 5)}
+        vals_v = {A: varsigma_asymp(MexParams(1, 4, A, r), 64) for A in range(1, 5)}
         assert len(set(vals_s.values())) == 1
         assert len(set(vals_v.values())) == 1
 
@@ -347,14 +318,14 @@ def test_varsigma_asymp_vs_sigma_ratio():
         for r in (1, 2, 3):
             a = varsigma_asymp(MexParams(1, M, 1, r), 77)
             b = sigma_asymp(MexParams(1, M, 1, r), 77)
-            assert a.log_abs - b.log_abs == pytest.approx(
+            assert a - b == pytest.approx(
                 (r / 2 + 1) * math.log(M), rel=1e-12
             )
 
 
 def test_varsigma_asymp_r0_is_hr():
     got = varsigma_asymp(MexParams(3, 5, 2, 0), 123)
-    assert got.log_abs == hardy_ramanujan_asymp(123).log_abs
+    assert got == hardy_ramanujan_asymp(123)
 
 
 def test_sigma_asymp_r1_against_exact_gamma_table():
@@ -376,7 +347,7 @@ def test_sigma_asymp_r1_against_exact_gamma_table():
             )
             got = sigma_asymp(MexParams(s, M, 1, r), n)
             want_log = math.log(want) + math.pi * math.sqrt(2 * n / 3)
-            assert got.log_abs == pytest.approx(want_log, rel=1e-13)
+            assert got == pytest.approx(want_log, rel=1e-13)
 
 
 def test_gamma_half_integer_table():
@@ -433,6 +404,14 @@ def test_corollary_ratio_converges_spot():
 
 def test_exact_over_asymptotic_spot():
     assert abs(exact_over_asymptotic("sigma", MexParams(1, 2, 1, 1), 500) - 1.0) < 0.05
+
+
+def test_exact_over_asymptotic_saturates():
+    # An exact zero gives 0.0, and a ratio past float range gives inf
+    # (M = 10^400 puts the growth law near e^-921 while the value is >= 1).
+    assert qseries.moment_value("sigma", MexParams(1, 3, 3, 0), 1) == 0
+    assert exact_over_asymptotic("sigma", MexParams(1, 3, 3, 0), 1) == 0.0
+    assert exact_over_asymptotic("sigma", MexParams(1, 10**400, 1, 0), 10) == math.inf
 
 
 def test_exact_over_asymptotic_r0_transcription():

@@ -456,10 +456,19 @@ def test_asymp_corollary_needs_res_prime(capsys):
 
 
 def test_asymp_rejects_bad_n_list(capsys):
-    code, _, _ = run_cli(capsys, "asymp", "--kind", "sigma", "--n-list", "5,x")
-    assert code == 1
-    code, _, _ = run_cli(capsys, "asymp", "--kind", "sigma", "--n-list", "0")
-    assert code == 1
+    for spec in ("5,x", "0", "-1"):
+        code, _, _ = run_cli(capsys, "asymp", "--kind", "sigma", "--n-list", spec)
+        assert code == 1
+
+
+def test_asymp_row_prints_inf_past_float_range(capsys):
+    # M = 10^400 puts the growth law near e^-921, so the ratio saturates.
+    code, out, _ = run_cli(
+        capsys, "asymp", "--kind", "sigma", "--mod", str(10**400), "--res", "1",
+        "--r", "0", "--n-list", "10,20",
+    )
+    assert code == 0
+    assert [line.split(",")[3] for line in out.splitlines()[2:]] == ["inf", "inf"]
 
 
 def test_conjecture_logconcave_json(capsys):

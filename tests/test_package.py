@@ -1,9 +1,11 @@
 """Package-wide contracts: the public surface, the parameters no caller
-sets (no order, no oracle cap, no environment variable), and the
-independence of the references in ``reference.py``."""
+sets (no order, no oracle cap, no environment variable), the lazy mpmath
+import, and the independence of the references in ``reference.py``."""
 
 import ast
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import mexmoments
@@ -51,6 +53,27 @@ def test_no_caller_sets_an_order_or_an_oracle_cap():
     for oracle in (mexmoments.sigma_oracle, mexmoments.varsigma_oracle):
         assert list(inspect.signature(oracle).parameters) == ["p", "n"]
     assert not hasattr(qseries, "truncation_order")
+
+
+def test_benchmarked_asymptotics_do_not_import_mpmath():
+    # Only the partial-theta functions need mpmath.  Importing it takes
+    # about 30 ms against about 50 ms for all of mexmoments.cli (2-core
+    # machine, python -X importtime), so no benchmarked path may load it.
+    script = """
+import sys
+import mexmoments.cli
+from mexmoments import asymptotics
+from mexmoments.partitions import MexParams
+p = MexParams(1, 2, 1, 1)
+asymptotics.exact_over_asymptotic("sigma", p, 64)
+asymptotics.corollary_ratio("sigma", p, 2, 64)
+asymptotics.gf_boundary_log("sigma", p, 0.2)
+asymptotics.eta_inversion_check(0.1)
+print("mpmath" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def _environment_reads(tree: ast.AST) -> list[str]:
