@@ -1,8 +1,8 @@
 """Pure-Python kernels: the partition-enumeration histograms of every
-n' <= n from one walk, twin of the compiled ``mexmoments._speed`` (the
-active one is chosen in :mod:`mexmoments.backend`; keep the two in
-sync), and the sparse x dense product behind every moment sequence,
-which has no compiled twin.
+n' <= n, assembled from one walk over the partitions into parts above
+``SMALL_PARTS`` (the walk has a compiled twin, ``mexmoments._speed.walk``;
+the active one is chosen in :mod:`mexmoments.backend`), and the sparse x
+dense product behind every moment sequence, which has no compiled twin.
 
 Both work on plain ``list`` objects holding exact Python integers, so
 results never lose precision regardless of magnitude.
@@ -10,14 +10,19 @@ results never lose precision regardless of magnitude.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat
-from operator import add, mul, neg, sub
+from itertools import chain, repeat
+from operator import add, getitem, mul, neg, sub
 
 # Guards direct kernel calls (the oracles stop at partitions.ORACLE_CAP
-# first): the walk for the partitions of n' <= n has p(n) - p(n-2) nodes,
-# beyond this it is hopeless anyway, and the compiled kernel's int64
-# counters could not hold the counts.
+# first): the walk to n visits the partitions of every t <= n into parts
+# above SMALL_PARTS, 37,689 at n = 60 and about 5.5e13 at this limit,
+# beyond which it is hopeless anyway; the compiled walk's int64 counters
+# hold every count up to p(300), about 9.3e15.
 ENUMERATION_LIMIT = 300
+
+#: L: the parts 1..L of a partition are counted per remainder, not
+#: walked; the walk visits only the tails of parts above L.
+SMALL_PARTS = 4
 
 
 def _check_histogram_args(n: int, s: int, M: int) -> None:
@@ -31,9 +36,60 @@ def _check_histogram_args(n: int, s: int, M: int) -> None:
         raise ValueError(f"refusing to enumerate partitions of n={n} (limit {ENUMERATION_LIMIT})")
 
 
-def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
+def walk(n: int, s: int, M: int, L: int) -> tuple[list, list]:
+    """Walk the tails: the partitions of every t <= n into parts > L.
+
+    Returns ``(nodes, breaks)``.  ``nodes[t]`` counts the tails of sum t.
+    ``breaks`` has one flat list per row A-1 with A <= min(M, n): at
+    c * (n + 1) + t, the tails of sum t whose first chain place A + c*M
+    above L with frequency < s lies past the row's first place above L,
+    cell (L - A + M) // M; every other tail breaks the chain there.  Rows
+    hold n//M + 2 cells.
+
+    Each part k in L+1..M+L is the first place above L of exactly one
+    row's chain, and a row keeps its first cell unless k occurs at least
+    s times.  So a node follows only the chains that its saturated parts
+    k <= M+L start, and its cost does not grow with M.
+    """
+    stride = n + 1
+    nodes = [0] * stride
+    cells = n // M + 2
+    breaks = [[0] * (cells * stride) for _ in range(min(M, n))]
+    # A saturated part k follows its chain from the next place on.
+    starts = {k: (k, breaks[(k - 1) % M], ((L - (k - 1) % M - 1 + M) // M + 1) * stride)
+              for k in range(L + 1, min(M + L, n) + 1)}
+    freq = [0] * (n + 1)
+    followed: list = []
+
+    def visit(t: int, max_part: int) -> None:
+        nodes[t] += 1
+        for k, row, i in followed:
+            i += t
+            k += M
+            while k <= n and freq[k] >= s:
+                k += M
+                i += stride
+            row[i] += 1
+        part = n - t if n - t < max_part else max_part
+        while part > L:
+            freq[part] += 1
+            if freq[part] == s and part in starts:
+                followed.append(starts[part])
+                visit(t + part, part)
+                followed.pop()
+            else:
+                visit(t + part, part)
+            freq[part] -= 1
+            part -= 1
+
+    visit(0, n)
+    return nodes, breaks
+
+
+def mex_value_counts(n: int, s: int, M: int, walk=walk) -> list[list[int]]:
     """Histogram the frequency-s mex statistics over the partitions of
-    every n' = 0..n, from one walk.
+    every n' = 0..n, from one ``walk`` (this module's, or the compiled
+    one that :mod:`mexmoments.backend` passes).
 
     Returns M rows.  Row A-1 (for each residue A in 1..M) is one flat
     list: the block of n' = 0, then that of n' = 1, ..., then that of n.
@@ -44,118 +100,76 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
     all p(n') partitions at m = 0.  With M=1 the single row holds the
     histograms of the plain frequency-s mex, shifted by one.
 
-    A partition is a tail of parts >= 3, of sum t, plus c2 twos and
-    R - 2*c2 ones, R = n' - t.  The walk visits each tail with t <= n
-    once, p(n) - p(n-2) nodes.  Only the first two places of a row's
-    chain A, A+M, ... can be 1 or 2, and the twos and ones break it there
-    for whole intervals of c2: 1 stays in the chain while c2 <= (R - s)//2
-    (enough ones), 2 while c2 >= s (enough twos).  Those counts depend on
-    R alone.  The c2 that keep the chain alive leave it to the tail,
-    which breaks it at a cell of its own, wherever R is.  So the walk
-    counts the tails per (t, cell) of each row, and each block of n'
-    comes from short convolutions over t of those counts with the counts
-    of c2 per R.
-
-    A row's first place >= 3 holds its cell unless that part is
-    saturated (frequency >= s).  Each part k in 3..M+2 is the first place
-    >= 3 of exactly one chain, so a node follows only the chains that its
-    saturated parts k <= M+2 start, and every other row keeps its first
-    cell: the cost of a node does not grow with M.
+    A partition is a tail of parts > L = SMALL_PARTS, of sum t, plus the
+    multiplicities (c_1, ..., c_L) of the small parts, of weight
+    R = n' - t.  The walk visits each tail with t <= n once: the
+    partitions into parts > L of every t <= n, 19,279 at n = 55.  The
+    chain places of row A that are <= L, A, A+M, ..., are cells
+    0..first-1, and the small parts alone decide whether one of them
+    holds the value: the first unsaturated place (c_i < s) holds it.  The
+    vectors that saturate places i in a set P are, with s copies of each
+    taken off, all the vectors of weight R - s*sum(P), so the partitions
+    of n' that saturate P number those of n' - s*sum(P).  The vectors
+    that saturate every place <= L leave the chain to the tail, which
+    breaks it at cell first or past it, wherever R is; the tails that
+    break it past first give their cells by short convolutions over t
+    of the walk's counts with those vectors per R.
     """
     _check_histogram_args(n, s, M)
+    L = SMALL_PARTS
+    nodes, breaks = walk(n, s, M, L)
     stride = n + 1
-    nodes = [0] * stride  # tails of parts >= 3 per sum t
-    # first[a0]: the index m of row a0's first place >= 3.  breaks[a0]
-    # holds, at c * stride + t, the tails of sum t that break the chain
-    # of row a0 at cell c > first[a0]; the rest break it at first[a0].
-    first = [(3 - A + M - 1) // M if A < 3 else 0 for A in range(1, min(M, n) + 1)]
-    breaks = [[0] * ((n // M + 2) * stride) for _ in first]
-    # A saturated part k <= M+2 follows its chain from the next place on.
-    starts = {k: (k, breaks[(k - 1) % M], (first[(k - 1) % M] + 1) * stride)
-              for k in range(3, min(M + 2, n) + 1)}
-    freq = [0] * (n + 1)
-    followed: list = []
+    cells = n // M + 2
+    zero = [0] * stride
 
-    def walk(t: int, max_part: int) -> None:
-        nodes[t] += 1
-        for k, row, i in followed:
-            i += t
-            k += M
-            while k <= n and freq[k] >= s:
-                k += M
-                i += stride
-            row[i] += 1
-        part = n - t if n - t < max_part else max_part
-        while part >= 3:
-            freq[part] += 1
-            if freq[part] == s and part in starts:
-                followed.append(starts[part])
-                walk(t + part, part)
-                followed.pop()
-            else:
-                walk(t + part, part)
-            freq[part] -= 1
-            part -= 1
-
-    walk(0, n)
-
-    offsets = list(accumulate((j // M + 2 for j in range(stride)), initial=0))
-    size = offsets[-1]
-
-    def add(row: list, cell: int, xs: list, ys: list, sign: int = 1) -> None:
-        """Add sign * sum_t xs[t] * ys[n' - t] to ``cell`` of each block n'."""
+    def conv(xs: list, ys: list) -> list:
+        """sum_t xs[t] * ys[n' - t] for each n'."""
         lo = next((t for t, x in enumerate(xs) if x), stride)
         xs, rev = xs[lo:], ys[::-1]
-        # The block of n' has n'//M + 2 cells; a cell past it counts nothing.
-        for j in range(max(lo, (cell - 1) * M), stride):
-            row[offsets[j] + cell] += sign * sum(map(mul, xs, rev[n - j + lo :]))
+        return [0] * lo + [sum(map(mul, xs, rev[n - j + lo :])) for j in range(lo, stride)]
 
-    def base_row(fixed: list) -> list:
-        row = [0] * size
-        for cell, ys in fixed:
-            add(row, cell, nodes, ys)
-        return row
+    def shifted(xs: list, d: int) -> list:
+        return [0] * min(d, stride) + xs[: max(stride - d, 0)]
 
-    # The c2 = 0..R//2 per remainder R: all, those with at least s ones,
-    # and how many of the first x of them have at least s twos.
-    choices = [R // 2 + 1 for R in range(stride)]
-    with_ones = [max((R - s) // 2 + 1, 0) for R in range(stride)]
+    # Block n' holds cells 0..n'//M + 1; a cell past them counts nothing.
+    blocks = [slice(j // M + 2) for j in range(stride)]
 
-    def with_twos(xs: list) -> list:
-        return [x - s if x > s else 0 for x in xs]
+    def layout(columns: list) -> list:
+        """The flat row of the per-n' counts of each cell."""
+        return list(chain.from_iterable(map(getitem, zip(*columns), blocks)))
 
-    def row_class(A: int) -> tuple[list, list]:
-        """The cells that the ones and twos decide, as (cell, c2 per R),
-        and the c2 per R that they leave to the tail."""
-        if A == 1:
-            fixed = [(0, list(map(sub, choices, with_ones)))]
-            if M > 1:
-                return fixed, with_ones
-            alive = with_twos(with_ones)
-            return fixed + [(1, list(map(sub, with_ones, alive)))], alive
-        if A == 2:
-            alive = with_twos(choices)
-            return [(0, list(map(sub, choices, alive)))], alive
-        return [], choices
-
-    # Rows A >= 3 start from all p(n') partitions at m = 0; rows A > n
-    # stay there.
-    plain = base_row([(0, choices)])
+    # The vectors (c_1, ..., c_L) of each weight R, one part at a time.
+    vectors = [1] + [0] * n
+    for i in range(1, L + 1):
+        for R in range(i, stride):
+            vectors[R] += vectors[R - i]
+    # total[n']: every partition of n'.  Those whose small parts hold
+    # places of weight w at least s times each number total[n' - s*w].
+    total = conv(nodes, vectors)
+    plain = layout([total] + [zero] * (cells - 1))
     counts = []
     for a0 in range(M):
-        if a0 >= len(first):
+        if a0 >= len(breaks):  # A > n: all p(n') partitions at m = 0
             counts.append(plain[:])
             continue
-        m0 = first[a0]
-        fixed, alive = row_class(a0 + 1)
-        row = base_row(fixed + [(m0, alive)]) if fixed else plain[:]
+        A = a0 + 1
+        first = (L - A + M) // M
+        # weights[j]: s times the sum of the places before cell j.
+        weights = [s * (A * j + M * j * (j - 1) // 2) for j in range(first + 1)]
+        columns = [zero] * max(cells, first + 1)
+        for j in range(first):
+            columns[j] = list(map(sub, shifted(total, weights[j]), shifted(total, weights[j + 1])))
+        # The small parts saturate every place <= L: the tail decides.
+        alive = shifted(vectors, weights[first])
+        kept = shifted(total, weights[first])
         tails = breaks[a0]
-        for cell in range(m0 + 1, n // M + 2):
+        for cell in range(first + 1, cells):
             xs = tails[cell * stride : (cell + 1) * stride]
             if any(xs):
-                add(row, cell, xs, alive)
-                add(row, m0, xs, alive, -1)
-        counts.append(row)
+                columns[cell] = conv(xs, alive)
+                kept = list(map(sub, kept, columns[cell]))
+        columns[first] = kept
+        counts.append(layout(columns))
     return counts
 
 

@@ -1,9 +1,11 @@
 """The generalized minimal-excludant statistics and the enumeration oracle.
 
-This module is the ground truth: every statistic is obtained by walking
-actual partitions (the histogram kernel of :mod:`mexmoments.backend`),
-with no generating-function shortcuts, and the other modules are
-cross-checked against it.  It holds the parameter tuple ``MexParams``,
+This module is the ground truth: every statistic is obtained by
+enumeration, and the other modules are cross-checked against it.  The
+histogram kernel of :mod:`mexmoments.backend` walks the parts above
+``_pure.SMALL_PARTS`` one partition at a time and counts the small parts
+as explicit multiplicity vectors per remainder; no identity from the
+generating functions enters.  It holds the parameter tuple ``MexParams``,
 the oracle's fixed limit ``ORACLE_CAP``, the two oracles and ``Store``,
 the one cache policy of the package: one instance keeps the histogram
 tables here, in cells, and one keeps the moment sequences of

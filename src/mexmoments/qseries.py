@@ -147,6 +147,16 @@ class MomentSequence:
     def order(self) -> int:
         return len(self.values) - 1
 
+    def prefix(self, order: int) -> MomentSequence:
+        """The sequence for n = 0..order <= N, on a copy of those values.
+        Every check of ``__init__`` holds for a prefix of values that
+        passed it, so none is run again."""
+        seq = object.__new__(MomentSequence)
+        object.__setattr__(seq, "kind", self.kind)
+        object.__setattr__(seq, "params", self.params)
+        object.__setattr__(seq, "values", self.values[: order + 1])
+        return seq
+
     def __getitem__(self, n: int) -> int:
         return self.values[n]
 
@@ -269,11 +279,11 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
     Each (kind, params) is computed once at the largest order requested
     so far; a larger order is computed afresh and replaces it, and
     repeating a request at that order returns the same object.  A smaller
-    order is a new ``MomentSequence`` over a prefix of the stored values
-    (coefficients at n <= N do not depend on the truncation order), built
-    per call and not stored.  A sequence whose coefficients take more
-    than ``STORE_BYTE_LIMIT`` bytes by a lower bound raises
-    ``ResourceCapError`` before any work.
+    order is the stored sequence's ``prefix`` (coefficients at n <= N do
+    not depend on the truncation order): a copy of its values, built per
+    call, not stored and not checked again.  A sequence whose
+    coefficients take more than ``STORE_BYTE_LIMIT`` bytes by a lower
+    bound raises ``ResourceCapError`` before any work.
     """
     if kind not in VALID_KINDS:
         raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
@@ -286,9 +296,7 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
         seq = gf_coeffs(p, order)
         cost = sys.getsizeof(seq.values) + sum(map(sys.getsizeof, seq.values))
         seq = _store.put(key, order, cost, seq)
-    if seq.order == order:
-        return seq
-    return MomentSequence(kind, p, seq.values[: order + 1])
+    return seq if seq.order == order else seq.prefix(order)
 
 
 def moment_value(kind: str, p: MexParams, n: int) -> int:

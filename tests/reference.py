@@ -110,3 +110,13 @@ def mex_s_mod(parts: tuple, s: int, M: int, A: int) -> int:
     while parts.count(k) >= s:
         k += M
     return k
+
+
+def partitions_above(L: int, n: int) -> int:
+    """The partitions of every t = 0..n into parts > L, counted together
+    (the empty partition of 0 included), one part size at a time."""
+    counts = [1] + [0] * n
+    for k in range(L + 1, n + 1):
+        for t in range(k, n + 1):
+            counts[t] += counts[t - k]
+    return sum(counts)

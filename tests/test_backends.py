@@ -1,10 +1,10 @@
-"""Differential tests between the pure-Python kernels and the compiled
-enumeration kernel, which the ``speed`` fixture builds from source, and
-checks of the sparse x dense product, which has only a pure-Python
-implementation."""
+"""Differential tests between the pure-Python partition walk and the
+compiled one, which the ``speed`` fixture builds from source, each run
+through the one histogram assembly in ``_pure``; and checks of the
+sparse x dense product, which has only a pure-Python implementation."""
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +13,20 @@ from hypothesis import strategies as st
 import mexmoments.partitions
 from mexmoments import MexParams, _pure, backend, sigma_oracle, varsigma_oracle
 from mexmoments.partitions import ORACLE_CAP
-from reference import d2_coeffs, invert_unit_series, mex_s_mod, partitions
+from reference import d2_coeffs, invert_unit_series, mex_s_mod, partitions, partitions_above
+
+L = _pure.SMALL_PARTS
 
 
 @pytest.fixture(params=["pure", "fast"])
-def impl(request):
-    return _pure if request.param == "pure" else request.getfixturevalue("speed")
+def walk(request):
+    return _pure.walk if request.param == "pure" else request.getfixturevalue("speed").walk
+
+
+@pytest.fixture
+def impl(walk):
+    """The histogram kernel over one backend's walk."""
+    return partial(_pure.mex_value_counts, walk=walk)
 
 
 def block(rows: list, n: int, M: int) -> list:
@@ -29,7 +37,7 @@ def block(rows: list, n: int, M: int) -> list:
 
 
 def counts(impl, n: int, s: int, M: int) -> list:
-    return block(impl.mex_value_counts(n, s, M), n, M)
+    return block(impl(n, s, M), n, M)
 
 
 def test_mex_value_counts_small_cases(impl):
@@ -58,13 +66,28 @@ def test_mex_value_counts_total_is_partition_count(impl):
 
 def test_mex_value_counts_validation(impl):
     with pytest.raises(ValueError):
-        impl.mex_value_counts(-1, 1, 1)
+        impl(-1, 1, 1)
     with pytest.raises(ValueError):
-        impl.mex_value_counts(1, 0, 1)
+        impl(1, 0, 1)
     with pytest.raises(ValueError):
-        impl.mex_value_counts(1, 1, 0)
+        impl(1, 1, 0)
     with pytest.raises(ValueError):
-        impl.mex_value_counts(impl.ENUMERATION_LIMIT + 1, 1, 1)
+        impl(_pure.ENUMERATION_LIMIT + 1, 1, 1)
+
+
+def test_compiled_walk_refuses_bad_arguments(speed):
+    for args in ((-1, 1, 1, L), (1, 0, 1, L), (1, 1, 0, L), (1, 1, 1, -1)):
+        with pytest.raises(ValueError):
+            speed.walk(*args)
+
+
+def test_walk_visits_each_tail_above_L_once(walk):
+    # The walk's work: the partitions of every t <= n into parts > L.
+    for n in range(61):
+        nodes, _ = walk(n, 1, 1, L)
+        assert sum(nodes) == partitions_above(L, n), n
+    # An L at or above n leaves only the empty tail.
+    assert walk(3, 1, 2, 2**31 - 1) == ([1, 0, 0, 0], [[0] * 12, [0] * 12])
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +113,7 @@ def test_mex_sum_is_andrews_newman_d2(impl):
     # Andrews and Newman: the mex summed over the partitions of n is D_2(n),
     # the coefficient of q^n in (-q;q)_inf^2.  Held for every n the oracle
     # serves by default, far past the reference walk above, from one table.
-    table = impl.mex_value_counts(ORACLE_CAP, 1, 1)
+    table = impl(ORACLE_CAP, 1, 1)
     for n, want in enumerate(d2_coeffs(ORACLE_CAP)):
         row = block(table, n, 1)[0]
         assert sum(v * c for v, c in enumerate(row, 1)) == want, n
@@ -104,7 +127,7 @@ def test_oracles_serve_a_threshold_no_c_int_holds(impl, monkeypatch):
     monkeypatch.setattr(mexmoments.partitions, "_tables",
                         mexmoments.partitions.Store(mexmoments.partitions.STORE_CELL_LIMIT))
     monkeypatch.setattr(backend, "mex_value_counts",
-                        lambda n, s, M: calls.append((n, s, M)) or impl.mex_value_counts(n, s, M))
+                        lambda n, s, M: calls.append((n, s, M)) or impl(n, s, M))
     n, M, r = 9, 2, 1
     pis = list(partitions(n))
     for A in (1, 2):
@@ -119,17 +142,20 @@ def test_oracles_serve_a_threshold_no_c_int_holds(impl, monkeypatch):
 
 @st.composite
 def histogram_args(draw):
-    # The kernels count the twos and ones of a node with remainder R as
-    # c2 intervals bounded by (R - s)//2 and s.  Thresholds near n and n/2
-    # make those intervals empty or single at some nodes, and M = 1, M = 2
-    # and M >= 3 put 1 and 2 in one row, in two rows and in rows A = 1, 2
-    # beside rows A >= 3.  Moduli past n' leave rows A > n' with all p(n')
-    # at m = 0, and small moduli let chains cross many blocks.
+    # The kernel counts the small parts 1..L per remainder R, and part i
+    # of them saturates a chain place once c_i >= s, so thresholds near
+    # n//i for i = 1..L+1 make a place just reachable or just out of reach
+    # at the largest n'.  Moduli 1..L+2 put several small places in one
+    # row (the first unsaturated one holds the value), one in each of
+    # rows 1..M, or leave rows A > L whose chain starts above L; the
+    # parts L+1..M+L start the chains the walk follows.  Moduli past n'
+    # leave rows A > n' with all p(n') at m = 0, and small moduli let
+    # chains cross many blocks.
     n = draw(st.integers(0, 22))
-    s = draw(st.one_of(st.integers(1, n + 2),
-                       st.sampled_from([max(1, n // 2 + d) for d in (-1, 0, 1)] + [n + 1])))
-    M = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 5, 6, n + 1, n + 2, n + 3]),
-                       st.integers(3, n + 3)))
+    near = sorted({max(1, n // i + d) for i in range(1, L + 2) for d in (-1, 0, 1)} | {n + 1})
+    s = draw(st.one_of(st.integers(1, n + 2), st.sampled_from(near)))
+    M = draw(st.one_of(st.sampled_from([*range(1, L + 3), n + 1, n + 2, n + 3]),
+                       st.integers(1, n + 3)))
     return n, s, M
 
 
@@ -138,19 +164,29 @@ def histogram_args(draw):
 def test_kernels_equal_reference_at_interval_boundaries(speed, args):
     # One walk to n gives the histogram of every n' <= n.
     n, s, M = args
-    for impl in (_pure, speed):
-        table = impl.mex_value_counts(n, s, M)
+    for walk in (_pure.walk, speed.walk):
+        table = _pure.mex_value_counts(n, s, M, walk)
         assert len(table) == M
         assert all(len(row) == sum(j // M + 2 for j in range(n + 1)) for row in table)
         for j in range(n + 1):
-            assert block(table, j, M) == _reference_rows(j, s, M), (impl, j)
+            assert block(table, j, M) == _reference_rows(j, s, M), (walk, j)
 
 
 def test_backends_agree_on_histograms(speed):
     for n in range(0, 17):
         for s in (1, 2, 4):
             for M in (1, 2, 3, 5, 30):
-                assert _pure.mex_value_counts(n, s, M) == speed.mex_value_counts(n, s, M)
+                assert _pure.mex_value_counts(n, s, M) == _pure.mex_value_counts(
+                    n, s, M, speed.walk)
+
+
+def test_compiled_walk_counts_equal_pure(speed):
+    # The assembly is shared, so the walks' tail and break counts are all
+    # that the backends may differ in.
+    for n in range(31):
+        for s in range(1, 5):
+            for M in sorted({1, 2, 3, 5, n + 1}):
+                assert speed.walk(n, s, M, L) == _pure.walk(n, s, M, L), (n, s, M)
 
 
 def test_invert_unit_series_roundtrip():

@@ -365,6 +365,28 @@ def test_prefix_requests_are_not_kept(gf_calls):
 
 
 @pytest.mark.parametrize("kind,p", STORE_CASES)
+def test_prefix_requests_run_no_checks(gf_calls, monkeypatch, kind, p):
+    # The stored sequence was checked once, on its store miss, and every
+    # check holds for a prefix of it, so a prefix request runs none.
+    stored = qseries.moment_sequence(kind, p, 200)
+    checks = []
+    init = MomentSequence.__init__
+    monkeypatch.setattr(MomentSequence, "__init__",
+                        lambda self, *args: checks.append(args) or init(self, *args))
+    monkeypatch.setattr(qseries, "partition_numbers",
+                        lambda order: checks.append(order) or partition_numbers(order))
+    prefixes = {order: qseries.moment_sequence(kind, p, order) for order in (0, 1, 120, 199)}
+    assert checks == []
+    for order, seq in prefixes.items():
+        assert seq.values == stored.values[: order + 1]
+        assert seq == FRESH_GF[kind](p, order)
+    # A store miss builds a new sequence and checks it.
+    checks.clear()
+    qseries.moment_sequence(kind, p, 201)
+    assert checks
+
+
+@pytest.mark.parametrize("kind,p", STORE_CASES)
 def test_moment_value_reads_the_stored_sequence(gf_calls, kind, p):
     # Largest n first: one sequence serves every smaller n, and no
     # prefix is built for the values read from it.
