@@ -116,6 +116,9 @@ def mex_value_counts(n: int, s: int, M: int, walk=walk) -> list[list[int]]:
     of the walk's counts with those vectors per R.
     """
     _check_histogram_args(n, s, M)
+    # No part of a partition of n' <= n occurs n+1 times, so every s > n
+    # gives the histograms of s = n+1, and the compiled walk's C int holds it.
+    s = min(s, n + 1)
     L = SMALL_PARTS
     nodes, breaks = walk(n, s, M, L)
     stride = n + 1

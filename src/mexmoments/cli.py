@@ -34,7 +34,13 @@ from operator import itemgetter
 from mexmoments import __version__, asymptotics, conjectures, qseries
 from mexmoments.backend import BACKEND
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams, _check_cap, sigma_oracle, varsigma_oracle
+from mexmoments.partitions import (
+    MexParams,
+    _check_cap,
+    oracle_values,
+    sigma_oracle,
+    varsigma_oracle,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -284,12 +290,6 @@ def _params_comment(fields: dict) -> str:
     return f"# params: {json.dumps(fields, sort_keys=True)}\n"
 
 
-def _oracle_values(oracle_fn, params: MexParams, ns: range) -> list[int]:
-    """The oracle's values at ``ns``, asked largest n first: the histogram
-    table walked for it then serves every smaller n."""
-    return [oracle_fn(params, n) for n in reversed(ns)][::-1]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -309,9 +309,11 @@ def cmd_stats(args) -> int:
     if need_oracle:
         _check_cap(ns[-1])
     seq = qseries.moment_sequence(args.kind, params, ns[-1]) if need_gf else None
-    if need_oracle:
-        oracle = _oracle_values(sigma_oracle if args.kind == "sigma" else varsigma_oracle,
-                                params, ns)
+    if args.n is not None and need_oracle:
+        oracle_fn = sigma_oracle if args.kind == "sigma" else varsigma_oracle
+        oracle = [oracle_fn(params, args.n)]
+    elif need_oracle:
+        oracle = oracle_values(args.kind, params, ns[-1])[ns[0] :]
 
     rows = []
     mismatch = False
@@ -364,16 +366,16 @@ def cmd_verify(args) -> int:
     checked = 0
     sequences = 0
     for params in grid:
-        for kind, oracle_fn in (("sigma", sigma_oracle), ("varsigma", varsigma_oracle)):
+        for kind in ("sigma", "varsigma"):
             seq = qseries.moment_sequence(kind, params, args.max_n)
             sequences += 1
-            ns = range(args.max_n + 1)
-            for n, want in zip(ns, _oracle_values(oracle_fn, params, ns)):
+            oracle = oracle_values(kind, params, args.max_n)
+            for n, (got, want) in enumerate(zip(seq.values, oracle)):
                 checked += 1
-                if seq[n] != want:
+                if got != want:
                     sys.stderr.write(
                         f"MISMATCH kind={kind} s={params.s} M={params.M} A={params.A} "
-                        f"r={params.r} n={n}: series={seq[n]} oracle={want}\n"
+                        f"r={params.r} n={n}: series={got} oracle={want}\n"
                     )
                     _emit(f"checked {checked} values across {sequences} sequences; 1 mismatch\n",
                           args)

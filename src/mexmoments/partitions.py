@@ -6,10 +6,15 @@ histogram kernel of :mod:`mexmoments.backend` walks the parts above
 ``_pure.SMALL_PARTS`` one partition at a time and counts the small parts
 as explicit multiplicity vectors per remainder; no identity from the
 generating functions enters.  It holds the parameter tuple ``MexParams``,
-the oracle's fixed limit ``ORACLE_CAP``, the two oracles and ``Store``,
-the one cache policy of the package: one instance keeps the histogram
-tables here, in cells, and one keeps the moment sequences of
+the oracle's fixed limit ``ORACLE_CAP``, the oracle and ``Store``, the
+one cache policy of the package: one instance keeps the histogram tables
+here, in cells, and one keeps the moment sequences of
 :mod:`mexmoments.qseries`, in bytes.
+
+One table of (s, M) holds the histograms of every n' <= N, so the oracle
+reads a column: ``oracle_values`` gives the moment at every n = 0..N
+from one table, with s and M capped once at N+1 and one list of weights
+per call.  ``sigma_oracle`` and ``varsigma_oracle`` are its entry at n.
 
 Terminology used throughout the package, for a partition pi:
 
@@ -29,6 +34,7 @@ from collections import OrderedDict
 from collections.abc import Hashable
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
+from operator import mul
 
 from mexmoments import backend
 from mexmoments.errors import ResourceCapError, ValidationError
@@ -37,6 +43,9 @@ from mexmoments.errors import ResourceCapError, ValidationError
 #: parameter sweep at seconds scale.  Fixed: the walk grows like p(n), so
 #: a larger n is the series route's job.
 ORACLE_CAP = 60
+
+#: The two moment families.
+VALID_KINDS = ("sigma", "varsigma")
 
 
 @dataclass(frozen=True)
@@ -115,19 +124,20 @@ STORE_CELL_LIMIT = 1 << 19
 _tables = Store(STORE_CELL_LIMIT)
 
 
-def mex_value_histogram(n: int, s: int, M: int) -> tuple[tuple[int, ...], ...]:
-    """Row A-1 counts, per m, the partitions of n whose congruence mex
-    for (s, M, A) is A + m*M.  Rows have n//M + 2 entries.
+def mex_value_histogram(N: int, s: int, M: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The histograms of every n = 0..N: entry n holds M rows, and row
+    A-1 counts, per m, the partitions of n whose congruence mex for
+    (s, M, A) is A + m*M.  Rows of n have n//M + 2 entries.
 
-    Served from the table of (s, M); a table shorter than n is walked
-    again to n, so a caller with several n asks for the largest first."""
-    table = _tables.get((s, M), n)
+    A prefix of the stored table of (s, M); a table shorter than N is
+    walked again to N."""
+    table = _tables.get((s, M), N)
     if table is None:
-        rows = [tuple(row) for row in backend.mex_value_counts(n, s, M)]  # refuses n < 0
-        starts = list(accumulate((j // M + 2 for j in range(n + 1)), initial=0))
+        rows = [tuple(row) for row in backend.mex_value_counts(N, s, M)]  # refuses N < 0
+        starts = list(accumulate((j // M + 2 for j in range(N + 1)), initial=0))
         table = tuple(tuple(row[a:b] for row in rows) for a, b in pairwise(starts))
-        table = _tables.put((s, M), n, M * starts[-1], table)
-    return table[n]
+        table = _tables.put((s, M), N, M * starts[-1], table)
+    return table[: N + 1]
 
 
 def _check_cap(n: int) -> None:
@@ -141,33 +151,48 @@ def _check_cap(n: int) -> None:
         )
 
 
-def sigma_oracle(p: MexParams, n: int) -> int:
-    """Exact sigma moment by brute-force enumeration.
+def oracle_values(kind: str, p: MexParams, N: int) -> list[int]:
+    """Exact sigma or varsigma moments at every n = 0..N by enumeration,
+    read as one column of one histogram table.
 
-    Sum of mex^r over the partitions of n whose mex with frequency s lies
-    in the class A mod M.  The r=0 moment is a pure count (v^0 = 1 for every value v).
-    The kernel's threshold is capped at n+1, as in ``varsigma_oracle``.
+    sigma: the sum of mex^r over the partitions of n whose mex with
+    frequency s lies in the class A mod M (r = 0 counts them).  varsigma:
+    the sum of (congruence mex)^r over all partitions of n (r = 0 gives
+    p(n)).
+
+    The table's parameters are capped once, at N+1.  No part of a
+    partition of n <= N occurs N+1 times, so every s > N gives the
+    histograms of s = N+1.  For varsigma with M > N each class holds one
+    candidate part A <= N (so m is 0 or 1, and 1 exactly when A occurs at
+    least s times), and every A > N holds all p(n) partitions at m = 0,
+    so modulus N+1 gives the same row for min(A, N+1).  The weights still
+    use the real M: v^r on v = A mod M for sigma (cell m holds v = m+1),
+    (A + m*M)^r for varsigma.
     """
-    _check_cap(n)
-    hist = mex_value_histogram(n, min(p.s, n + 1), 1)[0]
-    residue = p.A % p.M
-    return sum(c * v**p.r for v, c in enumerate(hist, 1) if c and v % p.M == residue)
+    if kind not in VALID_KINDS:
+        raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
+    _check_cap(N)
+    s = min(p.s, N + 1)
+    if kind == "sigma":
+        row, table = 0, mex_value_histogram(N, s, 1)
+    else:
+        row, table = min(p.A, N + 1) - 1, mex_value_histogram(N, s, min(p.M, N + 1))
+    # No partition of n <= N has a larger value than the largest at N,
+    # which some partition of N has (qseries.largest_mex), so the weights
+    # stop at the last nonzero cell of N's block.
+    size = max(m + 1 for m, c in enumerate(table[N][row]) if c)
+    if kind == "sigma":
+        weights = [v**p.r if v % p.M == p.A % p.M else 0 for v in range(1, size + 1)]
+    else:
+        weights = [(p.A + m * p.M) ** p.r for m in range(size)]
+    return [sum(map(mul, hist[row], weights)) for hist in table]
+
+
+def sigma_oracle(p: MexParams, n: int) -> int:
+    """Exact sigma moment at n by enumeration: ``oracle_values("sigma", p, n)[n]``."""
+    return oracle_values("sigma", p, n)[n]
 
 
 def varsigma_oracle(p: MexParams, n: int) -> int:
-    """Exact varsigma moment by brute-force enumeration.
-
-    Sum of (congruence mex)^r over all partitions of n; equals the
-    partition count p(n) when r = 0.
-
-    The kernel's modulus is capped at n+1: for M > n each class holds
-    one candidate part A <= n (so m is 0 or 1, and 1 exactly when A
-    occurs at least s times), and every A > n holds all p(n) partitions
-    at m = 0, so modulus n+1 gives the same row for min(A, n+1).  The
-    weights still use the real M.  Likewise the threshold: no part of a
-    partition of n' <= n occurs n+1 times, so every s > n gives the
-    histograms of s = n+1.
-    """
-    _check_cap(n)
-    hist = mex_value_histogram(n, min(p.s, n + 1), min(p.M, n + 1))[min(p.A, n + 1) - 1]
-    return sum(c * (p.A + m * p.M) ** p.r for m, c in enumerate(hist) if c)
+    """Exact varsigma moment at n by enumeration: ``oracle_values("varsigma", p, n)[n]``."""
+    return oracle_values("varsigma", p, n)[n]

@@ -30,9 +30,7 @@ from operator import itemgetter
 
 from mexmoments import backend
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams, Store
-
-VALID_KINDS = ("sigma", "varsigma")
+from mexmoments.partitions import VALID_KINDS, MexParams, Store
 
 #: Largest truncation order the series route accepts.  The p(n) table
 #: alone takes about 30 s to reach it on a 2-core machine, which still

@@ -75,6 +75,12 @@ def test_mex_value_counts_validation(impl):
         impl(_pure.ENUMERATION_LIMIT + 1, 1, 1)
 
 
+def test_a_threshold_no_c_int_holds_gives_the_histograms_of_n_plus_one(impl):
+    # No part of a partition of n' <= 5 occurs 6 times, so both walks
+    # serve s = 2^31 (past a C int) as s = 6.
+    assert impl(5, 2**31, 1) == impl(5, 6, 1)
+
+
 def test_compiled_walk_refuses_bad_arguments(speed):
     for args in ((-1, 1, 1, L), (1, 0, 1, L), (1, 1, 0, L), (1, 1, 1, -1)):
         with pytest.raises(ValueError):

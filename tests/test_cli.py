@@ -176,13 +176,13 @@ def test_verify_trivial_grid(capsys):
 
 
 def test_verify_injected_mismatch_detected(capsys, monkeypatch):
-    wrong_at = (MexParams(1, 2, 2, 0), 6)
-    real = cli.varsigma_oracle
+    wrong_at = ("varsigma", MexParams(1, 2, 2, 0), 6)
+    real = cli.oracle_values
 
-    def off_by_one(p, n):
-        return real(p, n) + ((p, n) == wrong_at)
+    def off_by_one(kind, p, N):
+        return [v + ((kind, p, n) == wrong_at) for n, v in enumerate(real(kind, p, N))]
 
-    monkeypatch.setattr(cli, "varsigma_oracle", off_by_one)
+    monkeypatch.setattr(cli, "oracle_values", off_by_one)
     code, out, err = run_cli(
         capsys, "verify", "--max-mod", "2", "--max-s", "1", "--max-r", "0", "--max-n", "6",
     )
@@ -192,8 +192,8 @@ def test_verify_injected_mismatch_detected(capsys, monkeypatch):
 
 
 def test_default_verify_walks_each_table_once(capsys, kernel_calls):
-    # The largest n first: one walk per (s, M') serves n = 0..30, where
-    # M' = min(M, n + 1) runs over 1..4 for s = 1..3.
+    # Each sequence reads one column of the table of (s, M) at n = 30, so
+    # one walk per (s, M) serves n = 0..30, for s = 1..3 and M = 1..4.
     assert run_cli(capsys, "verify")[0] == 0
     assert sorted(kernel_calls) == [(30, s, M) for s in (1, 2, 3) for M in (1, 2, 3, 4)]
 
@@ -205,16 +205,37 @@ def test_oracle_range_walks_once(capsys, kernel_calls):
     assert kernel_calls == [(60, 1, 1)]
 
 
+@pytest.mark.parametrize("mod, hi", [("1000", "14"), ("1000000000", "40")])
+def test_oracle_range_with_a_huge_modulus_walks_one_table(capsys, kernel_calls, mod, hi):
+    # s and M are capped once at the range's top n + 1: one table serves
+    # every row, not one table per capped modulus min(M, n + 1).
+    code, out, _ = run_cli(capsys, "stats", "--kind", "varsigma", "--mod", mod, "--res", "7",
+                           "--r", "1", "--range", f"0:{hi}", "--method", "oracle")
+    assert code == 0 and len(out.splitlines()) == int(hi) + 3
+    assert kernel_calls == [(int(hi), 1, int(hi) + 1)]
+
+
 @pytest.fixture
 def oracle_calls(monkeypatch):
-    """The (params, n) of every oracle call the CLI makes."""
+    """The arguments of every oracle call the CLI makes: ``(params, n)``
+    per n, ``(kind, params, N)`` per column."""
     calls = []
-    for name in ("sigma_oracle", "varsigma_oracle"):
-        def counted(p, n, real=getattr(cli, name)):
-            calls.append((p, n))
-            return real(p, n)
+    for name in ("sigma_oracle", "varsigma_oracle", "oracle_values"):
+        def counted(*args, real=getattr(cli, name)):
+            calls.append(args)
+            return real(*args)
         monkeypatch.setattr(cli, name, counted)
     return calls
+
+
+def test_oracle_calls_sees_every_oracle_request(capsys, oracle_calls):
+    # The tests that assert no oracle work ran rest on this.
+    p = MexParams(1, 1, 1, 0)
+    for argv in (("stats", "--kind", "sigma", "--method", "oracle", "--range", "0:3"),
+                 ("stats", "--kind", "varsigma", "--method", "both", "--n", "3"),
+                 ("verify", "--max-mod", "1", "--max-s", "1", "--max-r", "0", "--max-n", "2")):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert oracle_calls == [("sigma", p, 3), (p, 3), ("sigma", p, 2), ("varsigma", p, 2)]
 
 
 @pytest.mark.parametrize("argv", [

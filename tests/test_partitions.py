@@ -9,6 +9,8 @@ the oracle uses).
 
 import sys
 import threading
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -21,7 +23,7 @@ from mexmoments import (
     varsigma_oracle,
 )
 import mexmoments.partitions
-from mexmoments.partitions import mex_value_histogram
+from mexmoments.partitions import mex_value_histogram, oracle_values
 from reference import mex_s, mex_s_mod, partitions
 
 
@@ -172,6 +174,55 @@ def test_oracles_match_direct_partition_walk():
                         assert varsigma_oracle(params, n) == direct_varsigma
 
 
+_partitions = lru_cache(maxsize=None)(lambda n: tuple(partitions(n)))
+
+
+@lru_cache(maxsize=None)
+def _value_counts(n: int, s: int, M: int, A: int) -> tuple:
+    """(value, count) over the partitions of n: of the mex with frequency
+    s when M = 0, else of the congruence mex for (s, M, A)."""
+    return tuple(Counter(mex_s(pi, s) if M == 0 else mex_s_mod(pi, s, M, A)
+                         for pi in _partitions(n)).items())
+
+
+def _enumerated_moment(kind: str, p: MexParams, n: int) -> int:
+    if kind == "sigma":
+        return sum(c * v**p.r for v, c in _value_counts(n, p.s, 0, 0) if v % p.M == p.A % p.M)
+    return sum(c * v**p.r for v, c in _value_counts(n, p.s, p.M, p.A))
+
+
+def test_oracle_column_equals_enumeration():
+    # One column of one table gives every n <= N, with s, M and A capped
+    # at N + 1: thresholds and moduli at, just past and far past N, and
+    # residues A = M and A > N, must leave every value as defined.
+    for N in range(21):
+        for s in sorted({1, 2, 3, N + 1, N + 5, 2**31}):
+            for M in sorted({1, 2, 3, 4, 5, N, N + 1, 1000} - {0}):
+                for A in sorted({1, M, min(N + 1, M)}):
+                    for r in range(4):
+                        p = MexParams(s, M, A, r)
+                        for kind in ("sigma", "varsigma"):
+                            want = [_enumerated_moment(kind, p, n) for n in range(N + 1)]
+                            assert oracle_values(kind, p, N) == want, (kind, p, N)
+
+
+def test_oracle_column_equals_the_per_n_oracles():
+    # Each n asked alone caps s and M at n + 1, the column at N + 1.
+    for N in (30, 55, 60):
+        for s, M, A, r in ((1, 1, 1, 1), (2, 3, 2, 2), (1, 4, 3, 1), (3, 2, 1, 0),
+                           (1, 1000, 7, 1), (N + 1, N + 1, N + 1, 2)):
+            p = MexParams(s, M, A, r)
+            for kind, oracle in (("sigma", sigma_oracle), ("varsigma", varsigma_oracle)):
+                column = oracle_values(kind, p, N)
+                assert len(column) == N + 1
+                assert column == [oracle(p, n) for n in range(N, -1, -1)][::-1], (kind, p, N)
+
+
+def test_oracle_column_rejects_an_unknown_kind():
+    with pytest.raises(ValidationError, match="^kind must be one of"):
+        oracle_values("mex", MexParams(1, 1, 1, 0), 3)
+
+
 def test_varsigma_oracle_caps_the_kernel_modulus(kernel_calls):
     # A modulus beyond n reads the same row from modulus n+1, so the
     # kernel never builds 10^5 rows for a 10^5 modulus.
@@ -187,9 +238,9 @@ def test_one_walk_serves_every_smaller_n(kernel_calls):
     # The table of (s, M) at n = 20 holds the histogram of every n <= 20;
     # a longer request walks again, and the longer table then serves all.
     first = mex_value_histogram(20, 2, 3)
-    assert [mex_value_histogram(n, 2, 3) for n in range(21)][-1] == first
+    assert [mex_value_histogram(n, 2, 3) for n in range(21)] == [first[: n + 1] for n in range(21)]
     assert kernel_calls == [(20, 2, 3)]
-    assert mex_value_histogram(25, 2, 3)[0][0] > 0
+    assert mex_value_histogram(25, 2, 3)[25][0][0] > 0
     assert mex_value_histogram(20, 2, 3) == first
     assert kernel_calls == [(20, 2, 3), (25, 2, 3)]
 
@@ -201,10 +252,10 @@ def test_histogram_store_evicts_whole_tables(kernel_calls, monkeypatch):
     store = mexmoments.partitions._tables
     monkeypatch.setattr(store, "limit", 300)
     keys = [(1, 1), (2, 1), (1, 2), (2, 2)]
-    first = {key: [mex_value_histogram(n, *key) for n in (12, 5)] for key in keys}
+    first = {key: [mex_value_histogram(n, *key)[n] for n in (12, 5)] for key in keys}
     assert len(kernel_calls) == 4
     assert list(store.entries) == [(1, 2), (2, 2)]
-    again = {key: [mex_value_histogram(n, *key) for n in (12, 5)] for key in keys}
+    again = {key: [mex_value_histogram(n, *key)[n] for n in (12, 5)] for key in keys}
     assert again == first
     assert kernel_calls[4][1:] == (1, 1)
     # One table above the limit is kept alone.
@@ -223,7 +274,7 @@ def test_histogram_store_threads_agree(kernel_calls):
 
     def ask(i):
         start.wait(timeout=30)
-        results[i] = mex_value_histogram(ns[i], 2, 3)
+        results[i] = mex_value_histogram(ns[i], 2, 3)[ns[i]]
 
     threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(ns))]
     interval = sys.getswitchinterval()
@@ -259,7 +310,7 @@ def test_sigma_residue_classes_partition_everything():
 
 def test_histogram_value_bound():
     for (n, s, M) in [(8, 1, 3), (10, 2, 2), (6, 3, 4)]:
-        rows = mex_value_histogram(n, s, M)
+        rows = mex_value_histogram(n, s, M)[n]
         assert len(rows) == M
         for row in rows:
             assert len(row) == n // M + 2
