@@ -1,21 +1,21 @@
-"""Asymptotic layer: log-space closed forms and the analytic machinery
-behind them.
+"""Asymptotic layer: log-space closed forms for the moment sequences.
 
 Exact moment values grow like exp(pi * sqrt(2n/3)), so every growth law
 returns the natural log of its value as a float, and big integers only
 ever enter through ``math.log``, which is accurate for ints far beyond
 float range.
 
-The pieces fit together in a chain that the tests re-run numerically:
+The module holds:
 
-* weighted partial theta sums and their Euler-Maclaurin-style expansion
-  (with exact Bernoulli-polynomial coefficients), both evaluated with
-  mpmath, imported on first use,
+* the t -> 0+ data of each moment generating function at q = e^-t, and
+  its evaluation from exact coefficients,
 * the modular inversion estimate for the Euler product at q = e^-t,
-* a Tauberian transfer from t -> 0+ behaviour of a generating function to
-  n -> infinity behaviour of its coefficients,
-* the resulting closed-form growth laws for both moment families, and
-  ratio helpers for comparing exact sequences against them.
+* the closed-form growth laws for both moment families, and ratio
+  helpers for comparing exact sequences against them.
+
+The derivation behind the laws (partial theta sums, their expansion with
+exact Bernoulli coefficients, and the Tauberian transfer) is re-run
+numerically by the tests, from ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from mexmoments import qseries
 from mexmoments.errors import ResourceCapError, ValidationError
@@ -31,141 +30,9 @@ from mexmoments.partitions import MexParams
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Decimal digits the partial-theta functions work at when the caller asks
-# for a float: double precision plus guard digits.
-_FLOAT_DPS = 20
-
 
 # ---------------------------------------------------------------------------
-# Bernoulli polynomials (exact rational coefficients)
-
-
-@lru_cache(maxsize=None)
-def bernoulli_number(m: int) -> Fraction:
-    """B_m in the generating-function convention (B_1 = -1/2), exact."""
-    if m < 0:
-        raise ValidationError(f"m must be >= 0, got {m}")
-    if m == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for k in range(m):
-        acc += math.comb(m + 1, k) * bernoulli_number(k)
-    return -acc / (m + 1)
-
-
-@lru_cache(maxsize=None)
-def bernoulli_poly_coeffs(m: int) -> tuple[Fraction, ...]:
-    """Coefficients c_0..c_m of B_m(x) = sum_j c_j x^j, exact."""
-    if m < 0:
-        raise ValidationError(f"m must be >= 0, got {m}")
-    return tuple(math.comb(m, j) * bernoulli_number(m - j) for j in range(m + 1))
-
-
-def bernoulli_poly(m: int, x: float | Fraction) -> float | Fraction:
-    """B_m(x) by Horner's rule over the exact coefficients.
-
-    A float x gives a float (``float + Fraction`` rounds the coefficient
-    to a float first, so each step is one float multiply-add); a Fraction
-    x gives the exact rational value.
-    """
-    acc = 0
-    for c in reversed(bernoulli_poly_coeffs(m)):
-        acc = acc * x + c
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# weighted partial theta sums
-
-
-def _theta_args(u: float, r: int, t: float) -> None:
-    if not u > 0:
-        raise ValidationError(f"u must be > 0, got {u}")
-    if not t > 0:
-        raise ValidationError(f"t must be > 0, got {t}")
-    if r < 0:
-        raise ValidationError(f"r must be >= 0, got {r}")
-
-
-def partial_theta_sum(u: float, r: int, t: float, dps: int | None = None):
-    """sum_{n>=0} (n+u)^r exp(-(n+u)^2 t^2) by direct summation in mpmath.
-
-    Terms are accumulated until, past the peak, they fall below
-    10^-(digits+10) of the running total, plus a fixed safety margin of
-    eight further terms.  With ``dps`` left at None the sum runs at 20
-    digits and a float is returned; an integer ``dps`` runs it at that
-    many decimal digits (needed by remainder-order checks whose scale sits
-    far below double precision) and returns an mpf.
-    """
-    _theta_args(u, r, t)
-    from mpmath import mp, mpf
-
-    with mp.workdps(_FLOAT_DPS if dps is None else dps):
-        uu = mpf(u)
-        tt = mpf(t)
-        cutoff = mpf(10) ** (-(mp.dps + 10))
-        total = mpf(0)
-        prev = None
-        tail = 0
-        n = 0
-        while tail < 8:
-            base = uu + n
-            term = base**r * mp.exp(-((base * tt) ** 2))
-            total += term
-            past_peak = prev is None or term <= prev
-            prev = term
-            n += 1
-            if past_peak and term <= total * cutoff:
-                tail += 1
-        return float(total) if dps is None else total
-
-
-def partial_theta_expansion(u: float, r: int, t: float, N: int, dps: int | None = None):
-    """Small-t expansion of the weighted partial theta sum:
-
-        Gamma((r+1)/2) / (2 t^(r+1))
-          - sum_{n=0}^{N-1} (-1)^n B_{2n+r+1}(u) t^(2n) / ((2n+r+1) n!)
-
-    with remainder O(t^(2N)), evaluated in mpmath from the exact
-    Bernoulli values.  ``dps`` works as in ``partial_theta_sum``: None
-    gives a float, an integer gives an mpf at that many digits.
-    """
-    _theta_args(u, r, t)
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
-    from mpmath import mp, mpf
-
-    with mp.workdps(_FLOAT_DPS if dps is None else dps):
-        tt = mpf(t)
-        ux = Fraction(u)
-        lead = mp.gamma(mpf(r + 1) / 2) / (2 * tt ** (r + 1))
-        corr = mpf(0)
-        for n in range(N):
-            b = bernoulli_poly(2 * n + r + 1, ux)
-            corr += (
-                (-1) ** n
-                * (mpf(b.numerator) / b.denominator)
-                * tt ** (2 * n)
-                / ((2 * n + r + 1) * math.factorial(n))
-            )
-        result = lead - corr
-        return float(result) if dps is None else result
-
-
-def theta_remainder_coefficient(u: float, r: int, N: int) -> Fraction:
-    """Exact leading coefficient of the expansion remainder, i.e. the
-    n = N correction term's B_{2N+r+1}(u) / ((2N+r+1) N!).
-
-    When this vanishes (Bernoulli polynomials of odd index are zero at
-    x = 1/2 and x = 1) the remainder drops below every power of t and a
-    t^(2N) order check is meaningless; callers use this to detect that.
-    """
-    b = bernoulli_poly(2 * N + r + 1, Fraction(u))
-    return b / ((2 * N + r + 1) * math.factorial(N))
-
-
-# ---------------------------------------------------------------------------
-# Tauberian transfer
+# generating-function data at q = e^-t
 
 
 @dataclass(frozen=True)
@@ -182,24 +49,6 @@ class InghamParams:
             raise ValidationError(f"lam must be > 0, got {self.lam}")
         if not self.growth_A > 0:
             raise ValidationError(f"growth_A must be > 0, got {self.growth_A}")
-
-
-def ingham_transfer(p: InghamParams, n: int) -> float:
-    """Natural log of the coefficient growth implied by the Tauberian
-    transfer:
-
-        f(n) ~ lam / (2 sqrt(pi)) * A^(alpha/2 + 1/4)
-               / n^(alpha/2 + 3/4) * exp(2 sqrt(A n)).
-    """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    return (
-        math.log(p.lam)
-        - math.log(2.0 * math.sqrt(math.pi))
-        + (p.alpha / 2 + 0.25) * math.log(p.growth_A)
-        - (p.alpha / 2 + 0.75) * math.log(n)
-        + 2.0 * math.sqrt(p.growth_A * n)
-    )
 
 
 def qexpansion_ingham_params(kind: str, s: int, M: int, r: int) -> InghamParams:

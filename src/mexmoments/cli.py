@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 validation error, 2 verification mismatch,
 Every command computes its series exactly to the largest n it serves.
 The enumeration oracle of ``stats`` and ``verify`` serves n <= 60
 (``partitions.ORACLE_CAP``), a fixed limit that both commands check
-against their largest n before any work.  Data outputs are
+against their largest n before any work; ``verify`` also refuses a grid
+whose estimated work exceeds ``VERIFY_WORK_LIMIT``.  Data outputs are
 deterministic: identical arguments yield byte-identical files; run
 metadata (timestamp, backend, argv) goes to a ``<out>.meta.json``
 sidecar instead.
@@ -137,13 +138,12 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 
 def _parse_n_list(spec: str) -> list[int]:
+    """Every comma-separated item is an integer: an empty item, the empty
+    spec included, is an error, not a skip."""
     try:
-        values = [int(x) for x in spec.split(",") if x.strip() != ""]
+        return [int(x) for x in spec.split(",")]
     except ValueError as exc:
         raise ValidationError(f"--n-list must be comma-separated integers, got {spec!r}") from exc
-    if not values:
-        raise ValidationError("--n-list must not be empty")
-    return values
 
 
 def _int_str_limit() -> int:
@@ -352,15 +352,53 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+#: Work units of one sequence and of one value, on top of the value's
+#: bits, in ``verify_work``.  One unit is about the time of one bit of
+#: value, 2 ns on a 2-core machine; a sequence costs about 22 us and a
+#: value about 1 us there.
+SEQUENCE_WORK = 10_000
+VALUE_WORK = 500
+
+#: Most work ``verify`` starts: its largest grid along each of moduli,
+#: thresholds and r runs in 18-25 s on a 2-core machine.  A larger limit
+#: would admit --max-r 6000 (27 s, and 332 MB resident, past the sequence
+#: store's STORE_BYTE_LIMIT).
+VERIFY_WORK_LIMIT = 10**10
+
+
+def verify_work(max_mod: int, max_s: int, max_r: int, max_n: int) -> int:
+    """An upper estimate, from the bounds alone, of the work of the
+    verify grid: ``SEQUENCE_WORK`` per sequence, ``VALUE_WORK`` per value,
+    and the value's bits, at most log2 p(max_n) + r log2(max_n + 1) for
+    moment order r, each log rounded up to a bit length.  The arithmetic
+    is exact, so bounds of any size give a number.  ``max_n`` is at most
+    ``ORACLE_CAP``."""
+    triples = max_mod * (max_mod + 1) // 2 * max_s  # (s, M, A) per kind
+    orders = max_r + 1
+    p_bits = qseries.partition_numbers(max_n)[max_n].bit_length()
+    column_bits = orders * p_bits + max_n.bit_length() * max_r * orders // 2
+    values = max_n + 1
+    return 2 * triples * (orders * (SEQUENCE_WORK + values * VALUE_WORK) + values * column_bits)
+
+
 def cmd_verify(args) -> int:
     if args.max_mod < 1 or args.max_s < 1 or args.max_r < 0 or args.max_n < 0:
         raise ValidationError("verify grid bounds must be positive (max-r, max-n may be 0)")
     _check_cap(args.max_n)
+    work = verify_work(args.max_mod, args.max_s, args.max_r, args.max_n)
+    if work > VERIFY_WORK_LIMIT:
+        raise ResourceCapError(
+            f"the verify grid needs about 10^{math.log10(work):.2f} work units, above the "
+            f"limit 10^{math.log10(VERIFY_WORK_LIMIT):.0f}"
+        )
+    # Threshold outermost: the oracle reads the histogram table of (s, 1)
+    # for sigma and of (s, M) for varsigma, s and M capped at max_n + 1,
+    # so each table serves a run of consecutive rows and is walked once.
     grid = (
         MexParams(s, M, A, r)
+        for s in range(1, args.max_s + 1)
         for M in range(1, args.max_mod + 1)
         for A in range(1, M + 1)
-        for s in range(1, args.max_s + 1)
         for r in range(0, args.max_r + 1)
     )
     checked = 0

@@ -5,11 +5,19 @@ definitions, with no input validation.  This module imports nothing from
 ``mexmoments``: the package never runs this code, so checking the p(n)
 table, the sparse x dense product and the histogram kernels against it
 is an independent route.
+
+The last section re-derives the growth laws of the asymptotic route
+numerically: exact Bernoulli polynomials, weighted partial theta sums and
+their small-t expansion in mpmath, and the Tauberian transfer that turns
+t -> 0+ data into coefficient growth.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul
+
+from mpmath import mp, mpf
 
 
 def cauchy_product(a: list, b: list) -> list:
@@ -120,3 +128,112 @@ def partitions_above(L: int, n: int) -> int:
         for t in range(k, n + 1):
             counts[t] += counts[t - k]
     return sum(counts)
+
+
+# ---------------------------------------------------------------------------
+# the derivation of the growth laws
+
+
+@lru_cache(maxsize=None)
+def bernoulli_number(m: int) -> Fraction:
+    """B_m in the generating-function convention (B_1 = -1/2), exact."""
+    if m == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for k in range(m):
+        acc += math.comb(m + 1, k) * bernoulli_number(k)
+    return -acc / (m + 1)
+
+
+@lru_cache(maxsize=None)
+def bernoulli_poly_coeffs(m: int) -> tuple:
+    """Coefficients c_0..c_m of B_m(x) = sum_j c_j x^j, exact."""
+    return tuple(math.comb(m, j) * bernoulli_number(m - j) for j in range(m + 1))
+
+
+def bernoulli_poly(m: int, x: Fraction) -> Fraction:
+    """B_m(x) at a rational x, exactly, by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(bernoulli_poly_coeffs(m)):
+        acc = acc * x + c
+    return acc
+
+
+def partial_theta_sum(u: float, r: int, t: float, dps: int):
+    """sum_{n>=0} (n+u)^r exp(-(n+u)^2 t^2) by direct summation, as an
+    mpf at ``dps`` decimal digits.
+
+    Terms are accumulated until, past the peak, they fall below
+    10^-(dps+10) of the running total, plus a fixed safety margin of
+    eight further terms.
+    """
+    with mp.workdps(dps):
+        uu = mpf(u)
+        tt = mpf(t)
+        cutoff = mpf(10) ** (-(dps + 10))
+        total = mpf(0)
+        prev = None
+        tail = 0
+        n = 0
+        while tail < 8:
+            base = uu + n
+            term = base**r * mp.exp(-((base * tt) ** 2))
+            total += term
+            past_peak = prev is None or term <= prev
+            prev = term
+            n += 1
+            if past_peak and term <= total * cutoff:
+                tail += 1
+        return total
+
+
+def partial_theta_expansion(u: float, r: int, t: float, N: int, dps: int):
+    """Small-t expansion of the weighted partial theta sum, as an mpf at
+    ``dps`` decimal digits:
+
+        Gamma((r+1)/2) / (2 t^(r+1))
+          - sum_{n=0}^{N-1} (-1)^n B_{2n+r+1}(u) t^(2n) / ((2n+r+1) n!)
+
+    with remainder O(t^(2N)).
+    """
+    with mp.workdps(dps):
+        tt = mpf(t)
+        lead = mp.gamma(mpf(r + 1) / 2) / (2 * tt ** (r + 1))
+        corr = mpf(0)
+        for n in range(N):
+            b = bernoulli_poly(2 * n + r + 1, Fraction(u))
+            corr += (
+                (-1) ** n
+                * (mpf(b.numerator) / b.denominator)
+                * tt ** (2 * n)
+                / ((2 * n + r + 1) * math.factorial(n))
+            )
+        return lead - corr
+
+
+def theta_remainder_coefficient(u: float, r: int, N: int) -> Fraction:
+    """Exact leading coefficient of the expansion remainder, i.e. the
+    n = N correction term's B_{2N+r+1}(u) / ((2N+r+1) N!).
+
+    When this vanishes (Bernoulli polynomials of odd index are zero at
+    x = 1/2 and x = 1) the remainder drops below every power of t and a
+    t^(2N) order check is meaningless.
+    """
+    b = bernoulli_poly(2 * N + r + 1, Fraction(u))
+    return b / ((2 * N + r + 1) * math.factorial(N))
+
+
+def ingham_transfer(lam: float, alpha: float, A: float, n: int) -> float:
+    """Natural log of the coefficient growth that Ingham's Tauberian
+    theorem gives for F(e^-t) ~ lam t^alpha exp(A/t) as t -> 0+:
+
+        f(n) ~ lam / (2 sqrt(pi)) * A^(alpha/2 + 1/4)
+               / n^(alpha/2 + 3/4) * exp(2 sqrt(A n)).
+    """
+    return (
+        math.log(lam)
+        - math.log(2.0 * math.sqrt(math.pi))
+        + (alpha / 2 + 0.25) * math.log(A)
+        - (alpha / 2 + 0.75) * math.log(n)
+        + 2.0 * math.sqrt(A * n)
+    )

@@ -1,6 +1,8 @@
-"""Asymptotic layer: Bernoulli machinery, partial theta sums and their
-expansion, the Tauberian transfer, the eta-style product estimate, the
-closed-form growth laws, and the exact-ratio helpers."""
+"""Asymptotic layer: the t -> 0+ data of the generating functions, the
+eta-style product estimate, the closed-form growth laws and the
+exact-ratio helpers; and the derivation behind the laws (Bernoulli
+machinery, partial theta sums and their expansion, the Tauberian
+transfer), which lives in ``reference.py``."""
 
 import math
 from fractions import Fraction
@@ -10,23 +12,25 @@ import pytest
 from mexmoments import MexParams, ValidationError, partition_numbers, qseries
 from mexmoments.asymptotics import (
     InghamParams,
-    bernoulli_number,
-    bernoulli_poly,
     corollary_ratio,
     eta_inversion_check,
     exact_over_asymptotic,
     gf_boundary_log,
     hardy_ramanujan_asymp,
-    ingham_transfer,
-    partial_theta_expansion,
-    partial_theta_sum,
     qexpansion_ingham_params,
     sigma_asymp,
-    theta_remainder_coefficient,
     varsigma_asymp,
 )
 from mexmoments.errors import ResourceCapError
-from reference import gamma_half_integer
+from reference import (
+    bernoulli_number,
+    bernoulli_poly,
+    gamma_half_integer,
+    ingham_transfer,
+    partial_theta_expansion,
+    partial_theta_sum,
+    theta_remainder_coefficient,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +47,8 @@ def test_bernoulli_numbers_table():
 
 
 def test_bernoulli_poly_low_degrees():
-    assert bernoulli_poly(0, 123.4) == 1.0
-    assert bernoulli_poly(1, 0.75) == pytest.approx(0.25, abs=1e-15)
+    assert bernoulli_poly(0, Fraction(123.4)) == 1
+    assert bernoulli_poly(1, Fraction(0.75)) == Fraction(1, 4)
     assert bernoulli_poly(2, Fraction(0)) == Fraction(1, 6)
     # B_2(x) = x^2 - x + 1/6
     assert bernoulli_poly(2, Fraction(1, 2)) == Fraction(-1, 12)
@@ -65,25 +69,32 @@ def test_bernoulli_poly_reflection_identity():
             assert bernoulli_poly(m, 1 - x) == (-1) ** m * bernoulli_poly(m, x)
 
 
-def test_bernoulli_validation():
-    with pytest.raises(ValidationError):
-        bernoulli_number(-1)
-
-
 # ---------------------------------------------------------------------------
 # partial theta sums and their expansion
+
+# Double precision plus guard digits: the checks below read each value as
+# a float.
+DPS = 20
+
+
+def theta_sum(u, r, t):
+    return float(partial_theta_sum(u, r, t, DPS))
+
+
+def theta_expansion(u, r, t, N):
+    return float(partial_theta_expansion(u, r, t, N, DPS))
 
 
 def test_partial_theta_sum_large_t_single_term():
     # At t=10 only the first term survives at float scale.
-    got = partial_theta_sum(1.0, 0, 10.0)
+    got = theta_sum(1.0, 0, 10.0)
     assert got == pytest.approx(math.exp(-100.0), rel=1e-12)
 
 
 def test_partial_theta_expansion_leading_term():
     # r=0, u=1, N=1: Gamma(1/2)/(2t) - B_1(1) = sqrt(pi)/(2t) - 1/2.
     t = 0.3
-    got = partial_theta_expansion(1.0, 0, t, 1)
+    got = theta_expansion(1.0, 0, t, 1)
     assert got == pytest.approx(math.sqrt(math.pi) / (2 * t) - 0.5, rel=1e-14)
 
 
@@ -91,8 +102,8 @@ def test_partial_theta_sum_matches_expansion_float():
     # Well-conditioned points: error must sit at the remainder scale.
     for (u, r, N) in [(0.25, 0, 1), (0.25, 1, 2), (0.75, 2, 1), (0.5, 1, 2)]:
         for t in (0.1, 0.05):
-            direct = partial_theta_sum(u, r, t)
-            expansion = partial_theta_expansion(u, r, t, N)
+            direct = theta_sum(u, r, t)
+            expansion = theta_expansion(u, r, t, N)
             lead = abs(float(theta_remainder_coefficient(u, r, N))) * t ** (2 * N)
             assert abs(direct - expansion) <= 2.0 * lead + 1e-12
 
@@ -101,7 +112,7 @@ def test_partial_theta_remainder_order_float():
     # u=0.25, r=0, N=1: errors ~1e-4 are comfortably measurable in doubles.
     u, r, N = 0.25, 0, 1
     errs = {
-        t: abs(partial_theta_sum(u, r, t) - partial_theta_expansion(u, r, t, N))
+        t: abs(theta_sum(u, r, t) - theta_expansion(u, r, t, N))
         for t in (0.1, 0.05)
     }
     ratio = errs[0.1] / errs[0.05]
@@ -114,9 +125,9 @@ def test_partial_theta_uncorrected_sign_breaks_remainder_order():
     def flipped_sign(t):
         # The correction sum added instead of subtracted: 2 * lead - expansion.
         lead = math.gamma((r + 1) / 2) / (2.0 * t ** (r + 1))
-        return 2.0 * lead - partial_theta_expansion(u, r, t, N)
+        return 2.0 * lead - theta_expansion(u, r, t, N)
 
-    errs = {t: abs(partial_theta_sum(u, r, t) - flipped_sign(t)) for t in (0.1, 0.05)}
+    errs = {t: abs(theta_sum(u, r, t) - flipped_sign(t)) for t in (0.1, 0.05)}
     ratio = errs[0.1] / errs[0.05]
     assert not 2.0 <= ratio <= 8.0
     # the flipped sign leaves an O(1) discrepancy, so the ratio sits near 1
@@ -130,33 +141,9 @@ def test_partial_theta_degenerate_points_have_tiny_error():
     for u in (0.5, 1.0):
         for r in (0, 2):
             assert theta_remainder_coefficient(u, r, 2) == 0
-            direct = partial_theta_sum(u, r, 0.1)
-            expansion = partial_theta_expansion(u, r, 0.1, 2)
+            direct = theta_sum(u, r, 0.1)
+            expansion = theta_expansion(u, r, 0.1, 2)
             assert abs(direct - expansion) <= 1e-10 * abs(expansion)
-
-
-def test_partial_theta_mp_agrees_with_float():
-    from mpmath import mp
-
-    for (u, r, t) in [(0.25, 0, 0.1), (0.75, 3, 0.05)]:
-        assert float(partial_theta_sum(u, r, t, dps=40)) == pytest.approx(
-            partial_theta_sum(u, r, t), rel=1e-12
-        )
-        assert float(partial_theta_expansion(u, r, t, 2, dps=40)) == pytest.approx(
-            partial_theta_expansion(u, r, t, 2), rel=1e-12
-        )
-    assert mp.dps < 40  # working precision restored
-
-
-def test_partial_theta_validation():
-    with pytest.raises(ValidationError):
-        partial_theta_sum(0.0, 0, 0.1)
-    with pytest.raises(ValidationError):
-        partial_theta_sum(1.0, -1, 0.1)
-    with pytest.raises(ValidationError):
-        partial_theta_sum(1.0, 0, 0.0)
-    with pytest.raises(ValidationError):
-        partial_theta_expansion(1.0, 0, 0.1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +153,7 @@ def test_partial_theta_validation():
 def test_ingham_transfer_direct_substitution():
     # lam = 2 sqrt(pi), alpha = -1/2, A = 1, n = 1 collapses the prefactor
     # to 1 and leaves e^2.
-    p = InghamParams(2 * math.sqrt(math.pi), -0.5, 1.0)
-    assert ingham_transfer(p, 1) == pytest.approx(2.0, abs=1e-13)
+    assert ingham_transfer(2 * math.sqrt(math.pi), -0.5, 1.0, 1) == pytest.approx(2.0, abs=1e-13)
 
 
 def test_ingham_params_validation():
@@ -175,26 +161,6 @@ def test_ingham_params_validation():
         InghamParams(0.0, 1.0, 1.0)
     with pytest.raises(ValidationError):
         InghamParams(1.0, 1.0, 0.0)
-    with pytest.raises(ValidationError):
-        ingham_transfer(InghamParams(1.0, 1.0, 1.0), 0)
-
-
-def test_qexpansion_params_reproduce_growth_laws():
-    # The Tauberian transfer applied to the t->0+ data must reproduce the
-    # closed forms; this re-runs the final step of the derivation.
-    for M in (1, 2, 3):
-        for s in (1, 2):
-            for n in (10, 1000):
-                got = ingham_transfer(qexpansion_ingham_params("sigma", s, M, 0), n)
-                want = sigma_asymp(MexParams(s, M, 1, 0), n)
-                assert got == pytest.approx(want, rel=1e-13)
-                for r in (1, 2, 3):
-                    got = ingham_transfer(qexpansion_ingham_params("sigma", s, M, r), n)
-                    want = sigma_asymp(MexParams(s, M, 1, r), n)
-                    assert got == pytest.approx(want, rel=1e-13)
-                    got = ingham_transfer(qexpansion_ingham_params("varsigma", s, M, r), n)
-                    want = varsigma_asymp(MexParams(s, M, 1, r), n)
-                    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_qexpansion_params_validation():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mexmoments import MexParams, backend, cli, partition_numbers
+from mexmoments import MexParams, backend, cli, partition_numbers, partitions
 from mexmoments.cli import main
 
 
@@ -191,11 +191,17 @@ def test_verify_injected_mismatch_detected(capsys, monkeypatch):
     assert "1 mismatch" in out
 
 
-def test_default_verify_walks_each_table_once(capsys, kernel_calls):
+def test_default_verify_walks_each_table_once(capsys, kernel_calls, monkeypatch):
     # Each sequence reads one column of the table of (s, M) at n = 30, so
     # one walk per (s, M) serves n = 0..30, for s = 1..3 and M = 1..4.
-    assert run_cli(capsys, "verify")[0] == 0
-    assert sorted(kernel_calls) == [(30, s, M) for s in (1, 2, 3) for M in (1, 2, 3, 4)]
+    # The grid runs the threshold outermost, so this holds even when the
+    # store keeps only the two tables a row reads: at n = 30 the sigma
+    # table (s, 1) has 527 cells and the largest, (s, 4), has 668.
+    for limit in (partitions.STORE_CELL_LIMIT, 1400):
+        monkeypatch.setattr(partitions, "_tables", partitions.Store(limit))
+        kernel_calls.clear()
+        assert run_cli(capsys, "verify")[0] == 0
+        assert sorted(kernel_calls) == [(30, s, M) for s in (1, 2, 3) for M in (1, 2, 3, 4)]
 
 
 def test_oracle_range_walks_once(capsys, kernel_calls):
@@ -249,6 +255,37 @@ def test_oracle_cap_is_checked_before_any_work(capsys, oracle_calls, argv):
     assert out == ""
     assert "exceeds cap" in err
     assert oracle_calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("--max-mod", "2000", "--max-s", "1", "--max-r", "0", "--max-n", "1"),
+    ("--max-s", "100000000", "--max-mod", "1", "--max-r", "0", "--max-n", "1"),
+    ("--max-mod", "1", "--max-s", "1", "--max-r", "6000", "--max-n", "60"),
+    ("--max-mod", "9" * 4000, "--max-s", "9" * 4000, "--max-r", "9" * 4000),
+], ids=["moduli", "thresholds", "r", "past-float-range"])
+def test_verify_refuses_a_grid_of_minutes_before_any_work(capsys, monkeypatch, oracle_calls,
+                                                          argv):
+    # The first three ran for 15 s or more (the r grid 27 s at 332 MB)
+    # before the grid's work was estimated up front; the estimate of the
+    # last is far past float range.
+    series_calls = []
+    monkeypatch.setattr(cli.qseries, "moment_sequence", lambda *a: series_calls.append(a))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "above the limit" in err
+    assert series_calls == [] and oracle_calls == []
+
+
+def test_verify_work_limit_admits_each_axis_up_to_its_largest_grid():
+    # The grids timed when the limit was set: the largest admitted along
+    # moduli, thresholds and r, and the first refused past each.
+    for admitted, refused in [((952, 1, 0, 1), (953, 1, 0, 1)),
+                              ((1, 454462, 0, 1), (1, 454463, 0, 1)),
+                              ((1, 1, 5113, 60), (1, 1, 5114, 60))]:
+        assert cli.verify_work(*admitted) <= cli.VERIFY_WORK_LIMIT < cli.verify_work(*refused)
+    assert cli.verify_work(4, 3, 2, 30) < cli.VERIFY_WORK_LIMIT / 1000  # the default grid
 
 
 def test_stats_huge_threshold_is_served_by_the_oracle(capsys, kernel_calls):
@@ -477,7 +514,7 @@ def test_asymp_corollary_needs_res_prime(capsys):
 
 
 def test_asymp_rejects_bad_n_list(capsys):
-    for spec in ("5,x", "0", "-1"):
+    for spec in ("5,x", "0", "-1", "1,,2", "64,", ",64", ""):
         code, _, _ = run_cli(capsys, "asymp", "--kind", "sigma", "--n-list", spec)
         assert code == 1
 

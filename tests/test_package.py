@@ -1,12 +1,16 @@
 """Package-wide contracts: the public surface, the parameters no caller
-sets (no order, no oracle cap, no environment variable), the lazy mpmath
-import, and the independence of the references in ``reference.py``."""
+sets (no order, no oracle cap, no environment variable), the declared
+runtime dependencies, and the independence of the references in
+``reference.py``."""
 
 import ast
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import mexmoments
 from mexmoments import asymptotics, conjectures, qseries
@@ -56,9 +60,10 @@ def test_no_caller_sets_an_order_or_an_oracle_cap():
 
 
 def test_benchmarked_asymptotics_do_not_import_mpmath():
-    # Only the partial-theta functions need mpmath.  Importing it takes
-    # about 30 ms against about 50 ms for all of mexmoments.cli (2-core
-    # machine, python -X importtime), so no benchmarked path may load it.
+    # mpmath is a test dependency: only the partial-theta references in
+    # reference.py use it.  Importing it takes about 30 ms against about
+    # 50 ms for all of mexmoments.cli (2-core machine, python -X
+    # importtime), so no benchmarked path may load it.
     script = """
 import sys
 import mexmoments.cli
@@ -74,6 +79,34 @@ print("mpmath" in sys.modules)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def _third_party_imports(tree: ast.AST) -> set[str]:
+    """Top-level names of the absolute imports in a parsed module that are
+    neither standard library nor ``mexmoments``."""
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0}
+    tops = {name.split(".")[0] for name in names}
+    return tops - set(sys.stdlib_module_names) - {"mexmoments"}
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    # A module that starts importing a third-party package must declare it
+    # in pyproject.toml, and a declared package must still be imported.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    declared = sorted(re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in declared)
+    modules = sorted(Path(mexmoments.__file__).parent.glob("*.py"))
+    assert {m.name for m in modules} >= {"cli.py", "asymptotics.py", "qseries.py"}
+    imported = set().union(*(_third_party_imports(ast.parse(m.read_text(encoding="utf-8")))
+                             for m in modules))
+    assert sorted(imported) == declared
+    # the walk sees a third-party import, lazy or not, and skips the rest
+    probe = "import os, numpy.linalg\nfrom . import x\ndef f():\n    from mpmath import mp\n"
+    assert _third_party_imports(ast.parse(probe)) == {"numpy", "mpmath"}
 
 
 def _environment_reads(tree: ast.AST) -> list[str]:
