@@ -163,6 +163,28 @@ def test_ingham_params_validation():
         InghamParams(1.0, 1.0, 0.0)
 
 
+def test_qexpansion_params_reproduce_growth_laws():
+    # The Tauberian transfer applied to the t->0+ data must reproduce the
+    # closed forms; this re-runs the final step of the derivation.
+    def transfer(kind, s, M, r, n):
+        ip = qexpansion_ingham_params(kind, s, M, r)
+        return ingham_transfer(ip.lam, ip.alpha, ip.growth_A, n)
+
+    for M in (1, 2, 3):
+        for s in (1, 2):
+            for n in (10, 1000):
+                got = transfer("sigma", s, M, 0, n)
+                want = sigma_asymp(MexParams(s, M, 1, 0), n)
+                assert got == pytest.approx(want, rel=1e-13)
+                for r in (1, 2, 3):
+                    got = transfer("sigma", s, M, r, n)
+                    want = sigma_asymp(MexParams(s, M, 1, r), n)
+                    assert got == pytest.approx(want, rel=1e-13)
+                    got = transfer("varsigma", s, M, r, n)
+                    want = varsigma_asymp(MexParams(s, M, 1, r), n)
+                    assert got == pytest.approx(want, rel=1e-13)
+
+
 def test_qexpansion_params_validation():
     with pytest.raises(ValidationError):
         qexpansion_ingham_params("bogus", 1, 1, 0)
