@@ -15,7 +15,8 @@
  * times.  So a node follows only the chains that its saturated parts
  * k <= M+L start, and costs the same for any M.  The walk runs on C
  * integers with the interpreter lock released; int64 counters hold every
- * count up to mexmoments._pure.ENUMERATION_LIMIT (p(300) is about 9.3e15).
+ * count up to mexmoments._pure.ORACLE_CAP (p(60) is about 9.7e5) and far
+ * beyond.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mexmoments import qseries
 from mexmoments.errors import ResourceCapError, ValidationError
@@ -229,8 +228,8 @@ def corollary_ratio(kind: str, p: MexParams, a_prime: int, n: int) -> float:
     if abs(num.bit_length() - den.bit_length()) <= 1:
         # Near-equal values: subtracting two huge logs would drown the
         # signal in rounding noise, so take log(num/den) = log1p of the
-        # exact rational difference instead.
-        log_ratio = math.log1p(float(Fraction(num - den, den)))
+        # relative difference instead, which int division rounds correctly.
+        log_ratio = math.log1p((num - den) / den)
     else:
         log_ratio = math.log(num) - math.log(den)
     return math.exp(log_ratio)

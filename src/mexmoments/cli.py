@@ -168,14 +168,12 @@ def _check_printable(values) -> None:
 
 def _check_printable_up_front(kind: str, params: list[MexParams], n: int) -> None:
     """Refuse, before any k^r is computed, what ``_check_printable`` would
-    refuse after the work: the value at n includes a term k^r with k the
-    largest mex at n, so it has at least r log10(k) digits.  The margin of
-    one digit keeps float rounding from refusing a value that prints."""
+    refuse after the work: the value at n has more bits than
+    ``qseries.value_bits``, so at least that times log10(2) digits.  The
+    margin of one digit keeps float rounding from refusing what prints."""
     limit = _int_str_limit()
-    for p in params:
-        k = qseries.largest_mex(kind, p, n)
-        if limit and k >= 2 and p.r * math.log10(k) > limit + 1:
-            raise _too_long_to_print(limit)
+    if limit and any(qseries.value_bits(kind, p, n) * math.log10(2) > limit + 1 for p in params):
+        raise _too_long_to_print(limit)
 
 
 #: Characters written at a time: one ``write`` of a long text would first

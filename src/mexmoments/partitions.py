@@ -6,10 +6,9 @@ histogram kernel of :mod:`mexmoments.backend` walks the parts above
 ``_pure.SMALL_PARTS`` one partition at a time and counts the small parts
 as explicit multiplicity vectors per remainder; no identity from the
 generating functions enters.  It holds the parameter tuple ``MexParams``,
-the oracle's fixed limit ``ORACLE_CAP``, the oracle and ``Store``, the
-one cache policy of the package: one instance keeps the histogram tables
-here, in cells, and one keeps the moment sequences of
-:mod:`mexmoments.qseries`, in bytes.
+the oracle and ``Store``, the one cache policy of the package: one
+instance keeps the histogram tables here, in cells, and one keeps the
+moment sequences of :mod:`mexmoments.qseries`, in bytes.
 
 One table of (s, M) holds the histograms of every n' <= N, so the oracle
 reads a column: ``oracle_values`` gives the moment at every n = 0..N
@@ -37,12 +36,8 @@ from itertools import accumulate, pairwise
 from operator import mul
 
 from mexmoments import backend
+from mexmoments._pure import ORACLE_CAP
 from mexmoments.errors import ResourceCapError, ValidationError
-
-#: Largest n the oracles accept; p(60) ~ 9.7e5 partitions keeps a full
-#: parameter sweep at seconds scale.  Fixed: the walk grows like p(n), so
-#: a larger n is the series route's job.
-ORACLE_CAP = 60
 
 #: The two moment families.
 VALID_KINDS = ("sigma", "varsigma")
@@ -113,6 +108,17 @@ class Store:
             return self.entries[key][2]
 
 
+def _check_cap(n: int) -> None:
+    """Refuse a negative n, and n above ``ORACLE_CAP``."""
+    if n < 0:
+        raise ValidationError(f"n must be >= 0, got {n}")
+    if n > ORACLE_CAP:
+        raise ResourceCapError(
+            f"oracle request n={n} exceeds cap {ORACLE_CAP}; "
+            "use the generating-function route"
+        )
+
+
 #: Cells the histogram store keeps before it drops whole tables, least
 #: recently used first.  The largest table the oracle builds by default,
 #: (s, M) = (1, 61) at n = 60, has 7,442.
@@ -130,25 +136,15 @@ def mex_value_histogram(N: int, s: int, M: int) -> tuple[tuple[tuple[int, ...], 
     (s, M, A) is A + m*M.  Rows of n have n//M + 2 entries.
 
     A prefix of the stored table of (s, M); a table shorter than N is
-    walked again to N."""
+    walked again to N.  An N above ``ORACLE_CAP`` is refused first."""
+    _check_cap(N)
     table = _tables.get((s, M), N)
     if table is None:
-        rows = [tuple(row) for row in backend.mex_value_counts(N, s, M)]  # refuses N < 0
+        rows = [tuple(row) for row in backend.mex_value_counts(N, s, M)]  # refuses s, M < 1
         starts = list(accumulate((j // M + 2 for j in range(N + 1)), initial=0))
         table = tuple(tuple(row[a:b] for row in rows) for a, b in pairwise(starts))
         table = _tables.put((s, M), N, M * starts[-1], table)
     return table[: N + 1]
-
-
-def _check_cap(n: int) -> None:
-    """Refuse a negative n, and n above ``ORACLE_CAP``."""
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    if n > ORACLE_CAP:
-        raise ResourceCapError(
-            f"oracle request n={n} exceeds cap {ORACLE_CAP}; "
-            "use the generating-function route"
-        )
 
 
 def oracle_values(kind: str, p: MexParams, N: int) -> list[int]:
@@ -171,7 +167,6 @@ def oracle_values(kind: str, p: MexParams, N: int) -> list[int]:
     """
     if kind not in VALID_KINDS:
         raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
-    _check_cap(N)
     s = min(p.s, N + 1)
     if kind == "sigma":
         row, table = 0, mex_value_histogram(N, s, 1)

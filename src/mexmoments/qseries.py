@@ -38,9 +38,16 @@ from mexmoments.partitions import VALID_KINDS, MexParams, Store
 #: any work.
 SERIES_ORDER_LIMIT = 2**18
 
-#: Bytes of stored sequences (the tuple and its ints) the store keeps
+#: Bytes of stored sequences (see ``moment_sequence``) the store keeps
 #: before it evicts whole entries, least recently used first.
 STORE_BYTE_LIMIT = 256 * 2**20
+
+#: Bytes a store entry holds past what ``moment_sequence`` charges by
+#: ``sys.getsizeof``: its OrderedDict node and table slots, the cost int,
+#: and the attribute values of the MomentSequence and its MexParams.  The
+#: most tracemalloc read per entry, 135-250 bytes in stores of 200 to
+#: 20,000 order-1 sequences on CPython 3.11 (the table grows by doubling).
+_NODE_BYTES = 256
 
 
 def _check_order(order: int) -> None:
@@ -202,41 +209,37 @@ def _varsigma_support_telescoped(p: MexParams, order: int) -> list[tuple[int, in
 
 
 def largest_mex(kind: str, p: MexParams, n: int) -> int:
-    """Largest k = A + mM whose mex parts fit in n; 0 if none does.
+    """Largest k = A + mM whose mex parts fit in n >= 0; 0 if none does.
 
     A partition whose mex (sigma) or congruence mex (varsigma) is k
     holds each of 1..k-1 (sigma) or A, A+M, ..., k-M (varsigma) at least
-    s times; their weight is the exponent of k's first support term.  So
-    no partition of n has a larger mex in the class, and the moment at n
-    is at most p(n) k^r.  When k >= 2 those parts topped up with ones
-    have mex k, so the moment is at least k^r.  Computes no power of k,
-    and takes O(log n) steps, so any n is cheap.
-    """
+    s times, of weight s k(k-1)/2 or s (M m(m-1)/2 + A m).  So no
+    partition of n has a larger mex in the class, and the moment at n is
+    at most p(n) k^r.  When k >= 2 those parts topped up with ones have
+    mex k, so the moment is at least k^r.  k is the root of the quadratic
+    weight, taken with ``math.isqrt``, so any n is cheap."""
+    q = n // p.s  # the parts fit in n when their weight over s is <= q
+    if kind == "sigma":
+        k = (1 + math.isqrt(8 * q + 1)) // 2  # the largest k with k(k-1)/2 <= q
+        return 0 if k < p.A else k - (k - p.A) % p.M
+    b = 2 * p.A - p.M  # M m(m-1)/2 + A m <= q  <=>  M m^2 + b m <= 2q
+    return p.A + p.M * ((math.isqrt(b * b + 8 * p.M * q) - b) // (2 * p.M))
 
-    def need(m: int) -> int:  # weight of the parts a mex of A + mM needs
-        k = p.A + m * p.M
-        return p.s * (k * (k - 1) // 2 if kind == "sigma" else p.M * m * (m - 1) // 2 + p.A * m)
 
-    if need(0) > n:
-        return 0
-    lo, hi = 0, 1  # need(lo) <= n < need(hi) once the doubling stops
-    while need(hi) <= n:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if need(mid) <= n else (lo, mid)
-    return p.A + lo * p.M
+def value_bits(kind: str, p: MexParams, n: int) -> float:
+    """r log2(k) for k the largest mex at n, or 0 when k < 2: every
+    moment value at n' >= n is at least k^r (``largest_mex``), so it has
+    more bits than this."""
+    k = largest_mex(kind, p, n)
+    return p.r * math.log2(k) if k >= 2 else 0
 
 
 def _check_coefficient_bytes(kind: str, p: MexParams, order: int) -> None:
     """Refuse, before any k^r or p(n) is computed, a sequence whose
-    coefficients alone would not fit in the store: with k the largest mex
-    at N//2, each of the N - N//2 + 1 values at n >= N//2 is at least k^r
-    (``largest_mex``), so they take at least r log2(k) / 8 bytes each."""
-    k = largest_mex(kind, p, order // 2)
-    if k < 2:
-        return
-    nbytes = (order - order // 2 + 1) * p.r * math.log2(k) / 8
+    coefficients alone would not fit in the store: each of the
+    N - N//2 + 1 values at n >= N//2 takes at least ``value_bits`` at
+    N//2 over 8 bytes."""
+    nbytes = (order - order // 2 + 1) * value_bits(kind, p, order // 2) / 8
     if nbytes > STORE_BYTE_LIMIT:
         raise ResourceCapError(
             f"the {kind} sequence to order {order} needs at least {nbytes:.3g} coefficient "
@@ -244,27 +247,26 @@ def _check_coefficient_bytes(kind: str, p: MexParams, order: int) -> None:
         )
 
 
-def sigma_gf_coeffs(p: MexParams, order: int) -> MomentSequence:
-    """Sigma moments for n = 0..N by coefficient extraction.
-
-    Multiplies the partition-number series by the sparse theta factor of
-    the sigma family; must agree with sigma_oracle wherever both exist.
-    """
+def _gf_coeffs(kind: str, support, p: MexParams, order: int) -> MomentSequence:
+    """Moments of ``kind`` for n = 0..N: the partition-number series times
+    the sparse theta factor ``support(p, N)``, by coefficient extraction."""
     _check_order(order)
     dense = partition_numbers(order)
-    values = backend.sparse_dense_product(_sigma_support(p, order), dense, order + 1)
-    return MomentSequence("sigma", p, values)
+    values = backend.sparse_dense_product(support(p, order), dense, order + 1)
+    return MomentSequence(kind, p, values)
+
+
+def sigma_gf_coeffs(p: MexParams, order: int) -> MomentSequence:
+    """Sigma moments for n = 0..N by coefficient extraction; must agree
+    with sigma_oracle wherever both exist."""
+    return _gf_coeffs("sigma", _sigma_support, p, order)
 
 
 def varsigma_gf_coeffs(p: MexParams, order: int) -> MomentSequence:
     """Varsigma moments for n = 0..N by coefficient extraction, with the
     telescoped theta factor; must agree with varsigma_oracle wherever both
     exist."""
-    _check_order(order)
-    support = _varsigma_support_telescoped(p, order)
-    dense = partition_numbers(order)
-    values = backend.sparse_dense_product(support, dense, order + 1)
-    return MomentSequence("varsigma", p, values)
+    return _gf_coeffs("varsigma", _varsigma_support_telescoped, p, order)
 
 
 _store = Store(STORE_BYTE_LIMIT)
@@ -292,7 +294,10 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
         _check_coefficient_bytes(kind, p, order)
         gf_coeffs = sigma_gf_coeffs if kind == "sigma" else varsigma_gf_coeffs
         seq = gf_coeffs(p, order)
-        cost = sys.getsizeof(seq.values) + sum(map(sys.getsizeof, seq.values))
+        # The values, their tuple, the MomentSequence, its MexParams, the
+        # key, the store's (n, cost, value) tuple and its node.
+        held = (seq.values, seq, p, key, (order, 0, seq))
+        cost = sum(map(sys.getsizeof, seq.values)) + sum(map(sys.getsizeof, held)) + _NODE_BYTES
         seq = _store.put(key, order, cost, seq)
     return seq if seq.order == order else seq.prefix(order)
 

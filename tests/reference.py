@@ -120,6 +120,25 @@ def mex_s_mod(parts: tuple, s: int, M: int, A: int) -> int:
     return k
 
 
+def mex_weight(kind: str, s: int, M: int, A: int, k: int) -> int:
+    """Weight of the parts a mex of k = A + mM needs: s copies of each of
+    1..k-1 (sigma) or of A, A+M, ..., k-M (varsigma), summed as
+    arithmetic series."""
+    if kind == "sigma":
+        return s * k * (k - 1) // 2
+    m = (k - A) // M
+    return s * (m * A + M * m * (m - 1) // 2)
+
+
+def largest_mex_scan(kind: str, s: int, M: int, A: int, n: int) -> int:
+    """Largest k = A + mM whose ``mex_weight`` fits in n, by walking up
+    the class from A; 0 if the weight of A does not fit."""
+    k = A
+    while mex_weight(kind, s, M, A, k) <= n:
+        k += M
+    return k - M if k > A else 0
+
+
 def partitions_above(L: int, n: int) -> int:
     """The partitions of every t = 0..n into parts > L, counted together
     (the empty partition of 0 included), one part size at a time."""

@@ -8,6 +8,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mexmoments import MexParams, ValidationError, partition_numbers, qseries
 from mexmoments.asymptotics import (
@@ -388,6 +390,32 @@ def test_corollary_ratio_converges_spot():
     d_large = abs(corollary_ratio("sigma", p, 2, 512) - 1.0)
     d_small = abs(corollary_ratio("sigma", p, 2, 64) - 1.0)
     assert d_large < d_small
+
+
+@st.composite
+def near_equal_values(draw):
+    """Positive (num, den) whose bit lengths differ by at most one, up to
+    4,000 bits, often only a few units apart."""
+    bits = draw(st.integers(1, 4000))
+    den = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    lo, hi = 1 << max(0, bits - 2), (1 << (bits + 1)) - 1
+    num = draw(st.one_of(
+        st.integers(lo, hi),
+        st.integers(-(2**64), 2**64).map(lambda d: min(max(lo, den + d), hi)),
+    ))
+    return num, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_equal_values())
+def test_corollary_ratio_of_near_equal_values_is_correctly_rounded(values):
+    # The near-equal branch takes log1p of (num - den) / den: int division
+    # rounds correctly, so it must equal the float of the exact fraction.
+    num, den = values
+    want = 1.0 if num == den else math.exp(math.log1p(float(Fraction(num - den, den))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qseries, "moment_value", lambda kind, p, n: num if p.A == 1 else den)
+        assert corollary_ratio("sigma", MexParams(1, 2, 1, 1), 2, 10) == want
 
 
 def test_exact_over_asymptotic_spot():

@@ -72,7 +72,7 @@ def test_mex_value_counts_validation(impl):
     with pytest.raises(ValueError):
         impl(1, 1, 0)
     with pytest.raises(ValueError):
-        impl(_pure.ENUMERATION_LIMIT + 1, 1, 1)
+        impl(_pure.ORACLE_CAP + 1, 1, 1)
 
 
 def test_a_threshold_no_c_int_holds_gives_the_histograms_of_n_plus_one(impl):

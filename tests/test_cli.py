@@ -62,6 +62,20 @@ def test_stats_json_format(capsys):
     assert doc["rows"] == [{"n": 4, "oracle": 3, "gf": 3, "match": True}]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("method", ["gf", "oracle", "both"])
+@pytest.mark.parametrize("kind", ["sigma", "varsigma"])
+def test_stats_n_prints_what_the_one_point_range_prints(capsys, kind, method, fmt):
+    # --n reads the per-n oracle (sigma_oracle, varsigma_oracle) and
+    # --range the column of oracle_values: both must exit and print alike.
+    argv = ("stats", "--kind", kind, "--s", "2", "--mod", "3", "--res", "2", "--r", "2",
+            "--method", method, "--format", fmt)
+    for x in (0, 7, 60):
+        single = run_cli(capsys, *argv, "--n", str(x))
+        assert single[0] == 0
+        assert single == run_cli(capsys, *argv, "--range", f"{x}:{x}"), x
+
+
 def test_stats_validation_exit_code(capsys):
     code, _, err = run_cli(capsys, "stats", "--kind", "sigma", "--res", "5", "--mod", "3", "--n", "1")
     assert code == 1

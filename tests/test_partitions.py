@@ -9,6 +9,7 @@ the oracle uses).
 
 import sys
 import threading
+import time
 from collections import Counter
 from functools import lru_cache
 
@@ -330,3 +331,19 @@ def test_oracle_negative_n_rejected():
     for oracle in (sigma_oracle, varsigma_oracle):
         with pytest.raises(ValidationError, match="^n must be >= 0, got -1$"):
             oracle(MexParams(1, 1, 1, 0), -1)
+
+
+def test_histogram_tables_meet_the_oracle_cap_at_once(kernel_calls):
+    # Every table passes mex_value_histogram, which checks the one
+    # enumeration limit before any walk: a walk to n = 200 would run for
+    # about a day and a half.
+    assert mexmoments.partitions.ORACLE_CAP == 60
+    for N in (61, 200, 10**6):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=f"^oracle request n={N} exceeds cap 60;"):
+            mex_value_histogram(N, 1, 1)
+        assert time.perf_counter() - start < 0.1
+    assert kernel_calls == []
+    for args in ((-1, 1, 1), (1, 0, 1), (1, 1, 0)):
+        with pytest.raises(ValidationError):
+            mex_value_histogram(*args)

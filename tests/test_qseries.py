@@ -7,9 +7,12 @@ import gc
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mexmoments import (
     MexParams,
@@ -29,6 +32,8 @@ from reference import (
     d2_coeffs,
     euler_product_coeffs,
     invert_unit_series,
+    largest_mex_scan,
+    mex_weight,
     varsigma_support_direct,
 )
 
@@ -253,6 +258,33 @@ def test_largest_mex_bounds_the_oracle():
                             assert value >= k**r
 
 
+# Huge s and M as well as small ones, so that both 0 and a long chain occur.
+big = st.one_of(st.integers(1, 10), st.integers(1, 10**30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(("sigma", "varsigma")), big, big, st.data(), st.integers(0, 10**60))
+def test_largest_mex_is_the_largest_that_fits(kind, s, M, data, n):
+    A = data.draw(st.one_of(st.just(1), st.just(M), st.integers(1, M)))
+    k = qseries.largest_mex(kind, MexParams(s, M, A, 1), n)
+    if k == 0:
+        assert mex_weight(kind, s, M, A, A) > n
+    else:
+        assert k >= A and (k - A) % M == 0
+        assert mex_weight(kind, s, M, A, k) <= n < mex_weight(kind, s, M, A, k + M)
+
+
+def test_largest_mex_equals_a_linear_scan():
+    for kind in ("sigma", "varsigma"):
+        for s in (1, 3):
+            for M in (1, 2, 5):
+                for A in sorted({1, (M + 1) // 2, M}):
+                    p = MexParams(s, M, A, 1)
+                    for n in range(2001):
+                        want = largest_mex_scan(kind, s, M, A, n)
+                        assert qseries.largest_mex(kind, p, n) == want, (kind, p, n)
+
+
 def test_moment_values_nonnegative_everywhere():
     for (s, M, A, r) in [(1, 2, 1, 0), (1, 2, 2, 1), (2, 3, 3, 2), (3, 4, 1, 1)]:
         p = MexParams(s, M, A, r)
@@ -447,10 +479,39 @@ def test_store_threads_agree(gf_calls):
     fresh = varsigma_gf_coeffs(p, 600).values
     for order, seq in zip(orders, results):
         assert seq.values == fresh[: order + 1]
-    n, cost, seq = qseries._store.entries[("varsigma", p)]
+    key = ("varsigma", p)
+    entry = qseries._store.entries[key]
+    n, cost, seq = entry
     assert n == 600 and seq.values == fresh
-    assert cost == sys.getsizeof(fresh) + sum(map(sys.getsizeof, fresh))
+    held = (fresh, seq, p, key, entry)
+    assert cost == (sum(map(sys.getsizeof, fresh)) + sum(map(sys.getsizeof, held))
+                    + qseries._NODE_BYTES)
     assert qseries._store.total == cost
+
+
+def test_store_charges_what_an_entry_holds(monkeypatch):
+    # Order-1 sequences hold two ints each, so most of what an entry
+    # retains is the objects around them: the MomentSequence, its
+    # MexParams, the key, the entry tuple and the node.  4,830 of them
+    # hold over 2 MB, so a 1 MiB store must evict to keep its total in
+    # bounds, and what it keeps must be about what it charged.
+    limit = 2**20
+    monkeypatch.setattr(qseries, "_store", Store(limit))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for M in range(1, 70):
+            for A in range(1, M + 1):
+                for kind in ("sigma", "varsigma"):
+                    qseries.moment_sequence(kind, MexParams(1, M, A, 1), 1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert qseries._store.total <= limit
+    # Slack of 1/32: the store's own objects, and a hash table just grown.
+    assert held <= limit + limit // 32, held
 
 
 def test_series_orders_above_the_limit_are_refused(gf_calls):

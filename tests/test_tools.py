@@ -1,11 +1,15 @@
 """The golden generator runs from a plain checkout and rewrites the
-committed goldens byte for byte."""
+committed goldens byte for byte, and the README's command-line examples
+run as shown."""
 
 import os
+import shlex
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from mexmoments import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +32,31 @@ def test_generate_golden_from_a_plain_checkout(tmp_path):
     assert written == sorted(p.name for p in golden.iterdir())
     for name in written:
         assert (tmp_path / "tests" / "golden" / name).read_bytes() == (golden / name).read_bytes()
+
+
+def readme_commands() -> list:
+    """(argv, shown rows) of each ``mexmoments`` command in the sh block
+    under ``## Command line`` in README.md, continuation lines joined; the
+    rows are those of the ``# ->`` comment below the command, if any."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0].replace("\\\n", " ")
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("mexmoments "):
+            commands.append((shlex.split(line)[1:], []))
+        elif line.startswith(("# -> ", "#    ")):
+            commands[-1][1].append(line[5:].strip())
+    return commands
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 7
+    assert commands[0][1] == ["n,oracle,gf,match", "4,5,5,true"]
+    for argv, shown in commands:
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if shown:  # the rows below the "# params:" line
+            assert out.splitlines()[1:] == shown, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seq.csv", "seq.csv.meta.json"]
