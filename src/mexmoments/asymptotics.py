@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from mexmoments import qseries
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams
+from mexmoments.partitions import MexParams, _check_kind
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -62,8 +62,7 @@ def qexpansion_ingham_params(kind: str, s: int, M: int, r: int) -> InghamParams:
 
     growth_A is pi^2/6 throughout.
     """
-    if kind not in qseries.VALID_KINDS:
-        raise ValidationError(f"kind must be one of {qseries.VALID_KINDS}, got {kind!r}")
+    _check_kind(kind)
     if s < 1 or M < 1 or r < 0:
         raise ValidationError(f"invalid (s, M, r) = ({s}, {M}, {r})")
     growth = math.pi**2 / 6.0
@@ -182,6 +181,14 @@ def varsigma_asymp(p: MexParams, n: int) -> float:
 # exact-versus-asymptotic ratios
 
 
+def _exp_ratio(log_ratio: float) -> float:
+    """exp(log_ratio), or ``inf`` past float range."""
+    try:
+        return math.exp(log_ratio)
+    except OverflowError:
+        return math.inf
+
+
 def exact_over_asymptotic(kind: str, p: MexParams, n: int) -> float:
     """Ratio exact_value(n) / growth_law(n), evaluated in log space.
 
@@ -194,16 +201,14 @@ def exact_over_asymptotic(kind: str, p: MexParams, n: int) -> float:
     if exact == 0:
         return 0.0
     asymp = sigma_asymp(p, n) if kind == "sigma" else varsigma_asymp(p, n)
-    try:
-        return math.exp(math.log(exact) - asymp)
-    except OverflowError:
-        return math.inf
+    return _exp_ratio(math.log(exact) - asymp)
 
 
 def corollary_ratio(kind: str, p: MexParams, a_prime: int, n: int) -> float:
     """Exact-value ratio between the moment sequences of two residues
     A and A' (same s, M, r), computed in log space from exact integers.
 
+    A ratio past float range is ``inf``, as in ``exact_over_asymptotic``.
     Raises ZeroDivisionError when the denominator value is still zero,
     which happens at small n for residues whose statistic needs a minimum
     weight to occur.  The values come from ``qseries.moment_value``, as
@@ -232,4 +237,4 @@ def corollary_ratio(kind: str, p: MexParams, a_prime: int, n: int) -> float:
         log_ratio = math.log1p((num - den) / den)
     else:
         log_ratio = math.log(num) - math.log(den)
-    return math.exp(log_ratio)
+    return _exp_ratio(log_ratio)

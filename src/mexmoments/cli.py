@@ -29,13 +29,15 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, replace
-from operator import itemgetter
+from functools import partial
 
 from mexmoments import __version__, asymptotics, conjectures, qseries
 from mexmoments.backend import BACKEND
 from mexmoments.errors import ResourceCapError, ValidationError
 from mexmoments.partitions import (
+    VALID_KINDS,
     MexParams,
     _check_cap,
     oracle_values,
@@ -60,7 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_params(parser: argparse.ArgumentParser, residue: bool = True) -> None:
     """The moment family and its parameters (s, M, A, r)."""
-    parser.add_argument("--kind", choices=qseries.VALID_KINDS, required=True)
+    parser.add_argument("--kind", choices=VALID_KINDS, required=True)
     parser.add_argument("--s", type=int, default=1, help="frequency threshold (default 1)")
     parser.add_argument("--mod", type=int, default=1, help="modulus M (default 1)")
     if residue:
@@ -158,11 +160,13 @@ def _too_long_to_print(limit: int) -> ResourceCapError:
     )
 
 
-def _check_printable(values) -> None:
-    """Refuse, before anything is formatted, a value with more decimal
-    digits than int-to-str conversion accepts."""
+def _check_printable(columns) -> None:
+    """Refuse, before anything is formatted, an int with more decimal
+    digits than int-to-str conversion accepts: one ``max`` per column.
+    An iterator is not read here, only as its rows are written."""
     limit = _int_str_limit()
-    if limit and max(values, default=0) >= 10**limit:
+    tops = [max(column, default=0) for column in columns if not isinstance(column, Iterator)]
+    if limit and any(type(top) is int and top >= 10**limit for top in tops):
         raise _too_long_to_print(limit)
 
 
@@ -230,33 +234,34 @@ def _json_column(values: list) -> list[str]:
     return list(map(text.__getitem__, values))
 
 
-def _json_list(items: list[dict]) -> list[str]:
-    """The pieces of the JSON text of ``items`` as a value in a top-level
-    dict, rendered ``_JSON_BLOCK`` items at a time from one template."""
-    if not items:
+def _json_list(columns: dict) -> list[str]:
+    """The pieces of the JSON text, as a value in a top-level dict, of
+    the list whose item i maps each column name to the column's value i,
+    rendered ``_JSON_BLOCK`` items at a time from one template."""
+    size = len(next(iter(columns.values()), ()))
+    if not size:
         return ["[]"]
-    keys = sorted(items[0])
+    keys = sorted(columns)
     lines = (f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
     template = "{\n" + ",\n".join(lines) + "\n    }"
     pieces = ["[\n    "]
-    for start in range(0, len(items), _JSON_BLOCK):
-        block = items[start : start + _JSON_BLOCK]
-        columns = [_json_column(list(map(itemgetter(k), block))) for k in keys]
-        pieces += (",\n    ".join(map(template.__mod__, zip(*columns))), ",\n    ")
+    for start in range(0, size, _JSON_BLOCK):
+        block = [_json_column(columns[k][start : start + _JSON_BLOCK]) for k in keys]
+        pieces += (",\n    ".join(map(template.__mod__, zip(*block))), ",\n    ")
     pieces[-1] = "\n  ]"  # the separator after the last block closes the list
     return pieces
 
 
 def _json_text(doc: dict, key: str) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, with the long
-    list ``doc[key]`` written from one template per item.
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, where
+    ``doc[key]`` holds named columns of equal length that stand for the
+    list of one dict per row, each written from one template.
 
-    Every item of that list is a dict with the keys of the first.  The
-    values under one key are all ints, or hashable values of which equal
-    ones write the same JSON (tuples stand for lists, bools mix with no
-    int).  The other values of ``doc`` are small and go through
-    ``json.dumps``.  The text is joined once, from one string per block
-    of items, so the item strings of only one block are alive at a time.
+    A column holds ints, or hashable values of which equal ones write the
+    same JSON (tuples stand for lists, bools mix with no int).  The other
+    values of ``doc`` are small and go through ``json.dumps``.  The text
+    is joined once, from one string per block of rows, so the row strings
+    of only one block are alive at a time.
     """
     pieces = ["{"]
     for k, v in sorted(doc.items()):
@@ -273,19 +278,32 @@ def _json_text(doc: dict, key: str) -> str:
 def _report_text(report: conjectures.ScanReport) -> str:
     """The JSON text of ``report.to_json_dict()``.  An ordering entry's
     fields are its JSON keys and its tuples write as JSON lists, so the
-    entries go to the emitter as they are, without per-entry dicts and
-    lists."""
+    ordering goes to the emitter as one column per field, without
+    per-entry dicts and lists."""
     doc = replace(report, ordering=()).to_json_dict()
-    doc["ordering"] = list(map(vars, report.ordering))
+    doc["ordering"] = {k: [getattr(e, k) for e in report.ordering] for k in ("n", "perm", "ties")}
     return _json_text(doc, "ordering")
 
 
-def _meta(args, params: MexParams, **extra) -> dict:
-    return {"kind": args.kind, **asdict(params), **extra}
-
-
-def _params_comment(fields: dict) -> str:
-    return f"# params: {json.dumps(fields, sort_keys=True)}\n"
+def _table_text(meta: dict, columns: dict, fmt: str) -> str:
+    """The "csv" or "json" text of the table whose columns, in CSV order,
+    map each name to one value per row.  CSV: a ``# params: meta`` line,
+    the names, then one line per row (ints and floats as ``str`` writes
+    them, bools as true/false); a column may be an iterator, read as its
+    rows are written.  JSON: ``{"params": meta, "rows": [a dict per row]}``.
+    """
+    _check_printable(columns.values())
+    if fmt == "json":
+        return _json_text({"params": meta, "rows": columns}, "rows")
+    buf = io.StringIO()
+    buf.write(f"# params: {json.dumps(meta, sort_keys=True)}\n")
+    buf.write(",".join(columns) + "\n")
+    template = ",".join(["%s"] * len(columns)) + "\n"
+    for row in zip(*columns.values()):
+        # str writes ints and floats in lower case, so lowering the line
+        # only turns True and False into true and false.
+        buf.write((template % row).lower())
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -306,45 +324,22 @@ def cmd_stats(args) -> int:
     need_gf = args.method in ("gf", "both")
     if need_oracle:
         _check_cap(ns[-1])
-    seq = qseries.moment_sequence(args.kind, params, ns[-1]) if need_gf else None
+    # The series first: its byte budget refuses before any oracle weight k^r is computed.
+    gf = qseries.moment_sequence(args.kind, params, ns[-1]).values[ns[0] :] if need_gf else None
     if args.n is not None and need_oracle:
         oracle_fn = sigma_oracle if args.kind == "sigma" else varsigma_oracle
         oracle = [oracle_fn(params, args.n)]
     elif need_oracle:
         oracle = oracle_values(args.kind, params, ns[-1])[ns[0] :]
-
-    rows = []
-    mismatch = False
-    for n in ns:
-        row: dict = {"n": n}
-        if need_oracle:
-            row["oracle"] = oracle[n - ns[0]]
-        if need_gf:
-            row["gf"] = seq[n]
-        if args.method == "both":
-            row["match"] = row["oracle"] == row["gf"]
-            mismatch = mismatch or not row["match"]
-        rows.append(row)
-    _check_printable(v for row in rows for v in row.values())
-
-    meta = _meta(args, params, method=args.method, truncation=ns[-1])
-    if args.format == "json":
-        text = _json_text({"params": meta, "rows": rows}, "rows")
+    if args.method == "both":
+        match = [a == b for a, b in zip(oracle, gf)]
+        columns = {"n": ns, "oracle": oracle, "gf": gf, "match": match}
     else:
-        buf = io.StringIO()
-        buf.write(_params_comment(meta))
-        if args.method == "both":
-            buf.write("n,oracle,gf,match\n")
-            for row in rows:
-                buf.write(f"{row['n']},{row['oracle']},{row['gf']},{str(row['match']).lower()}\n")
-        else:
-            key = "oracle" if args.method == "oracle" else "gf"
-            buf.write("n,value\n")
-            for row in rows:
-                buf.write(f"{row['n']},{row[key]}\n")
-        text = buf.getvalue()
-    _emit(text, args)
-    if mismatch:
+        name = "value" if args.format == "csv" else args.method  # the one value column
+        columns = {"n": ns, name: gf if need_gf else oracle}
+    meta = {"kind": args.kind, **asdict(params), "method": args.method, "truncation": ns[-1]}
+    _emit(_table_text(meta, columns, args.format), args)
+    if not all(columns.get("match", ())):
         sys.stderr.write("stats: oracle and series extraction disagree\n")
         return EXIT_MISMATCH
     return EXIT_OK
@@ -352,15 +347,14 @@ def cmd_stats(args) -> int:
 
 #: Work units of one sequence and of one value, on top of the value's
 #: bits, in ``verify_work``.  One unit is about the time of one bit of
-#: value, 2 ns on a 2-core machine; a sequence costs about 22 us and a
-#: value about 1 us there.
+#: value, 2 ns on a 2-core machine; a sequence costs about 15 us there
+#: (22 us when set, with each sequence stored) and a value about 1 us.
 SEQUENCE_WORK = 10_000
 VALUE_WORK = 500
 
 #: Most work ``verify`` starts: its largest grid along each of moduli,
-#: thresholds and r runs in 18-25 s on a 2-core machine.  A larger limit
-#: would admit --max-r 6000 (27 s, and 332 MB resident, past the sequence
-#: store's STORE_BYTE_LIMIT).
+#: thresholds and r runs in 13-20 s on a 2-core machine, at 16-17 MB
+#: resident.  A larger limit would admit --max-r 6000 (25 s).
 VERIFY_WORK_LIMIT = 10**10
 
 
@@ -401,9 +395,11 @@ def cmd_verify(args) -> int:
     )
     checked = 0
     sequences = 0
+    # Each sequence is read once, so none goes to the sequence store.
+    routes = (("sigma", qseries.sigma_gf_coeffs), ("varsigma", qseries.varsigma_gf_coeffs))
     for params in grid:
-        for kind in ("sigma", "varsigma"):
-            seq = qseries.moment_sequence(kind, params, args.max_n)
+        for kind, gf_coeffs in routes:
+            seq = gf_coeffs(params, args.max_n)
             sequences += 1
             oracle = oracle_values(kind, params, args.max_n)
             for n, (got, want) in enumerate(zip(seq.values, oracle)):
@@ -434,28 +430,23 @@ def cmd_asymp(args) -> int:
     params_b = replace(params, A=args.res_prime) if args.corollary else params
     _check_printable_up_front(args.kind, [params, params_b], trunc)
     seq = qseries.moment_sequence(args.kind, params, trunc)
-    seq_b = qseries.moment_sequence(args.kind, params_b, trunc) if args.corollary else seq
-    _check_printable(v for n in ns for v in (seq[n], seq_b[n]))
-    extra = {"A_prime": args.res_prime} if args.corollary else {}
-    buf = io.StringIO()
-    buf.write(_params_comment(_meta(args, params, truncation=trunc, **extra)))
+    # The float columns are maps, computed as their rows are written, once
+    # the exact values have passed the int-to-str check.
     if args.corollary:
-        buf.write("n,exact_a,exact_a_prime,ratio\n")
-        for n in ns:
-            try:
-                ratio = asymptotics.corollary_ratio(args.kind, params, args.res_prime, n)
-            except ZeroDivisionError as exc:
-                raise ValidationError(str(exc)) from exc
-            buf.write(f"{n},{seq[n]},{seq_b[n]},{ratio!r}\n")
+        seq_b = qseries.moment_sequence(args.kind, params_b, trunc)
+        ratio = partial(asymptotics.corollary_ratio, args.kind, params, args.res_prime)
+        columns = {"exact_a": [seq[n] for n in ns], "exact_a_prime": [seq_b[n] for n in ns]}
     else:
-        asymp_fn = (
-            asymptotics.sigma_asymp if args.kind == "sigma" else asymptotics.varsigma_asymp
-        )
-        buf.write("n,exact,asymp_log,ratio\n")
-        for n in ns:
-            ratio = asymptotics.exact_over_asymptotic(args.kind, params, n)
-            buf.write(f"{n},{seq[n]},{asymp_fn(params, n)!r},{ratio!r}\n")
-    _emit(buf.getvalue(), args)
+        asymp_fn = asymptotics.sigma_asymp if args.kind == "sigma" else asymptotics.varsigma_asymp
+        ratio = partial(asymptotics.exact_over_asymptotic, args.kind, params)
+        columns = {"exact": [seq[n] for n in ns], "asymp_log": map(partial(asymp_fn, params), ns)}
+    extra = {"A_prime": args.res_prime} if args.corollary else {}
+    meta = {"kind": args.kind, **asdict(params), "truncation": trunc, **extra}
+    try:
+        text = _table_text(meta, {"n": ns, **columns, "ratio": map(ratio, ns)}, "csv")
+    except ZeroDivisionError as exc:  # a corollary row whose denominator is zero
+        raise ValidationError(str(exc)) from exc
+    _emit(text, args)
     return EXIT_OK
 
 

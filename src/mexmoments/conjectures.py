@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from mexmoments import qseries
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams
+from mexmoments.partitions import MexParams, _check_kind
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,7 @@ def scan_bias(kind: str, s: int, M: int, r: int, n_lo: int, n_hi: int) -> ScanRe
     bytes of pointers raises ``ResourceCapError`` before any sequence is
     computed.
     """
-    if kind not in qseries.VALID_KINDS:
-        raise ValidationError(f"kind must be one of {qseries.VALID_KINDS}, got {kind!r}")
+    _check_kind(kind)
     MexParams(s, M, 1, r)  # rejects s, M and r outside their domains
     _check_range(n_lo, n_hi)
     # The M sequences and the M residues per n of the ordering stay alive

@@ -43,6 +43,12 @@ from mexmoments.errors import ResourceCapError, ValidationError
 VALID_KINDS = ("sigma", "varsigma")
 
 
+def _check_kind(kind: str) -> None:
+    """Refuse a kind outside ``VALID_KINDS``."""
+    if kind not in VALID_KINDS:
+        raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class MexParams:
     """Parameter tuple (s, M, A, r) labelling a moment sequence.
@@ -165,8 +171,7 @@ def oracle_values(kind: str, p: MexParams, N: int) -> list[int]:
     use the real M: v^r on v = A mod M for sigma (cell m holds v = m+1),
     (A + m*M)^r for varsigma.
     """
-    if kind not in VALID_KINDS:
-        raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
+    _check_kind(kind)
     s = min(p.s, N + 1)
     if kind == "sigma":
         row, table = 0, mex_value_histogram(N, s, 1)

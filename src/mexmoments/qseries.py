@@ -30,7 +30,7 @@ from operator import itemgetter
 
 from mexmoments import backend
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import VALID_KINDS, MexParams, Store
+from mexmoments.partitions import MexParams, Store, _check_kind
 
 #: Largest truncation order the series route accepts.  The p(n) table
 #: alone takes about 30 s to reach it on a 2-core machine, which still
@@ -120,8 +120,7 @@ class MomentSequence:
     values: tuple[int, ...]
 
     def __init__(self, kind: str, params: MexParams, values):
-        if kind not in VALID_KINDS:
-            raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
+        _check_kind(kind)
         # Both checks run in C; the offending n is looked up only on failure.
         values = tuple(map(int, values))
         if not values:
@@ -285,8 +284,7 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
     coefficients take more than ``STORE_BYTE_LIMIT`` bytes by a lower
     bound raises ``ResourceCapError`` before any work.
     """
-    if kind not in VALID_KINDS:
-        raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
+    _check_kind(kind)
     _check_order(order)
     key = (kind, p)
     seq = _store.get(key, order)

@@ -379,6 +379,13 @@ def test_corollary_ratio_zero_denominator():
         corollary_ratio("sigma", MexParams(1, 3, 1, 0), 3, 0)
 
 
+def test_corollary_ratio_past_float_range_is_inf():
+    # At n = 6 the sigma value of A = 2 mod 2 is about 2^3000 times that
+    # of A' = 1; the reciprocal underflows to 0.
+    assert corollary_ratio("sigma", MexParams(1, 2, 2, 3000), 1, 6) == math.inf
+    assert corollary_ratio("sigma", MexParams(1, 2, 1, 3000), 2, 6) == 0.0
+
+
 def test_corollary_ratio_validation():
     p = MexParams(1, 3, 1, 0)
     with pytest.raises(ValidationError):

@@ -277,19 +277,33 @@ def test_oracle_cap_is_checked_before_any_work(capsys, oracle_calls, argv):
     ("--max-mod", "1", "--max-s", "1", "--max-r", "6000", "--max-n", "60"),
     ("--max-mod", "9" * 4000, "--max-s", "9" * 4000, "--max-r", "9" * 4000),
 ], ids=["moduli", "thresholds", "r", "past-float-range"])
-def test_verify_refuses_a_grid_of_minutes_before_any_work(capsys, monkeypatch, oracle_calls,
+def test_verify_refuses_a_grid_of_minutes_before_any_work(capsys, oracle_calls, product_calls,
                                                           argv):
     # The first three ran for 15 s or more (the r grid 27 s at 332 MB)
     # before the grid's work was estimated up front; the estimate of the
     # last is far past float range.
-    series_calls = []
-    monkeypatch.setattr(cli.qseries, "moment_sequence", lambda *a: series_calls.append(a))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", *argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert "above the limit" in err
-    assert series_calls == [] and oracle_calls == []
+    assert product_calls == [] and oracle_calls == []
+
+
+def test_verify_leaves_the_sequence_store_as_it_found_it(capsys, product_calls):
+    # verify reads each sequence once, so it computes every one afresh,
+    # a stored one included, and stores none.
+    stored = cli.qseries.moment_sequence("sigma", MexParams(1, 1, 1, 0), 5)
+    product_calls.clear()
+    entries = list(cli.qseries._store.entries.items())
+    total = cli.qseries._store.total
+    code, out, _ = run_cli(capsys, "verify", "--max-mod", "2", "--max-s", "2", "--max-r", "1",
+                           "--max-n", "5")
+    assert (code, out) == (0, "checked 144 values across 24 sequences; 0 mismatches\n")
+    assert len(product_calls) == 24
+    assert list(cli.qseries._store.entries.items()) == entries
+    assert cli.qseries._store.total == total
+    assert entries[0][1][2] is stored
 
 
 def test_verify_work_limit_admits_each_axis_up_to_its_largest_grid():
@@ -322,6 +336,10 @@ TOO_LONG_TO_PRINT = [
     ("asymp", "--kind", "varsigma", "--r", "5000", "--n-list", "50,100"),
     ("asymp", "--kind", "varsigma", "--mod", "2", "--res", "1", "--res-prime", "2",
      "--r", "5000", "--n-list", "100", "--corollary"),
+    # Passes the up-front estimate; n = 1 has a zero denominator, but the
+    # value too long to print at n = 100 is refused before any ratio.
+    ("asymp", "--kind", "sigma", "--mod", "5", "--res", "1", "--res-prime", "5",
+     "--r", "4128", "--n-list", "1,100", "--corollary"),
 ]
 
 
@@ -383,12 +401,14 @@ def product_calls(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("conjecture", "bias", "--kind", "sigma", "--mod", "4", "--r", "10000000", "--range", "1:300"),
     ("stats", "--kind", "varsigma", "--r", "10000000", "--range", "0:300"),
+    # Both routes: the series meets its budget before any oracle weight k^r.
+    ("stats", "--kind", "varsigma", "--r", "100000000", "--range", "0:60", "--method", "both"),
 ])
 def test_coefficient_budget_is_checked_before_any_work(
-    capsys, product_calls, set_int_str_limit, argv
+    capsys, product_calls, oracle_calls, set_int_str_limit, argv
 ):
     # With no int-to-str limit the up-front digit check passes, so the
-    # stats request meets the coefficient budget, not the print limit.
+    # stats requests meet the coefficient budget, not the print limit.
     set_int_str_limit(0)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
@@ -396,7 +416,7 @@ def test_coefficient_budget_is_checked_before_any_work(
     assert code == 3
     assert out == ""
     assert "coefficient bytes, above the limit 268435456" in err
-    assert product_calls == []
+    assert product_calls == [] and oracle_calls == []
 
 
 def test_coefficient_budget_admits_large_r(capsys, product_calls):
@@ -541,6 +561,16 @@ def test_asymp_row_prints_inf_past_float_range(capsys):
     )
     assert code == 0
     assert [line.split(",")[3] for line in out.splitlines()[2:]] == ["inf", "inf"]
+
+
+def test_asymp_corollary_prints_inf_past_float_range(capsys):
+    # The A = 2 value at n = 6 is about 2^3000 times the A' = 1 value.
+    code, out, err = run_cli(
+        capsys, "asymp", "--kind", "sigma", "--mod", "2", "--res", "2", "--res-prime", "1",
+        "--r", "3000", "--n-list", "6", "--corollary",
+    )
+    assert (code, err) == (0, "")
+    assert [line.split(",")[3] for line in out.splitlines()[2:]] == ["inf"]
 
 
 def test_conjecture_logconcave_json(capsys):

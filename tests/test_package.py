@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import mexmoments
-from mexmoments import asymptotics, conjectures, qseries
+from mexmoments import asymptotics, conjectures, partitions, qseries
 
 PUBLIC_NAMES = [
     "BACKEND", "MexParams", "MomentSequence", "ResourceCapError", "ValidationError",
@@ -26,6 +26,23 @@ def test_public_surface_is_the_three_routes():
     assert sorted(mexmoments.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(mexmoments, name) is not None
+
+
+@pytest.mark.parametrize("call", [
+    lambda kind: qseries.MomentSequence(kind, mexmoments.MexParams(1, 1, 1, 0), [1]),
+    lambda kind: qseries.moment_sequence(kind, mexmoments.MexParams(1, 1, 1, 0), 3),
+    lambda kind: qseries.moment_value(kind, mexmoments.MexParams(1, 1, 1, 0), 3),
+    lambda kind: partitions.oracle_values(kind, mexmoments.MexParams(1, 1, 1, 0), 3),
+    lambda kind: conjectures.scan_bias(kind, 1, 2, 0, 1, 3),
+    lambda kind: asymptotics.qexpansion_ingham_params(kind, 1, 1, 0),
+], ids=["MomentSequence", "moment_sequence", "moment_value", "oracle_values", "scan_bias",
+        "qexpansion_ingham_params"])
+def test_every_entry_point_refuses_an_unknown_kind_with_one_message(call):
+    message = "kind must be one of ('sigma', 'varsigma'), got 'mex'"
+    with pytest.raises(mexmoments.ValidationError) as info:
+        call("mex")
+    assert str(info.value) == message
+    assert partitions.VALID_KINDS == ("sigma", "varsigma")
 
 
 def test_reference_imports_nothing_from_the_package():

@@ -2,9 +2,13 @@
 up to 40 against n <= 18, so M far above n occurs, and residues drawn
 from both ends of 1..M as well as in between.  The sparse x dense
 product is held to the reference schoolbook product on random supports, and
-the CLI's JSON writer to ``json.dumps`` on random rows and reports."""
+the CLI's table writer to ``json.dumps`` and ``csv.writer`` on random
+columns and reports."""
 
+import csv
+import io
 import json
+import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -138,34 +142,72 @@ def stdlib_json(doc: dict) -> str:
 values = st.one_of(st.just(0), st.integers(0, 2**512))
 
 
+def row_dicts(columns: dict) -> list[dict]:
+    """The rows that named columns stand for, one dict per row."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
 @st.composite
 def stats_docs(draw):
-    """The ``stats --format json`` document of one method: its rows all
-    have the same keys, and exact values reach 2^512."""
+    """The ``stats --format json`` document of one method, its rows given
+    as the columns ``stats`` builds: a range of n, a list of oracle
+    values, a tuple of series values and a list of bools.  Exact values
+    reach 2^512."""
     method = draw(st.sampled_from(["gf", "oracle", "both"]))
-    rows = []
-    for n in range(draw(st.integers(0, 3)), draw(st.integers(0, 12))):
-        row = {"n": n}
-        if method != "gf":
-            row["oracle"] = draw(values)
-        if method != "oracle":
-            row["gf"] = draw(values)
-        if method == "both":
-            row["match"] = draw(st.booleans())
-        rows.append(row)
+    ns = range(draw(st.integers(0, 3)), draw(st.integers(0, 12)))
+    column = st.lists(values, min_size=len(ns), max_size=len(ns))
+    columns = {"n": ns}
+    if method != "gf":
+        columns["oracle"] = draw(column)
+    if method != "oracle":
+        columns["gf"] = tuple(draw(column))
+    if method == "both":
+        columns["match"] = draw(st.lists(st.booleans(), min_size=len(ns), max_size=len(ns)))
     params = {"kind": draw(st.sampled_from(["sigma", "varsigma"])), "s": 1, "M": 2, "A": 1,
               "r": draw(st.integers(0, 9)), "method": method, "truncation": 40}
-    return {"params": params, "rows": rows}
+    return {"params": params, "rows": columns}
 
 
 @settings(max_examples=200, deadline=None)
 @given(stats_docs())
-@example({"params": {"kind": "sigma", "method": "gf"}, "rows": [{"n": 0, "gf": 0}]})
+@example({"params": {"kind": "sigma", "method": "gf"}, "rows": {"n": range(0, 1), "gf": (0,)}})
 @example({"params": {"kind": "sigma", "method": "both"},
-          "rows": [{"n": 9, "oracle": 2**512, "gf": 2**512, "match": True},
-                   {"n": 10, "oracle": 0, "gf": 1, "match": False}]})
+          "rows": {"n": range(9, 11), "oracle": [2**512, 0], "gf": (2**512, 1),
+                   "match": [True, False]}})
+@example({"params": {"kind": "sigma", "method": "gf"}, "rows": {"n": range(3, 0), "gf": ()}})
 def test_stats_json_equals_stdlib_encoder(doc):
-    assert cli._json_text(doc, "rows") == stdlib_json(doc)
+    rows = row_dicts(doc["rows"])
+    assert cli._json_text(doc, "rows") == stdlib_json({**doc, "rows": rows})
+
+
+@st.composite
+def csv_columns(draw):
+    """Named columns of equal length: ints up to 2^512 in size, floats
+    (finite, and inf of either sign) or bools."""
+    size = draw(st.integers(0, 8))
+    names = draw(st.lists(st.from_regex(r"[a-z_]{1,8}", fullmatch=True), min_size=1,
+                          max_size=5, unique=True))
+    kinds = [st.integers(-(2**512), 2**512),
+             st.one_of(st.floats(allow_nan=False), st.sampled_from([math.inf, -math.inf])),
+             st.booleans()]
+    return {name: draw(st.lists(draw(st.sampled_from(kinds)), min_size=size, max_size=size))
+            for name in names}
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_columns())
+@example({"n": [1, 2], "ratio": [math.inf, 0.5], "match": [True, False]})
+@example({"n": [], "value": []})
+def test_table_csv_equals_stdlib_writer(columns):
+    meta = {"kind": "sigma", "r": 1}
+    lines = cli._table_text(meta, columns, "csv").splitlines(keepends=True)
+    assert lines[0] == f"# params: {json.dumps(meta, sort_keys=True)}\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in zip(*columns.values()):
+        writer.writerow(("true" if v else "false") if type(v) is bool else v for v in row)
+    assert "".join(lines[1:]) == buf.getvalue()
 
 
 @st.composite
