@@ -1,8 +1,7 @@
-"""Pure-Python kernels: the partition-enumeration histograms of every
-n' <= n, assembled from one walk over the partitions into parts above
-``SMALL_PARTS`` (the walk has a compiled twin, ``mexmoments._speed.walk``;
-the active one is chosen in :mod:`mexmoments.backend`), and the sparse x
-dense product behind every moment sequence, which has no compiled twin.
+"""The package's two kernels: the partition-enumeration histograms of
+every n' <= n, assembled from one walk over the partitions into parts
+above ``SMALL_PARTS``, and the sparse x dense product behind every moment
+sequence.
 
 Both work on plain ``list`` objects holding exact Python integers, so
 results never lose precision regardless of magnitude.
@@ -88,10 +87,9 @@ def walk(n: int, s: int, M: int, L: int) -> tuple[list, list]:
     return nodes, breaks
 
 
-def mex_value_counts(n: int, s: int, M: int, walk=walk) -> list[list[int]]:
+def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
     """Histogram the frequency-s mex statistics over the partitions of
-    every n' = 0..n, from one ``walk`` (this module's, or the compiled
-    one that :mod:`mexmoments.backend` passes).
+    every n' = 0..n, from one ``walk``.
 
     Returns M rows.  Row A-1 (for each residue A in 1..M) is one flat
     list: the block of n' = 0, then that of n' = 1, ..., then that of n.
@@ -118,9 +116,6 @@ def mex_value_counts(n: int, s: int, M: int, walk=walk) -> list[list[int]]:
     of the walk's counts with those vectors per R.
     """
     _check_histogram_args(n, s, M)
-    # No part of a partition of n' <= n occurs n+1 times, so every s > n
-    # gives the histograms of s = n+1, and the compiled walk's C int holds it.
-    s = min(s, n + 1)
     L = SMALL_PARTS
     nodes, breaks = walk(n, s, M, L)
     stride = n + 1

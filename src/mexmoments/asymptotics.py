@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from mexmoments import qseries
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams, _check_kind
+from mexmoments.partitions import MexParams, _check_int, _check_kind
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -63,8 +63,7 @@ def qexpansion_ingham_params(kind: str, s: int, M: int, r: int) -> InghamParams:
     growth_A is pi^2/6 throughout.
     """
     _check_kind(kind)
-    if s < 1 or M < 1 or r < 0:
-        raise ValidationError(f"invalid (s, M, r) = ({s}, {M}, {r})")
+    MexParams(s, M, 1, r)  # refuses s, M and r outside their domains
     growth = math.pi**2 / 6.0
     if r == 0:
         lam = 1.0 / math.sqrt(2.0 * math.pi)
@@ -131,12 +130,20 @@ def eta_inversion_check(t: float) -> tuple[float, float]:
 # closed-form growth laws
 
 
+def _root_two_thirds(n: int) -> float:
+    """sqrt(2n/3) for any int n >= 1: from 2n/3 rounded once while that
+    fits a float (as ``2.0 * n / 3.0`` for n < 2^53), else from log n."""
+    try:
+        return math.sqrt(2 * n / 3)
+    except OverflowError:
+        return _exp_ratio(0.5 * (math.log(n) - math.log(1.5)))
+
+
 def hardy_ramanujan_asymp(n: int) -> float:
     """Natural log of the leading-order partition count growth
     p(n) ~ exp(pi sqrt(2n/3)) / (4 sqrt(3) n)."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    return -math.log(4.0 * math.sqrt(3.0)) - math.log(n) + math.pi * math.sqrt(2.0 * n / 3.0)
+    n = _check_int("n", n, 1)
+    return -math.log(4.0 * math.sqrt(3.0)) - math.log(n) + math.pi * _root_two_thirds(n)
 
 
 def sigma_asymp(p: MexParams, n: int) -> float:
@@ -146,23 +153,26 @@ def sigma_asymp(p: MexParams, n: int) -> float:
     r >= 1:  2^((3r-12)/4) 3^((r-2)/4) pi^(-r/2) M^-1 s^(-r/2)
              r Gamma(r/2) n^((r-4)/4) exp(pi sqrt(2n/3))
 
-    Independent of the residue A in both branches.
+    Independent of the residue A in both branches.  An r whose terms
+    leave float range raises ``ValidationError``.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = _check_int("n", n, 1)
     if p.r == 0:
         return hardy_ramanujan_asymp(n) - math.log(p.M)
-    return (
-        (3 * p.r - 12) / 4 * math.log(2.0)
-        + (p.r - 2) / 4 * math.log(3.0)
-        - p.r / 2 * math.log(math.pi)
-        - math.log(p.M)
-        - p.r / 2 * math.log(p.s)
-        + math.log(p.r)
-        + math.lgamma(p.r / 2)
-        + (p.r - 4) / 4 * math.log(n)
-        + math.pi * math.sqrt(2.0 * n / 3.0)
-    )
+    try:
+        return (
+            (3 * p.r - 12) / 4 * math.log(2.0)
+            + (p.r - 2) / 4 * math.log(3.0)
+            - p.r / 2 * math.log(math.pi)
+            - math.log(p.M)
+            - p.r / 2 * math.log(p.s)
+            + math.log(p.r)
+            + math.lgamma(p.r / 2)
+            + (p.r - 4) / 4 * math.log(n)
+            + math.pi * _root_two_thirds(n)
+        )
+    except OverflowError:
+        raise ValidationError(f"r={p.r} takes the growth law past float range") from None
 
 
 def varsigma_asymp(p: MexParams, n: int) -> float:
@@ -170,8 +180,6 @@ def varsigma_asymp(p: MexParams, n: int) -> float:
     to the sigma law for r >= 1 except that M^(r/2) replaces M^-1; for
     r = 0 the sequence is the partition numbers, so the Hardy-Ramanujan
     law applies as is."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
     if p.r == 0:
         return hardy_ramanujan_asymp(n)
     return sigma_asymp(p, n) + math.log(p.M) + p.r / 2 * math.log(p.M)
@@ -195,8 +203,7 @@ def exact_over_asymptotic(kind: str, p: MexParams, n: int) -> float:
     The value comes from ``qseries.moment_value``: a table over several n
     asks for its largest first, and one stored sequence serves every row.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = _check_int("n", n, 1)
     exact = qseries.moment_value(kind, p, n)
     if exact == 0:
         return 0.0
@@ -214,14 +221,12 @@ def corollary_ratio(kind: str, p: MexParams, a_prime: int, n: int) -> float:
     weight to occur.  The values come from ``qseries.moment_value``, as
     in ``exact_over_asymptotic``.
     """
-    if not 0 < a_prime <= p.M:
-        raise ValidationError(f"residue must satisfy 0 < A' <= M, got A'={a_prime}, M={p.M}")
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    if a_prime == p.A:
+    p_prime = MexParams(p.s, p.M, a_prime, p.r)  # refuses A' outside 1..M
+    n = _check_int("n", n, 0)
+    if p_prime == p:
         return 1.0
     num = qseries.moment_value(kind, p, n)
-    den = qseries.moment_value(kind, MexParams(p.s, p.M, a_prime, p.r), n)
+    den = qseries.moment_value(kind, p_prime, n)
     if den == 0:
         raise ZeroDivisionError(
             f"denominator moment is zero at n={n} for A'={a_prime} (kind={kind})"

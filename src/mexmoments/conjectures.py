@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mexmoments import qseries
-from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams, _check_kind
+from mexmoments.errors import ResourceCapError
+from mexmoments.partitions import MexParams, _check_int, _check_kind
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,10 @@ class ScanReport:
         return out
 
 
-def _check_range(n_lo: int, n_hi: int) -> None:
-    if n_lo < 1:
-        raise ValidationError(f"n_lo must be >= 1, got {n_lo}")
-    if n_hi < n_lo:
-        raise ValidationError(f"need n_lo <= n_hi, got [{n_lo}, {n_hi}]")
+def _check_range(n_lo: int, n_hi: int) -> tuple[int, int]:
+    """The range as plain ints, refused unless 1 <= n_lo <= n_hi."""
+    n_lo = _check_int("n_lo", n_lo, 1)
+    return n_lo, _check_int("n_hi", n_hi, n_lo)
 
 
 def scan_log_concavity(kind: str, p: MexParams, n_lo: int, n_hi: int) -> ScanReport:
@@ -85,7 +84,7 @@ def scan_log_concavity(kind: str, p: MexParams, n_lo: int, n_hi: int) -> ScanRep
     sequence) are additionally listed under ``equalities`` rather than
     suppressed.  Comparisons are exact integer arithmetic.
     """
-    _check_range(n_lo, n_hi)
+    n_lo, n_hi = _check_range(n_lo, n_hi)
     values = qseries.moment_sequence(kind, p, n_hi).values
     violations = []
     equalities = []
@@ -126,8 +125,9 @@ def scan_bias(kind: str, s: int, M: int, r: int, n_lo: int, n_hi: int) -> ScanRe
     computed.
     """
     _check_kind(kind)
-    MexParams(s, M, 1, r)  # rejects s, M and r outside their domains
-    _check_range(n_lo, n_hi)
+    p = MexParams(s, M, 1, r)  # rejects s, M and r outside their domains
+    s, M, r = p.s, p.M, p.r
+    n_lo, n_hi = _check_range(n_lo, n_hi)
     # The M sequences and the M residues per n of the ordering stay alive
     # together, so store eviction cannot bound them: refuse up front when
     # their pointers alone, 8 bytes each, exceed the store's limit.

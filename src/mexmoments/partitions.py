@@ -28,6 +28,7 @@ Terminology used throughout the package, for a partition pi:
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import OrderedDict
 from collections.abc import Hashable
@@ -49,12 +50,25 @@ def _check_kind(kind: str) -> None:
         raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
 
 
+def _check_int(name: str, value, low: int) -> int:
+    """``value`` as a plain int: ``ValidationError`` unless ``operator.index``
+    takes it and it is at least ``low``.  A bool is refused too: it would
+    hash equal to 0 or 1 and share their store entries."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class MexParams:
     """Parameter tuple (s, M, A, r) labelling a moment sequence.
 
     s >= 1 is the frequency threshold, M >= 1 the modulus, A the residue
-    representative with 0 < A <= M, and r >= 0 the moment order.
+    representative with 0 < A <= M, and r >= 0 the moment order, each a
+    plain int.
     """
 
     s: int
@@ -63,14 +77,10 @@ class MexParams:
     r: int
 
     def __post_init__(self) -> None:
-        if self.s < 1:
-            raise ValidationError(f"s must be a positive integer, got {self.s}")
-        if self.M < 1:
-            raise ValidationError(f"M must be a positive integer, got {self.M}")
-        if not 0 < self.A <= self.M:
+        for name, low in (("s", 1), ("M", 1), ("A", 1), ("r", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
+        if self.A > self.M:
             raise ValidationError(f"residue must satisfy 0 < A <= M, got A={self.A}, M={self.M}")
-        if self.r < 0:
-            raise ValidationError(f"moment order r must be >= 0, got {self.r}")
 
 
 class Store:
@@ -114,15 +124,15 @@ class Store:
             return self.entries[key][2]
 
 
-def _check_cap(n: int) -> None:
-    """Refuse a negative n, and n above ``ORACLE_CAP``."""
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
+def _check_cap(n: int) -> int:
+    """``n`` as a plain int, refused below 0 and above ``ORACLE_CAP``."""
+    n = _check_int("n", n, 0)
     if n > ORACLE_CAP:
         raise ResourceCapError(
             f"oracle request n={n} exceeds cap {ORACLE_CAP}; "
             "use the generating-function route"
         )
+    return n
 
 
 #: Cells the histogram store keeps before it drops whole tables, least
@@ -143,7 +153,7 @@ def mex_value_histogram(N: int, s: int, M: int) -> tuple[tuple[tuple[int, ...], 
 
     A prefix of the stored table of (s, M); a table shorter than N is
     walked again to N.  An N above ``ORACLE_CAP`` is refused first."""
-    _check_cap(N)
+    N = _check_cap(N)
     table = _tables.get((s, M), N)
     if table is None:
         rows = [tuple(row) for row in backend.mex_value_counts(N, s, M)]  # refuses s, M < 1
@@ -169,9 +179,14 @@ def oracle_values(kind: str, p: MexParams, N: int) -> list[int]:
     least s times), and every A > N holds all p(n) partitions at m = 0,
     so modulus N+1 gives the same row for min(A, N+1).  The weights still
     use the real M: v^r on v = A mod M for sigma (cell m holds v = m+1),
-    (A + m*M)^r for varsigma.
+    (A + m*M)^r for varsigma.  Values past the series route's byte budget
+    raise ``ResourceCapError`` before any weight is computed.
     """
+    from mexmoments.qseries import _check_coefficient_bytes  # qseries imports this module
+
     _check_kind(kind)
+    N = _check_cap(N)
+    _check_coefficient_bytes(kind, p, N)
     s = min(p.s, N + 1)
     if kind == "sigma":
         row, table = 0, mex_value_histogram(N, s, 1)

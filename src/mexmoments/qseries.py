@@ -26,11 +26,11 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 
 from mexmoments import backend
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams, Store, _check_kind
+from mexmoments.partitions import MexParams, Store, _check_int, _check_kind
 
 #: Largest truncation order the series route accepts.  The p(n) table
 #: alone takes about 30 s to reach it on a 2-core machine, which still
@@ -50,13 +50,14 @@ STORE_BYTE_LIMIT = 256 * 2**20
 _NODE_BYTES = 256
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValidationError(f"order must be >= 0, got {order}")
+def _check_order(order: int) -> int:
+    """``order`` as a plain int, refused below 0 and above ``SERIES_ORDER_LIMIT``."""
+    order = _check_int("order", order, 0)
     if order > SERIES_ORDER_LIMIT:
         raise ResourceCapError(
             f"series order {order} is above the limit {SERIES_ORDER_LIMIT}"
         )
+    return order
 
 
 # Growing table of partition numbers.  Entries never change once appended,
@@ -104,7 +105,7 @@ def _extend_partition_numbers(order: int) -> None:
 
 def partition_numbers(order: int) -> list[int]:
     """p(0..N) via the pentagonal recurrence."""
-    _check_order(order)
+    order = _check_order(order)
     if len(_pn_table) <= order:
         with _pn_lock:
             _extend_partition_numbers(order)
@@ -121,8 +122,15 @@ class MomentSequence:
 
     def __init__(self, kind: str, params: MexParams, values):
         _check_kind(kind)
-        # Both checks run in C; the offending n is looked up only on failure.
-        values = tuple(map(int, values))
+        # The checks run in C; the offending n is looked up only on failure.
+        # A bool is refused, as by ``partitions._check_int``.
+        try:
+            values = tuple(values)
+            if bool in set(map(type, values)):
+                raise TypeError
+            values = tuple(map(index, values))
+        except TypeError:
+            raise ValidationError("moment values must be a sequence of integers") from None
         if not values:
             raise ValidationError("moment values must include n=0, got none")
         if min(values) < 0:
@@ -228,17 +236,20 @@ def largest_mex(kind: str, p: MexParams, n: int) -> int:
 def value_bits(kind: str, p: MexParams, n: int) -> float:
     """r log2(k) for k the largest mex at n, or 0 when k < 2: every
     moment value at n' >= n is at least k^r (``largest_mex``), so it has
-    more bits than this."""
+    more bits than this.  An r past 2^1000 counts as 2^1000, which keeps
+    the product a float and the bound a lower one."""
     k = largest_mex(kind, p, n)
-    return p.r * math.log2(k) if k >= 2 else 0
+    return min(p.r, 2**1000) * math.log2(k) if k >= 2 else 0
 
 
 def _check_coefficient_bytes(kind: str, p: MexParams, order: int) -> None:
     """Refuse, before any k^r or p(n) is computed, a sequence whose
     coefficients alone would not fit in the store: each of the
     N - N//2 + 1 values at n >= N//2 takes at least ``value_bits`` at
-    N//2 over 8 bytes."""
-    nbytes = (order - order // 2 + 1) * value_bits(kind, p, order // 2) / 8
+    N//2 over 8 bytes, and the value at N at least ``value_bits`` at N
+    (the larger bound when no mex at N//2 reaches 2: a small N or a large s)."""
+    bits = (order - order // 2 + 1) * value_bits(kind, p, order // 2)
+    nbytes = max(bits, value_bits(kind, p, order)) / 8
     if nbytes > STORE_BYTE_LIMIT:
         raise ResourceCapError(
             f"the {kind} sequence to order {order} needs at least {nbytes:.3g} coefficient "
@@ -248,8 +259,10 @@ def _check_coefficient_bytes(kind: str, p: MexParams, order: int) -> None:
 
 def _gf_coeffs(kind: str, support, p: MexParams, order: int) -> MomentSequence:
     """Moments of ``kind`` for n = 0..N: the partition-number series times
-    the sparse theta factor ``support(p, N)``, by coefficient extraction."""
-    _check_order(order)
+    the sparse theta factor ``support(p, N)``, by coefficient extraction,
+    after ``_check_coefficient_bytes``."""
+    order = _check_order(order)
+    _check_coefficient_bytes(kind, p, order)
     dense = partition_numbers(order)
     values = backend.sparse_dense_product(support(p, order), dense, order + 1)
     return MomentSequence(kind, p, values)
@@ -285,7 +298,7 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
     bound raises ``ResourceCapError`` before any work.
     """
     _check_kind(kind)
-    _check_order(order)
+    order = _check_order(order)
     key = (kind, p)
     seq = _store.get(key, order)
     if seq is None:
@@ -304,6 +317,6 @@ def moment_value(kind: str, p: MexParams, n: int) -> int:
     """``moment_sequence(kind, p, n)[n]``, read from the stored sequence
     when it already reaches n, so that a caller asking for several n,
     the largest first, computes one sequence and builds no prefix per n."""
-    _check_order(n)
+    n = _check_order(n)
     seq = _store.get((kind, p), n)
     return (moment_sequence(kind, p, n) if seq is None else seq)[n]

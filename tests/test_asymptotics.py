@@ -266,6 +266,18 @@ def test_hardy_ramanujan_point_value():
         hardy_ramanujan_asymp(0)
 
 
+def test_growth_laws_take_any_int_n():
+    # Below 2^53 the law is the float that 2.0 * n / 3.0 gives, bit for bit.
+    p = MexParams(1, 2, 1, 1)
+    for n in (1, 4095, 2**53 - 1):
+        assert hardy_ramanujan_asymp(n) == (
+            -math.log(4.0 * math.sqrt(3.0)) - math.log(n) + math.pi * math.sqrt(2.0 * n / 3.0))
+    # Past float range the logs still give a float; past that, inf.
+    for law in (sigma_asymp, varsigma_asymp):
+        assert law(p, 10**400) == pytest.approx(math.pi * math.sqrt(2 / 3) * 10**200, rel=1e-12)
+    assert hardy_ramanujan_asymp(10**700) == math.inf
+
+
 def test_hardy_ramanujan_increasing_and_converging():
     logs = [hardy_ramanujan_asymp(n) for n in (1, 10, 100, 1000)]
     assert all(b > a for a, b in zip(logs, logs[1:]))

@@ -1,10 +1,9 @@
-"""Differential tests between the pure-Python partition walk and the
-compiled one, which the ``speed`` fixture builds from source, each run
-through the one histogram assembly in ``_pure``; and checks of the
-sparse x dense product, which has only a pure-Python implementation."""
+"""Tests of the two kernels: the histogram kernel, its walk and its
+assembly, against partitions listed from the definitions; and the
+sparse x dense product."""
 
 import random
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -12,21 +11,11 @@ from hypothesis import strategies as st
 
 import mexmoments.partitions
 from mexmoments import MexParams, _pure, backend, sigma_oracle, varsigma_oracle
+from mexmoments._pure import mex_value_counts
 from mexmoments.partitions import ORACLE_CAP
 from reference import d2_coeffs, invert_unit_series, mex_s_mod, partitions, partitions_above
 
 L = _pure.SMALL_PARTS
-
-
-@pytest.fixture(params=["pure", "fast"])
-def walk(request):
-    return _pure.walk if request.param == "pure" else request.getfixturevalue("speed").walk
-
-
-@pytest.fixture
-def impl(walk):
-    """The histogram kernel over one backend's walk."""
-    return partial(_pure.mex_value_counts, walk=walk)
 
 
 def block(rows: list, n: int, M: int) -> list:
@@ -36,64 +25,59 @@ def block(rows: list, n: int, M: int) -> list:
     return [row[start : start + n // M + 2] for row in rows]
 
 
-def counts(impl, n: int, s: int, M: int) -> list:
-    return block(impl(n, s, M), n, M)
+def counts(n: int, s: int, M: int) -> list:
+    return block(mex_value_counts(n, s, M), n, M)
 
 
-def test_mex_value_counts_small_cases(impl):
+def test_mex_value_counts_small_cases():
     # n=0: the empty partition; every residue A > n is its own mex (m = 0).
-    assert counts(impl, 0, 1, 3) == [[1, 0], [1, 0], [1, 0]]
+    assert counts(0, 1, 3) == [[1, 0], [1, 0], [1, 0]]
     # n=4, s=1, M=1: mex values of the 5 partitions are 1,2,1,3,2 (m = v-1).
-    row = counts(impl, 4, 1, 1)[0]
+    row = counts(4, 1, 1)[0]
     assert row == [2, 2, 1, 0, 0, 0]
     # n=2, s=1, M=3 over (2) and (1,1): A=1 gives 1 and 4, A=2 gives 5 and 2,
     # and A=3 exceeds n, so both partitions land at m=0.
-    assert counts(impl, 2, 1, 3) == [[1, 1], [1, 1], [2, 0]]
+    assert counts(2, 1, 3) == [[1, 1], [1, 1], [2, 0]]
 
 
-def test_mex_value_counts_total_is_partition_count(impl):
+def test_mex_value_counts_total_is_partition_count():
     from mexmoments.qseries import partition_numbers
 
     for n in (0, 5, 12):
         for s in (1, 2):
             for M in (1, 3, 20):
-                rows = counts(impl, n, s, M)
+                rows = counts(n, s, M)
                 assert len(rows) == M
                 for row in rows:
                     assert len(row) == n // M + 2
                     assert sum(row) == partition_numbers(n)[n]
 
 
-def test_mex_value_counts_validation(impl):
+def test_mex_value_counts_validation():
     with pytest.raises(ValueError):
-        impl(-1, 1, 1)
+        mex_value_counts(-1, 1, 1)
     with pytest.raises(ValueError):
-        impl(1, 0, 1)
+        mex_value_counts(1, 0, 1)
     with pytest.raises(ValueError):
-        impl(1, 1, 0)
+        mex_value_counts(1, 1, 0)
     with pytest.raises(ValueError):
-        impl(_pure.ORACLE_CAP + 1, 1, 1)
+        mex_value_counts(_pure.ORACLE_CAP + 1, 1, 1)
 
 
-def test_a_threshold_no_c_int_holds_gives_the_histograms_of_n_plus_one(impl):
-    # No part of a partition of n' <= 5 occurs 6 times, so both walks
-    # serve s = 2^31 (past a C int) as s = 6.
-    assert impl(5, 2**31, 1) == impl(5, 6, 1)
+def test_a_threshold_past_n_gives_the_histograms_of_n_plus_one():
+    # No part of a partition of n' <= 5 occurs 6 times, so s = 2^31 and
+    # s = 10^100 give the histograms of s = 6.
+    table = mex_value_counts(5, 6, 1)
+    assert mex_value_counts(5, 2**31, 1) == mex_value_counts(5, 10**100, 1) == table
 
 
-def test_compiled_walk_refuses_bad_arguments(speed):
-    for args in ((-1, 1, 1, L), (1, 0, 1, L), (1, 1, 0, L), (1, 1, 1, -1)):
-        with pytest.raises(ValueError):
-            speed.walk(*args)
-
-
-def test_walk_visits_each_tail_above_L_once(walk):
+def test_walk_visits_each_tail_above_L_once():
     # The walk's work: the partitions of every t <= n into parts > L.
     for n in range(61):
-        nodes, _ = walk(n, 1, 1, L)
+        nodes, _ = _pure.walk(n, 1, 1, L)
         assert sum(nodes) == partitions_above(L, n), n
     # An L at or above n leaves only the empty tail.
-    assert walk(3, 1, 2, 2**31 - 1) == ([1, 0, 0, 0], [[0] * 12, [0] * 12])
+    assert _pure.walk(3, 1, 2, 2**31 - 1) == ([1, 0, 0, 0], [[0] * 12, [0] * 12])
 
 
 @lru_cache(maxsize=None)
@@ -106,34 +90,34 @@ def _reference_rows(n: int, s: int, M: int) -> list:
     return rows
 
 
-def test_mex_value_counts_match_reference_walk(impl):
+def test_mex_value_counts_match_reference_walk():
     # Cell by cell against the definition: s = n+1 and M = n+2 reach past
     # n, and s <= n lets the ones alone decide whether 1 is excluded.
     for n in range(0, 19):
         for s in sorted({1, 2, 3, 5, n + 1}):
             for M in sorted({1, 2, 3, 4, 7, n + 2}):
-                assert counts(impl, n, s, M) == _reference_rows(n, s, M), (n, s, M)
+                assert counts(n, s, M) == _reference_rows(n, s, M), (n, s, M)
 
 
-def test_mex_sum_is_andrews_newman_d2(impl):
+def test_mex_sum_is_andrews_newman_d2():
     # Andrews and Newman: the mex summed over the partitions of n is D_2(n),
     # the coefficient of q^n in (-q;q)_inf^2.  Held for every n the oracle
     # serves by default, far past the reference walk above, from one table.
-    table = impl(ORACLE_CAP, 1, 1)
+    table = mex_value_counts(ORACLE_CAP, 1, 1)
     for n, want in enumerate(d2_coeffs(ORACLE_CAP)):
         row = block(table, n, 1)[0]
         assert sum(v * c for v, c in enumerate(row, 1)) == want, n
 
 
-def test_oracles_serve_a_threshold_no_c_int_holds(impl, monkeypatch):
+def test_oracles_serve_a_huge_threshold_from_the_table_of_n_plus_one(monkeypatch):
     # No part of a partition of n occurs n + 1 times, so the oracles ask
-    # the kernel for s = n + 1 whenever s > n: a threshold beyond a C int
-    # reads the table of s = n + 1 and walks nothing more.
+    # the kernel for s = n + 1 whenever s > n: a huge threshold reads the
+    # table of s = n + 1 and walks nothing more.
     calls = []
     monkeypatch.setattr(mexmoments.partitions, "_tables",
                         mexmoments.partitions.Store(mexmoments.partitions.STORE_CELL_LIMIT))
     monkeypatch.setattr(backend, "mex_value_counts",
-                        lambda n, s, M: calls.append((n, s, M)) or impl(n, s, M))
+                        lambda n, s, M: calls.append((n, s, M)) or mex_value_counts(n, s, M))
     n, M, r = 9, 2, 1
     pis = list(partitions(n))
     for A in (1, 2):
@@ -167,32 +151,14 @@ def histogram_args(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(histogram_args())
-def test_kernels_equal_reference_at_interval_boundaries(speed, args):
+def test_kernels_equal_reference_at_interval_boundaries(args):
     # One walk to n gives the histogram of every n' <= n.
     n, s, M = args
-    for walk in (_pure.walk, speed.walk):
-        table = _pure.mex_value_counts(n, s, M, walk)
-        assert len(table) == M
-        assert all(len(row) == sum(j // M + 2 for j in range(n + 1)) for row in table)
-        for j in range(n + 1):
-            assert block(table, j, M) == _reference_rows(j, s, M), (walk, j)
-
-
-def test_backends_agree_on_histograms(speed):
-    for n in range(0, 17):
-        for s in (1, 2, 4):
-            for M in (1, 2, 3, 5, 30):
-                assert _pure.mex_value_counts(n, s, M) == _pure.mex_value_counts(
-                    n, s, M, speed.walk)
-
-
-def test_compiled_walk_counts_equal_pure(speed):
-    # The assembly is shared, so the walks' tail and break counts are all
-    # that the backends may differ in.
-    for n in range(31):
-        for s in range(1, 5):
-            for M in sorted({1, 2, 3, 5, n + 1}):
-                assert speed.walk(n, s, M, L) == _pure.walk(n, s, M, L), (n, s, M)
+    table = mex_value_counts(n, s, M)
+    assert len(table) == M
+    assert all(len(row) == sum(j // M + 2 for j in range(n + 1)) for row in table)
+    for j in range(n + 1):
+        assert block(table, j, M) == _reference_rows(j, s, M), j
 
 
 def test_invert_unit_series_roundtrip():

@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mexmoments
 from mexmoments import asymptotics, conjectures, partitions, qseries
@@ -43,6 +45,62 @@ def test_every_entry_point_refuses_an_unknown_kind_with_one_message(call):
         call("mex")
     assert str(info.value) == message
     assert partitions.VALID_KINDS == ("sigma", "varsigma")
+
+
+# An int argument of any call: the ints valid calls take, kept <= 64 so
+# that no draw does heavy work, huge ints of both signs, and non-ints.
+ARGS = st.one_of(st.integers(-2, 64), st.sampled_from([2**63, 10**400, -(10**400)]),
+                 st.floats(), st.booleans(), st.none(), st.text(max_size=2))
+ROLES = {
+    "int": ARGS,
+    "kind": st.one_of(st.sampled_from(partitions.VALID_KINDS), ARGS),
+    "params": st.tuples(ARGS, ARGS, ARGS, ARGS),
+    "values": st.one_of(ARGS, st.lists(ARGS, max_size=3)),
+}
+# The roles of the arguments of every function in ``__all__``, the
+# scanners, the oracle column, the growth laws and the ratio helpers;
+# "params" becomes a MexParams.
+SIGNATURES = {
+    "MexParams": ("int",) * 4,
+    "MomentSequence": ("kind", "params", "values"),
+    "moment_sequence": ("kind", "params", "int"),
+    "partition_numbers": ("int",),
+    "sigma_gf_coeffs": ("params", "int"),
+    "varsigma_gf_coeffs": ("params", "int"),
+    "sigma_oracle": ("params", "int"),
+    "varsigma_oracle": ("params", "int"),
+    "oracle_values": ("kind", "params", "int"),
+    "scan_bias": ("kind",) + ("int",) * 5,
+    "scan_log_concavity": ("kind", "params", "int", "int"),
+    "hardy_ramanujan_asymp": ("int",),
+    "sigma_asymp": ("params", "int"),
+    "varsigma_asymp": ("params", "int"),
+    "exact_over_asymptotic": ("kind", "params", "int"),
+    "corollary_ratio": ("kind", "params", "int", "int"),
+}
+GATED = {name: getattr(mexmoments, name) for name in mexmoments.__all__
+         if callable(getattr(mexmoments, name)) and not name.endswith("Error")}
+GATED |= {f.__name__: f for f in (
+    partitions.oracle_values, conjectures.scan_bias, conjectures.scan_log_concavity,
+    asymptotics.hardy_ramanujan_asymp, asymptotics.sigma_asymp, asymptotics.varsigma_asymp,
+    asymptotics.exact_over_asymptotic, asymptotics.corollary_ratio)}
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_entry_point_refuses_bad_input_with_the_package_errors(name, data):
+    # Only ValidationError and ResourceCapError escape, and the documented
+    # ZeroDivisionError of corollary_ratio.
+    roles = SIGNATURES[name]
+    args = [data.draw(ROLES[role], label=role) for role in roles]
+    allowed = (mexmoments.ValidationError, mexmoments.ResourceCapError,
+               *([ZeroDivisionError] if name == "corollary_ratio" else []))
+    try:
+        GATED[name](*(mexmoments.MexParams(*arg) if role == "params" else arg
+                      for role, arg in zip(roles, args)))
+    except allowed:
+        pass
 
 
 def test_reference_imports_nothing_from_the_package():

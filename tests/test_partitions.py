@@ -127,6 +127,18 @@ def test_mexparams_validation():
         MexParams(1, 2, 0, 0)
     with pytest.raises(ValidationError):
         MexParams(1, 2, 1, -1)
+    # Only ints, stored plain: a bool would hash equal to 1 and be served
+    # the store entries of s = 1.
+    for bad in (1.5, "1", None, True):
+        with pytest.raises(ValidationError, match="^s must be an integer, got "):
+            MexParams(bad, 2, 1, 1)
+
+    class Index:
+        def __index__(self):
+            return 3
+
+    p = MexParams(Index(), 2, 1, 1)
+    assert type(p.s) is int and p == MexParams(3, 2, 1, 1)
 
 
 def test_sigma_oracle_n4_examples():

@@ -45,12 +45,6 @@ def test_sigma_r0_residue_classes_sum_to_partition_count(s, M, n):
     assert total == partition_numbers(n)[n]
 
 
-@settings(max_examples=100, deadline=None)
-@given(thresholds, moduli, ns)
-def test_compiled_histogram_equals_pure(speed, s, M, n):
-    assert _pure.mex_value_counts(n, s, M, speed.walk) == _pure.mex_value_counts(n, s, M)
-
-
 @st.composite
 def sparse_dense_args(draw):
     """(sparse, dense, length) with few distinct |weight|s of both signs,

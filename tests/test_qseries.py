@@ -545,6 +545,9 @@ def test_coefficient_budget_refuses_before_any_work(gf_calls):
     for kind in FRESH_GF:
         with pytest.raises(ResourceCapError, match="coefficient bytes"):
             qseries.moment_sequence(kind, MexParams(1, 4, 1, 10**7), 300)
+        # No mex at n <= N//2 = 7 reaches 2, but 2^r is a value at N = 15.
+        with pytest.raises(ResourceCapError, match="coefficient bytes"):
+            qseries.moment_sequence(kind, MexParams(10, 1, 1, 2**63), 15)
     assert gf_calls == []
 
 
