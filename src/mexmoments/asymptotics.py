@@ -22,16 +22,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from mexmoments import qseries
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams, _check_int, _check_kind
+from mexmoments.partitions import MexParams, _check_int, _check_kind, _show
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
 # generating-function data at q = e^-t
+
+
+def _check_t(t: float) -> float:
+    """``t``, refused unless a real number (not a bool) with 0 < t <= 1."""
+    if isinstance(t, bool) or not isinstance(t, Real) or not 0 < t <= 1:
+        raise ValidationError(f"t must be a real number with 0 < t <= 1, got {_show(t)}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -60,19 +68,21 @@ def qexpansion_ingham_params(kind: str, s: int, M: int, r: int) -> InghamParams:
         varsigma, r >= 1: same with M^(r/2) in place of M^(-1)
         varsigma, r = 0:  lam = 1/sqrt(2 pi)                   (plain p(n))
 
-    growth_A is pi^2/6 throughout.
+    growth_A is pi^2/6 throughout.  Parameters whose data leave float
+    range raise ``ValidationError``, as in ``sigma_asymp``.
     """
     _check_kind(kind)
     MexParams(s, M, 1, r)  # refuses s, M and r outside their domains
     growth = math.pi**2 / 6.0
-    if r == 0:
-        lam = 1.0 / math.sqrt(2.0 * math.pi)
-        if kind == "sigma":
-            lam /= M
-        return InghamParams(lam, 0.5, growth)
-    lam = 2.0 ** ((r - 3) / 2) / math.sqrt(math.pi) * s ** (-r / 2) * r * math.gamma(r / 2)
-    lam *= M ** (r / 2) if kind == "varsigma" else 1.0 / M
-    return InghamParams(lam, (1 - r) / 2, growth)
+    try:
+        if r == 0:
+            lam = 1.0 / math.sqrt(2.0 * math.pi) / (M if kind == "sigma" else 1)
+            return InghamParams(lam, 0.5, growth)
+        lam = 2.0 ** ((r - 3) / 2) / math.sqrt(math.pi) * s ** (-r / 2) * r * math.gamma(r / 2)
+        lam *= M ** (r / 2) if kind == "varsigma" else 1.0 / M
+        return InghamParams(lam, (1 - r) / 2, growth)
+    except OverflowError:
+        raise ValidationError("these s, M and r take the growth data past float range") from None
 
 
 def gf_boundary_log(kind: str, p: MexParams, t: float) -> float:
@@ -84,12 +94,16 @@ def gf_boundary_log(kind: str, p: MexParams, t: float) -> float:
     negligible at double precision.  Together with
     qexpansion_ingham_params this cross-checks the intermediate t -> 0+
     estimates directly against the exact sequences, independently of the
-    Tauberian transfer.
+    Tauberian transfer.  A sum with no term above float underflow (every
+    value to N is 0, say) raises ``ValidationError``.
     """
-    if not 0 < t <= 1:
-        raise ValidationError(f"t must satisfy 0 < t <= 1, got {t}")
+    t = _check_t(t)
     growth = math.pi**2 / 6.0
-    seq = qseries.moment_sequence(kind, p, max(256, math.ceil(6.0 * growth / (t * t))))
+    try:
+        order = max(256, math.ceil(6.0 * growth / (t * t)))
+    except (ZeroDivisionError, OverflowError):  # t * t underflows: an order past float range
+        raise ResourceCapError(f"t={t} needs a series order past float range") from None
+    seq = qseries.moment_sequence(kind, p, order)
     # Factor out the peak magnitude so the float sum cannot overflow.
     peak = growth / t
     total = math.fsum(
@@ -97,6 +111,8 @@ def gf_boundary_log(kind: str, p: MexParams, t: float) -> float:
         for n, v in enumerate(seq.values)
         if v
     )
+    if not total:
+        raise ValidationError(f"every {kind} term to order {order} underflows at t={t}")
     return math.log(total) + peak
 
 
@@ -116,11 +132,10 @@ def eta_inversion_check(t: float) -> tuple[float, float]:
     K is chosen so the dropped factors satisfy e^-Kt < 1e-20.  Returns
     (lhs, rhs); their difference decays like t/24 as t -> 0+.
     """
-    if not 0 < t <= 1:
-        raise ValidationError(f"t must satisfy 0 < t <= 1, got {t}")
-    K = math.ceil(20.0 * math.log(10.0) / t)
+    t = _check_t(t)
+    K = math.ceil(min(20.0 * math.log(10.0) / t, ETA_MAX_TERMS + 1))  # the quotient may be inf
     if K > ETA_MAX_TERMS:
-        raise ResourceCapError(f"t={t} needs {K} product terms, above the cap {ETA_MAX_TERMS}")
+        raise ResourceCapError(f"t={t} needs more product terms than the cap {ETA_MAX_TERMS}")
     lhs = math.fsum(math.log1p(-math.exp(-k * t)) for k in range(1, K + 1))
     rhs = 0.5 * LOG_2PI - 0.5 * math.log(t) - math.pi**2 / (6.0 * t)
     return lhs, rhs
@@ -172,7 +187,7 @@ def sigma_asymp(p: MexParams, n: int) -> float:
             + math.pi * _root_two_thirds(n)
         )
     except OverflowError:
-        raise ValidationError(f"r={p.r} takes the growth law past float range") from None
+        raise ValidationError(f"r={_show(p.r)} takes the growth law past float range") from None
 
 
 def varsigma_asymp(p: MexParams, n: int) -> float:
@@ -229,7 +244,7 @@ def corollary_ratio(kind: str, p: MexParams, a_prime: int, n: int) -> float:
     den = qseries.moment_value(kind, p_prime, n)
     if den == 0:
         raise ZeroDivisionError(
-            f"denominator moment is zero at n={n} for A'={a_prime} (kind={kind})"
+            f"denominator moment is zero at n={n} for A'={_show(a_prime)} (kind={kind})"
         )
     if num == den:
         return 1.0

@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import time
-from collections.abc import Iterator
 from dataclasses import asdict, replace
 from functools import partial
 
@@ -40,6 +39,7 @@ from mexmoments.partitions import (
     VALID_KINDS,
     MexParams,
     _check_cap,
+    _check_int,
     oracle_values,
     sigma_oracle,
     varsigma_oracle,
@@ -148,36 +148,17 @@ def _parse_n_list(spec: str) -> list[int]:
         raise ValidationError(f"--n-list must be comma-separated integers, got {spec!r}") from exc
 
 
-def _int_str_limit() -> int:
-    """Decimal digits int-to-str conversion accepts; 0 is no limit."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7: none
-
-
-def _too_long_to_print(limit: int) -> ResourceCapError:
-    return ResourceCapError(
-        f"a value has more than {limit} decimal digits, the int-to-str limit "
-        "(PYTHONINTMAXSTRDIGITS)"
-    )
-
-
-def _check_printable(columns) -> None:
-    """Refuse, before anything is formatted, an int with more decimal
-    digits than int-to-str conversion accepts: one ``max`` per column.
-    An iterator is not read here, only as its rows are written."""
-    limit = _int_str_limit()
-    tops = [max(column, default=0) for column in columns if not isinstance(column, Iterator)]
-    if limit and any(type(top) is int and top >= 10**limit for top in tops):
-        raise _too_long_to_print(limit)
-
-
 def _check_printable_up_front(kind: str, params: list[MexParams], n: int) -> None:
-    """Refuse, before any k^r is computed, what ``_check_printable`` would
-    refuse after the work: the value at n has more bits than
-    ``qseries.value_bits``, so at least that times log10(2) digits.  The
-    margin of one digit keeps float rounding from refusing what prints."""
-    limit = _int_str_limit()
-    if limit and any(qseries.value_bits(kind, p, n) * math.log10(2) > limit + 1 for p in params):
-        raise _too_long_to_print(limit)
+    """Refuse, before any k^r is computed, values at n' <= n that could
+    have more decimal digits than int-to-str conversion accepts (0 is no
+    limit): a value has at most ``qseries.value_bits`` bits, so at most
+    that times log10(2) digits, rounded up."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7: none
+    if limit and any(qseries.value_bits(kind, p, n) * math.log10(2) > limit for p in params):
+        raise ResourceCapError(
+            f"a value could have more than {limit} decimal digits, the int-to-str limit "
+            "(PYTHONINTMAXSTRDIGITS)"
+        )
 
 
 #: Characters written at a time: one ``write`` of a long text would first
@@ -292,7 +273,6 @@ def _table_text(meta: dict, columns: dict, fmt: str) -> str:
     them, bools as true/false); a column may be an iterator, read as its
     rows are written.  JSON: ``{"params": meta, "rows": [a dict per row]}``.
     """
-    _check_printable(columns.values())
     if fmt == "json":
         return _json_text({"params": meta, "rows": columns}, "rows")
     buf = io.StringIO()
@@ -319,11 +299,11 @@ def cmd_stats(args) -> int:
         ns = range(lo, hi + 1)
     if ns[0] < 0:
         raise ValidationError("n must be >= 0")
-    _check_printable_up_front(args.kind, [params], ns[-1])
     need_oracle = args.method in ("oracle", "both")
     need_gf = args.method in ("gf", "both")
     if need_oracle:
         _check_cap(ns[-1])
+    _check_printable_up_front(args.kind, [params], ns[-1])
     # The series first: its byte budget refuses before any oracle weight k^r is computed.
     gf = qseries.moment_sequence(args.kind, params, ns[-1]).values[ns[0] :] if need_gf else None
     if args.n is not None and need_oracle:
@@ -374,8 +354,9 @@ def verify_work(max_mod: int, max_s: int, max_r: int, max_n: int) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_mod < 1 or args.max_s < 1 or args.max_r < 0 or args.max_n < 0:
-        raise ValidationError("verify grid bounds must be positive (max-r, max-n may be 0)")
+    for flag, value, low in (("--max-mod", args.max_mod, 1), ("--max-s", args.max_s, 1),
+                             ("--max-r", args.max_r, 0), ("--max-n", args.max_n, 0)):
+        _check_int(flag, value, low)
     _check_cap(args.max_n)
     work = verify_work(args.max_mod, args.max_s, args.max_r, args.max_n)
     if work > VERIFY_WORK_LIMIT:
@@ -430,8 +411,7 @@ def cmd_asymp(args) -> int:
     params_b = replace(params, A=args.res_prime) if args.corollary else params
     _check_printable_up_front(args.kind, [params, params_b], trunc)
     seq = qseries.moment_sequence(args.kind, params, trunc)
-    # The float columns are maps, computed as their rows are written, once
-    # the exact values have passed the int-to-str check.
+    # The float columns are maps, computed as their rows are written.
     if args.corollary:
         seq_b = qseries.moment_sequence(args.kind, params_b, trunc)
         ratio = partial(asymptotics.corollary_ratio, args.kind, params, args.res_prime)

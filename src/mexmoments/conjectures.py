@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mexmoments import qseries
-from mexmoments.errors import ResourceCapError
 from mexmoments.partitions import MexParams, _check_int, _check_kind
 
 
@@ -120,23 +119,17 @@ def scan_bias(kind: str, s: int, M: int, r: int, n_lo: int, n_hi: int) -> ScanRe
     ordering by "<=" makes equal values legitimate.  For the sigma family
     with r = 0 the residue classes partition all partitions of n, so the
     per-n values are additionally checked to sum to p(n).  A scan whose M
-    sequences and orderings would hold more than ``STORE_BYTE_LIMIT``
-    bytes of pointers raises ``ResourceCapError`` before any sequence is
-    computed.
+    sequences could hold more than ``qseries.STORE_BYTE_LIMIT`` bytes
+    (``qseries.sequence_bytes``) raises ``ResourceCapError`` before any
+    sequence is computed.
     """
     _check_kind(kind)
     p = MexParams(s, M, 1, r)  # rejects s, M and r outside their domains
     s, M, r = p.s, p.M, p.r
     n_lo, n_hi = _check_range(n_lo, n_hi)
-    # The M sequences and the M residues per n of the ordering stay alive
-    # together, so store eviction cannot bound them: refuse up front when
-    # their pointers alone, 8 bytes each, exceed the store's limit.
-    nbytes = 8 * M * (n_hi + 1) + 8 * M * (n_hi - n_lo + 1)
-    if nbytes > qseries.STORE_BYTE_LIMIT:
-        raise ResourceCapError(
-            f"a bias scan of {M} residues to order {n_hi} holds at least {nbytes} bytes, "
-            f"above the limit {qseries.STORE_BYTE_LIMIT}"
-        )
+    # The M sequences stay alive together, so store eviction cannot bound
+    # them: their bytes are checked together, up front.
+    qseries._check_coefficient_bytes(kind, p, n_hi, every_residue=True)
     sequences = {
         a: qseries.moment_sequence(kind, MexParams(s, M, a, r), n_hi) for a in range(1, M + 1)
     }

@@ -47,7 +47,15 @@ VALID_KINDS = ("sigma", "varsigma")
 def _check_kind(kind: str) -> None:
     """Refuse a kind outside ``VALID_KINDS``."""
     if kind not in VALID_KINDS:
-        raise ValidationError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
+        raise ValidationError(f"kind must be one of {VALID_KINDS}, got {_show(kind)}")
+
+
+def _show(value) -> str:
+    """``repr(value)`` for a message, or the size of an int past int-to-str's limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
 
 
 def _check_int(name: str, value, low: int) -> int:
@@ -58,7 +66,7 @@ def _check_int(name: str, value, low: int) -> int:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     value = operator.index(value)
     if value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {value}")
+        raise ValidationError(f"{name} must be >= {_show(low)}, got {_show(value)}")
     return value
 
 
@@ -80,7 +88,9 @@ class MexParams:
         for name, low in (("s", 1), ("M", 1), ("A", 1), ("r", 0)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
         if self.A > self.M:
-            raise ValidationError(f"residue must satisfy 0 < A <= M, got A={self.A}, M={self.M}")
+            raise ValidationError(
+                f"residue must satisfy 0 < A <= M, got A={_show(self.A)}, M={_show(self.M)}"
+            )
 
 
 class Store:
@@ -129,7 +139,7 @@ def _check_cap(n: int) -> int:
     n = _check_int("n", n, 0)
     if n > ORACLE_CAP:
         raise ResourceCapError(
-            f"oracle request n={n} exceeds cap {ORACLE_CAP}; "
+            f"oracle request n={_show(n)} exceeds cap {ORACLE_CAP}; "
             "use the generating-function route"
         )
     return n
@@ -180,7 +190,8 @@ def oracle_values(kind: str, p: MexParams, N: int) -> list[int]:
     so modulus N+1 gives the same row for min(A, N+1).  The weights still
     use the real M: v^r on v = A mod M for sigma (cell m holds v = m+1),
     (A + m*M)^r for varsigma.  Values past the series route's byte budget
-    raise ``ResourceCapError`` before any weight is computed.
+    (``qseries.sequence_bytes``) raise ``ResourceCapError`` before any
+    weight is computed.
     """
     from mexmoments.qseries import _check_coefficient_bytes  # qseries imports this module
 

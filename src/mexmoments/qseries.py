@@ -15,7 +15,7 @@ process-wide caches only ever grow: the p(n) table, and a
 the largest order requested so far.  A smaller order is a prefix of it,
 built on request and not kept, so only the stored order returns the
 same object each time.  The store is bounded by ``STORE_BYTE_LIMIT``
-bytes, and a single sequence that would need more is refused up front;
+bytes, and a single sequence that could need more is refused up front;
 every series entry point refuses orders above ``SERIES_ORDER_LIMIT``
 with ``ResourceCapError``.
 """
@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import index, itemgetter
 
 from mexmoments import backend
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams, Store, _check_int, _check_kind
+from mexmoments.partitions import MexParams, Store, _check_int, _check_kind, _show
 
 #: Largest truncation order the series route accepts.  The p(n) table
 #: alone takes about 30 s to reach it on a 2-core machine, which still
@@ -42,12 +42,13 @@ SERIES_ORDER_LIMIT = 2**18
 #: before it evicts whole entries, least recently used first.
 STORE_BYTE_LIMIT = 256 * 2**20
 
-#: Bytes a store entry holds past what ``moment_sequence`` charges by
-#: ``sys.getsizeof``: its OrderedDict node and table slots, the cost int,
-#: and the attribute values of the MomentSequence and its MexParams.  The
-#: most tracemalloc read per entry, 135-250 bytes in stores of 200 to
-#: 20,000 order-1 sequences on CPython 3.11 (the table grows by doubling).
-_NODE_BYTES = 256
+#: Bytes a store entry holds besides its ints and a tuple slot for each,
+#: on CPython 3.11: 272 of ``sys.getsizeof`` (the tuple's header, the
+#: MomentSequence, its MexParams, the key and the (n, cost, value) tuple)
+#: and 256 for the OrderedDict node and slots, the cost int and the two
+#: objects' attribute values, the most tracemalloc read per entry (135-250
+#: bytes in stores of 200 to 20,000 order-1 sequences).
+_ENTRY_BYTES = 528
 
 
 def _check_order(order: int) -> int:
@@ -55,7 +56,7 @@ def _check_order(order: int) -> int:
     order = _check_int("order", order, 0)
     if order > SERIES_ORDER_LIMIT:
         raise ResourceCapError(
-            f"series order {order} is above the limit {SERIES_ORDER_LIMIT}"
+            f"series order {_show(order)} is above the limit {SERIES_ORDER_LIMIT}"
         )
     return order
 
@@ -135,7 +136,7 @@ class MomentSequence:
             raise ValidationError("moment values must include n=0, got none")
         if min(values) < 0:
             n = next(n for n, v in enumerate(values) if v < 0)
-            raise ValidationError(f"moment values must be >= 0, got {values[n]} at n={n}")
+            raise ValidationError(f"moment values must be >= 0, got {_show(values[n])} at n={n}")
         if kind == "varsigma" and params.r == 0:
             # The 0th varsigma moment counts every partition once, so the
             # sequence must literally be p(n).  Enforcing it here turns any
@@ -149,7 +150,7 @@ class MomentSequence:
                 )
                 raise ValidationError(
                     f"varsigma r=0 must equal the partition numbers; "
-                    f"mismatch at n={n}: {got} != {want}"
+                    f"mismatch at n={n}: {_show(got)} != {_show(want)}"
                 )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
@@ -222,9 +223,8 @@ def largest_mex(kind: str, p: MexParams, n: int) -> int:
     holds each of 1..k-1 (sigma) or A, A+M, ..., k-M (varsigma) at least
     s times, of weight s k(k-1)/2 or s (M m(m-1)/2 + A m).  So no
     partition of n has a larger mex in the class, and the moment at n is
-    at most p(n) k^r.  When k >= 2 those parts topped up with ones have
-    mex k, so the moment is at least k^r.  k is the root of the quadratic
-    weight, taken with ``math.isqrt``, so any n is cheap."""
+    at most p(n) k^r.  k is the root of the quadratic weight, taken with
+    ``math.isqrt``, so any n is cheap."""
     q = n // p.s  # the parts fit in n when their weight over s is <= q
     if kind == "sigma":
         k = (1 + math.isqrt(8 * q + 1)) // 2  # the largest k with k(k-1)/2 <= q
@@ -234,26 +234,41 @@ def largest_mex(kind: str, p: MexParams, n: int) -> int:
 
 
 def value_bits(kind: str, p: MexParams, n: int) -> float:
-    """r log2(k) for k the largest mex at n, or 0 when k < 2: every
-    moment value at n' >= n is at least k^r (``largest_mex``), so it has
-    more bits than this.  An r past 2^1000 counts as 2^1000, which keeps
-    the product a float and the bound a lower one."""
+    """An upper bound on the bit length of every moment value at n' <= n
+    <= ``SERIES_ORDER_LIMIT``: p(n) < exp(pi sqrt(2n/3)) (Apostol,
+    Introduction to Analytic Number Theory, Thm 14.5) partitions, each of
+    weight at most k^r for k the largest mex at n (``largest_mex``; 1 when
+    k < 2), and + 1 for a bit length over log2 and for float rounding.
+    An r past 2^1000 counts as 2^1000: a float, and past every budget."""
+    n = _check_order(n)
     k = largest_mex(kind, p, n)
-    return min(p.r, 2**1000) * math.log2(k) if k >= 2 else 0
+    r_bits = min(p.r, 2**1000) * math.log2(k) if k >= 2 else 0
+    return math.pi * math.sqrt(2 * n / 3) / math.log(2) + 1 + r_bits
 
 
-def _check_coefficient_bytes(kind: str, p: MexParams, order: int) -> None:
-    """Refuse, before any k^r or p(n) is computed, a sequence whose
-    coefficients alone would not fit in the store: each of the
-    N - N//2 + 1 values at n >= N//2 takes at least ``value_bits`` at
-    N//2 over 8 bytes, and the value at N at least ``value_bits`` at N
-    (the larger bound when no mex at N//2 reaches 2: a small N or a large s)."""
-    bits = (order - order // 2 + 1) * value_bits(kind, p, order // 2)
-    nbytes = max(bits, value_bits(kind, p, order)) / 8
+def sequence_bytes(kind: str, p: MexParams, order: int) -> int:
+    """An upper bound on what the store charges for the sequence to
+    ``order``: per value a tuple slot and the ``sys.getsizeof`` of an int
+    of ``value_bits`` at ``order``, plus ``_ENTRY_BYTES``."""
+    digits = math.ceil(value_bits(kind, p, order) / sys.int_info.bits_per_digit)
+    return (order + 1) * (8 + int.__basicsize__ + int.__itemsize__ * digits) + _ENTRY_BYTES
+
+
+def _check_coefficient_bytes(kind: str, p: MexParams, order: int, every_residue=False) -> None:
+    """Refuse, before any k^r or p(n) is computed, the sequence of
+    ``kind`` to ``order`` for ``p``, or with ``every_residue`` those of
+    A = 1..M, when their ``sequence_bytes`` sum past ``STORE_BYTE_LIMIT``.
+    No bound is below that of r = 0, which s, M and A leave unchanged, so
+    more residues than fit at r = 0 are refused without a look at any."""
+    count = p.M if every_residue else 1
+    nbytes = count * sequence_bytes(kind, replace(p, r=0), order)
+    if nbytes <= STORE_BYTE_LIMIT:
+        params = (replace(p, A=a) for a in range(1, count + 1)) if every_residue else [p]
+        nbytes = sum(sequence_bytes(kind, q, order) for q in params)
     if nbytes > STORE_BYTE_LIMIT:
         raise ResourceCapError(
-            f"the {kind} sequence to order {order} needs at least {nbytes:.3g} coefficient "
-            f"bytes, above the limit {STORE_BYTE_LIMIT}"
+            f"{_show(count)} {kind} sequence(s) to order {order} could need "
+            f"10^{math.log10(nbytes):.2f} coefficient bytes, above the limit {STORE_BYTE_LIMIT}"
         )
 
 
@@ -294,8 +309,8 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
     order is the stored sequence's ``prefix`` (coefficients at n <= N do
     not depend on the truncation order): a copy of its values, built per
     call, not stored and not checked again.  A sequence whose
-    coefficients take more than ``STORE_BYTE_LIMIT`` bytes by a lower
-    bound raises ``ResourceCapError`` before any work.
+    ``sequence_bytes`` exceed ``STORE_BYTE_LIMIT`` raises
+    ``ResourceCapError`` before any work.
     """
     _check_kind(kind)
     order = _check_order(order)
@@ -305,10 +320,7 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
         _check_coefficient_bytes(kind, p, order)
         gf_coeffs = sigma_gf_coeffs if kind == "sigma" else varsigma_gf_coeffs
         seq = gf_coeffs(p, order)
-        # The values, their tuple, the MomentSequence, its MexParams, the
-        # key, the store's (n, cost, value) tuple and its node.
-        held = (seq.values, seq, p, key, (order, 0, seq))
-        cost = sum(map(sys.getsizeof, seq.values)) + sum(map(sys.getsizeof, held)) + _NODE_BYTES
+        cost = sum(map(sys.getsizeof, seq.values)) + 8 * len(seq.values) + _ENTRY_BYTES
         seq = _store.put(key, order, cost, seq)
     return seq if seq.order == order else seq.prefix(order)
 

@@ -1,7 +1,10 @@
 """CLI contract tests: row formats, exit codes, determinism, precedence."""
 
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -10,6 +13,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mexmoments import MexParams, backend, cli, partition_numbers, partitions
 from mexmoments.cli import main
@@ -290,6 +295,17 @@ def test_verify_refuses_a_grid_of_minutes_before_any_work(capsys, oracle_calls, 
     assert product_calls == [] and oracle_calls == []
 
 
+@pytest.mark.parametrize("flag, low", [
+    ("--max-mod", 1), ("--max-s", 1), ("--max-r", 0), ("--max-n", 0),
+])
+def test_verify_refuses_each_bound_below_its_domain(capsys, kernel_calls, product_calls, flag,
+                                                    low):
+    code, out, err = run_cli(capsys, "verify", flag, str(low - 1))
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must be >= {low}, got {low - 1}\n"
+    assert kernel_calls == [] and product_calls == []
+
+
 def test_verify_leaves_the_sequence_store_as_it_found_it(capsys, product_calls):
     # verify reads each sequence once, so it computes every one afresh,
     # a stored one included, and stores none.
@@ -336,8 +352,8 @@ TOO_LONG_TO_PRINT = [
     ("asymp", "--kind", "varsigma", "--r", "5000", "--n-list", "50,100"),
     ("asymp", "--kind", "varsigma", "--mod", "2", "--res", "1", "--res-prime", "2",
      "--r", "5000", "--n-list", "100", "--corollary"),
-    # Passes the up-front estimate; n = 1 has a zero denominator, but the
-    # value too long to print at n = 100 is refused before any ratio.
+    # n = 1 has a zero denominator, but the value too long to print at
+    # n = 100 is refused before any ratio.
     ("asymp", "--kind", "sigma", "--mod", "5", "--res", "1", "--res-prime", "5",
      "--r", "4128", "--n-list", "1,100", "--corollary"),
     # An r past float range still counts as more bits than print.
@@ -361,7 +377,7 @@ def test_values_too_long_to_print_are_a_resource_cap(capsys, tmp_path, set_int_s
     assert code == 3
     assert out == ""
     assert err == (
-        f"resource cap: a value has more than {limit} decimal digits, "
+        f"resource cap: a value could have more than {limit} decimal digits, "
         "the int-to-str limit (PYTHONINTMAXSTRDIGITS)\n"
     )
     path = tmp_path / "out.txt"
@@ -430,13 +446,16 @@ def test_coefficient_budget_admits_large_r(capsys, product_calls):
 
 
 def test_bias_scan_budget_is_checked_before_any_work(capsys, product_calls):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "conjecture", "bias", "--kind", "varsigma", "--mod", "2000",
-                             "--r", "1", "--range", "1:20000")
-    assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert out == ""
-    assert "a bias scan of 2000 residues to order 20000" in err
+    # M = 200 to 20000 peaked at 459-492 MB resident when it ran, over the
+    # 256 MiB limit.
+    for M in (2000, 200):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "conjecture", "bias", "--kind", "varsigma",
+                                 "--mod", str(M), "--r", "1", "--range", "1:20000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert f"{M} varsigma sequence(s) to order 20000 could need" in err
     assert product_calls == []
 
 
@@ -487,6 +506,36 @@ def test_longest_printable_value_is_not_refused(capsys, set_int_str_limit, metho
     assert code == 0
     assert out.splitlines()[2] == "0," + "1" + "0" * 4299
     assert run_cli(capsys, *argv, "--r", "4300")[0] == 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("sigma", "varsigma")), st.integers(1, 3), st.integers(1, 6), st.data(),
+       st.integers(0, 2000), st.integers(1, 60), st.sampled_from(("gf", "oracle", "both", "asymp")))
+def test_printed_values_have_at_most_the_digits_the_bound_allows(kind, s, M, data, r, n, how):
+    # With the least int-to-str limit, a request either prints, every value
+    # within the digits of qseries.value_bits, or is refused by that bound
+    # up front: no formatting ValueError escapes.
+    p = MexParams(s, M, data.draw(st.integers(1, M), label="A"), r)
+    argv = ["--kind", kind, "--s", str(s), "--mod", str(M), "--res", str(p.A), "--r", str(r)]
+    if how == "asymp":
+        argv = ["asymp", *argv, "--n-list", f"{n // 2 + 1},{n}"]
+    else:
+        argv = ["stats", *argv, "--range", f"{n // 2}:{n}", "--method", how]
+    digits = math.ceil(cli.qseries.value_bits(kind, p, n) * math.log10(2))
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+    finally:
+        sys.set_int_max_str_digits(before)
+    if code == 3:
+        assert digits > 640 and out.getvalue() == ""
+        return
+    assert code == 0 and digits <= 640
+    rows = [row.split(",") for row in out.getvalue().splitlines()[2:]]
+    printed = [v for row in rows for v in row[1:] if v.isdigit()]
+    assert printed and max(map(len, printed)) <= digits
 
 
 def test_int_str_limit_zero_means_no_limit(capsys, set_int_str_limit):

@@ -48,18 +48,22 @@ def test_every_entry_point_refuses_an_unknown_kind_with_one_message(call):
 
 
 # An int argument of any call: the ints valid calls take, kept <= 64 so
-# that no draw does heavy work, huge ints of both signs, and non-ints.
-ARGS = st.one_of(st.integers(-2, 64), st.sampled_from([2**63, 10**400, -(10**400)]),
+# that no draw does heavy work, huge ints of both signs (10^5000 past the
+# int-to-str limit), and non-ints.
+HUGE = [2**63, 10**400, -(10**400), 10**5000, -(10**5000)]
+ARGS = st.one_of(st.integers(-2, 64), st.sampled_from(HUGE),
                  st.floats(), st.booleans(), st.none(), st.text(max_size=2))
 ROLES = {
     "int": ARGS,
+    # t = 0.1 and above keeps gf_boundary_log's series short.
+    "t": st.one_of(st.floats(0.1, 1), ARGS),
     "kind": st.one_of(st.sampled_from(partitions.VALID_KINDS), ARGS),
     "params": st.tuples(ARGS, ARGS, ARGS, ARGS),
     "values": st.one_of(ARGS, st.lists(ARGS, max_size=3)),
 }
 # The roles of the arguments of every function in ``__all__``, the
-# scanners, the oracle column, the growth laws and the ratio helpers;
-# "params" becomes a MexParams.
+# scanners, the oracle column, the growth laws, the ratio helpers and the
+# float entry points; "params" becomes a MexParams.
 SIGNATURES = {
     "MexParams": ("int",) * 4,
     "MomentSequence": ("kind", "params", "values"),
@@ -77,13 +81,18 @@ SIGNATURES = {
     "varsigma_asymp": ("params", "int"),
     "exact_over_asymptotic": ("kind", "params", "int"),
     "corollary_ratio": ("kind", "params", "int", "int"),
+    "qexpansion_ingham_params": ("kind", "int", "int", "int"),
+    "gf_boundary_log": ("kind", "params", "t"),
+    "eta_inversion_check": ("t",),
 }
 GATED = {name: getattr(mexmoments, name) for name in mexmoments.__all__
          if callable(getattr(mexmoments, name)) and not name.endswith("Error")}
 GATED |= {f.__name__: f for f in (
     partitions.oracle_values, conjectures.scan_bias, conjectures.scan_log_concavity,
     asymptotics.hardy_ramanujan_asymp, asymptotics.sigma_asymp, asymptotics.varsigma_asymp,
-    asymptotics.exact_over_asymptotic, asymptotics.corollary_ratio)}
+    asymptotics.exact_over_asymptotic, asymptotics.corollary_ratio,
+    asymptotics.qexpansion_ingham_params, asymptotics.gf_boundary_log,
+    asymptotics.eta_inversion_check)}
 
 
 @pytest.mark.parametrize("name", sorted(GATED))

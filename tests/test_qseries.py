@@ -483,9 +483,7 @@ def test_store_threads_agree(gf_calls):
     entry = qseries._store.entries[key]
     n, cost, seq = entry
     assert n == 600 and seq.values == fresh
-    held = (fresh, seq, p, key, entry)
-    assert cost == (sum(map(sys.getsizeof, fresh)) + sum(map(sys.getsizeof, held))
-                    + qseries._NODE_BYTES)
+    assert cost == sum(map(sys.getsizeof, fresh)) + 8 * len(fresh) + qseries._ENTRY_BYTES
     assert qseries._store.total == cost
 
 
@@ -531,14 +529,38 @@ def test_series_orders_above_the_limit_are_refused(gf_calls):
     ("varsigma", MexParams(3, 5, 5, 0), 200),
     ("sigma", MexParams(1, 1, 1, 9), 1),
 ])
-def test_coefficient_budget_is_a_lower_bound(gf_calls, monkeypatch, kind, p, order):
-    # A limit equal to the bytes the values at n >= N//2 really take must
-    # admit the sequence, so the budget never refuses what would fit.
-    values = FRESH_GF[kind](p, order).values
-    monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT",
-                        sum(v.bit_length() for v in values[order // 2:]) / 8)
-    assert qseries.moment_sequence(kind, p, order).values == values
+def test_coefficient_budget_is_an_upper_bound(gf_calls, monkeypatch, kind, p, order):
+    # A limit of sequence_bytes admits the sequence and one byte less
+    # refuses it, before any work; what the store then charges is within
+    # the bound.
+    need = qseries.sequence_bytes(kind, p, order)
+    monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need - 1)
+    with pytest.raises(ResourceCapError, match=f"1 {kind} sequence.s. to order {order}"):
+        qseries.moment_sequence(kind, p, order)
+    assert gf_calls == []
+    monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need)
+    values = qseries.moment_sequence(kind, p, order).values
+    assert values == FRESH_GF[kind](p, order).values
     assert gf_calls == [(kind, p, order)]
+    assert qseries._store.entries[(kind, p)][1] <= need
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("sigma", "varsigma")), st.integers(1, 4), st.integers(1, 12),
+       st.data(), st.integers(0, 64), st.integers(0, 1500))
+def test_value_bits_bounds_every_value(kind, s, M, data, r, order):
+    p = MexParams(s, M, data.draw(st.integers(1, M), label="A"), r)
+    values = FRESH_GF[kind](p, order).values
+    assert all(v.bit_length() <= qseries.value_bits(kind, p, n) for n, v in enumerate(values))
+
+
+def test_partition_numbers_are_within_the_bound():
+    # p(n) < exp(pi sqrt(2n/3)), the term of value_bits that r = 0 and
+    # k < 2 leave, with room to spare for float rounding past n = 0.
+    pn = partition_numbers(2**15)
+    p = MexParams(1, 1, 1, 0)
+    slack = [qseries.value_bits("sigma", p, n) - v.bit_length() for n, v in enumerate(pn)]
+    assert slack[0] == 0 and min(slack[1:]) > 3
 
 
 def test_coefficient_budget_refuses_before_any_work(gf_calls):

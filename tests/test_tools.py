@@ -2,7 +2,9 @@
 committed goldens byte for byte, and the README's command-line examples
 run as shown."""
 
+import importlib
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -60,3 +62,18 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
         if shown:  # the rows below the "# params:" line
             assert out.splitlines()[1:] == shown, argv
     assert sorted(p.name for p in tmp_path.iterdir()) == ["seq.csv", "seq.csv.meta.json"]
+
+
+def test_readme_names_of_the_package_resolve():
+    # Every backticked `module.name` of the package's modules in README.md
+    # names something the module has, so a deleted function or constant
+    # cannot stay documented.
+    modules = sorted(p.stem for p in (ROOT / "src" / "mexmoments").glob("*.py")
+                     if p.stem != "__init__")
+    assert len(modules) == 8
+    pattern = rf"`({'|'.join(modules)})\.([A-Za-z_]\w*)"
+    refs = set(re.findall(pattern, (ROOT / "README.md").read_text(encoding="utf-8")))
+    assert ("qseries", "value_bits") in refs  # the walk sees them
+    missing = [f"{module}.{name}" for module, name in sorted(refs)
+               if not hasattr(importlib.import_module(f"mexmoments.{module}"), name)]
+    assert missing == []
