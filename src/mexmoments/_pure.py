@@ -12,29 +12,16 @@ from __future__ import annotations
 from itertools import chain, repeat
 from operator import add, getitem, mul, neg, sub
 
-from mexmoments.errors import ValidationError
-
-#: Largest n the enumeration accepts, and so the oracle's limit.  The
-#: walk to n visits the partitions of every t <= n into parts above
-#: SMALL_PARTS, 37,689 at n = 60 (p(60) is about 9.7e5), and its time
-#: grows about 3x per 10: the pure walk took 0.02 s at n = 60 and 0.74 s
-#: at n = 90 on a 2-core machine.  A larger n is the series route's job.
+#: Largest n the oracle enumerates (``partitions.mex_value_histogram``
+#: checks it).  The walk to n visits the partitions of every t <= n into
+#: parts above SMALL_PARTS, 37,689 at n = 60 (p(60) is about 9.7e5), and
+#: its time grows about 3x per 10: the pure walk took 0.02 s at n = 60 and
+#: 0.74 s at n = 90 on a 2-core machine.  A larger n is the series route's job.
 ORACLE_CAP = 60
 
 #: L: the parts 1..L of a partition are counted per remainder, not
 #: walked; the walk visits only the tails of parts above L.
 SMALL_PARTS = 4
-
-
-def _check_histogram_args(n: int, s: int, M: int) -> None:
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    if s < 1:
-        raise ValidationError(f"s must be >= 1, got {s}")
-    if M < 1:
-        raise ValidationError(f"M must be >= 1, got {M}")
-    if n > ORACLE_CAP:
-        raise ValidationError(f"refusing to enumerate partitions of n={n} (limit {ORACLE_CAP})")
 
 
 def walk(n: int, s: int, M: int, L: int) -> tuple[list, list]:
@@ -89,7 +76,8 @@ def walk(n: int, s: int, M: int, L: int) -> tuple[list, list]:
 
 def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
     """Histogram the frequency-s mex statistics over the partitions of
-    every n' = 0..n, from one ``walk``.
+    every n' = 0..n, from one ``walk``.  It checks no argument: its one
+    caller, ``partitions.mex_value_histogram``, checks n, s and M.
 
     Returns M rows.  Row A-1 (for each residue A in 1..M) is one flat
     list: the block of n' = 0, then that of n' = 1, ..., then that of n.
@@ -115,7 +103,6 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
     break it past first give their cells by short convolutions over t
     of the walk's counts with those vectors per R.
     """
-    _check_histogram_args(n, s, M)
     L = SMALL_PARTS
     nodes, breaks = walk(n, s, M, L)
     stride = n + 1

@@ -162,12 +162,18 @@ def mex_value_histogram(N: int, s: int, M: int) -> tuple[tuple[tuple[int, ...], 
     (s, M, A) is A + m*M.  Rows of n have n//M + 2 entries.
 
     A prefix of the stored table of (s, M); a table shorter than N is
-    walked again to N.  An N above ``ORACLE_CAP`` is refused first."""
+    walked again to N.  The kernel's one gate, before any walk: N is
+    checked against ``ORACLE_CAP``, s and M as ints >= 1, and a table
+    not stored against ``STORE_CELL_LIMIT`` cells."""
     N = _check_cap(N)
+    s, M = _check_int("s", s, 1), _check_int("M", M, 1)
     table = _tables.get((s, M), N)
     if table is None:
-        rows = [tuple(row) for row in backend.mex_value_counts(N, s, M)]  # refuses s, M < 1
         starts = list(accumulate((j // M + 2 for j in range(N + 1)), initial=0))
+        if M * starts[-1] > STORE_CELL_LIMIT:
+            raise ResourceCapError(f"histogram table of M={_show(M)} to n={N} holds "
+                                   f"{_show(M * starts[-1])} cells, above {STORE_CELL_LIMIT}")
+        rows = [tuple(row) for row in backend.mex_value_counts(N, s, M)]
         table = tuple(tuple(row[a:b] for row in rows) for a, b in pairwise(starts))
         table = _tables.put((s, M), N, M * starts[-1], table)
     return table[: N + 1]

@@ -225,7 +225,8 @@ def largest_mex(kind: str, p: MexParams, n: int) -> int:
     partition of n has a larger mex in the class, and the moment at n is
     at most p(n) k^r.  k is the root of the quadratic weight, taken with
     ``math.isqrt``, so any n is cheap."""
-    q = n // p.s  # the parts fit in n when their weight over s is <= q
+    _check_kind(kind)
+    q = _check_int("n", n, 0) // p.s  # the parts fit in n when their weight over s is <= q
     if kind == "sigma":
         k = (1 + math.isqrt(8 * q + 1)) // 2  # the largest k with k(k-1)/2 <= q
         return 0 if k < p.A else k - (k - p.A) % p.M
@@ -261,7 +262,7 @@ def _check_coefficient_bytes(kind: str, p: MexParams, order: int, every_residue=
     No bound is below that of r = 0, which s, M and A leave unchanged, so
     more residues than fit at r = 0 are refused without a look at any."""
     count = p.M if every_residue else 1
-    nbytes = count * sequence_bytes(kind, replace(p, r=0), order)
+    nbytes = count * sequence_bytes(kind, replace(p, r=0), order) if every_residue else 0
     if nbytes <= STORE_BYTE_LIMIT:
         params = (replace(p, A=a) for a in range(1, count + 1)) if every_residue else [p]
         nbytes = sum(sequence_bytes(kind, q, order) for q in params)

@@ -5,7 +5,6 @@ sparse x dense product."""
 import random
 from functools import lru_cache
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,17 +50,6 @@ def test_mex_value_counts_total_is_partition_count():
                 for row in rows:
                     assert len(row) == n // M + 2
                     assert sum(row) == partition_numbers(n)[n]
-
-
-def test_mex_value_counts_validation():
-    with pytest.raises(ValueError):
-        mex_value_counts(-1, 1, 1)
-    with pytest.raises(ValueError):
-        mex_value_counts(1, 0, 1)
-    with pytest.raises(ValueError):
-        mex_value_counts(1, 1, 0)
-    with pytest.raises(ValueError):
-        mex_value_counts(_pure.ORACLE_CAP + 1, 1, 1)
 
 
 def test_a_threshold_past_n_gives_the_histograms_of_n_plus_one():

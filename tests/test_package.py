@@ -37,8 +37,11 @@ def test_public_surface_is_the_three_routes():
     lambda kind: partitions.oracle_values(kind, mexmoments.MexParams(1, 1, 1, 0), 3),
     lambda kind: conjectures.scan_bias(kind, 1, 2, 0, 1, 3),
     lambda kind: asymptotics.qexpansion_ingham_params(kind, 1, 1, 0),
+    lambda kind: qseries.largest_mex(kind, mexmoments.MexParams(1, 2, 1, 1), 10),
+    lambda kind: qseries.value_bits(kind, mexmoments.MexParams(1, 2, 1, 1), 10),
+    lambda kind: qseries.sequence_bytes(kind, mexmoments.MexParams(1, 2, 1, 1), 10),
 ], ids=["MomentSequence", "moment_sequence", "moment_value", "oracle_values", "scan_bias",
-        "qexpansion_ingham_params"])
+        "qexpansion_ingham_params", "largest_mex", "value_bits", "sequence_bytes"])
 def test_every_entry_point_refuses_an_unknown_kind_with_one_message(call):
     message = "kind must be one of ('sigma', 'varsigma'), got 'mex'"
     with pytest.raises(mexmoments.ValidationError) as info:
@@ -58,11 +61,13 @@ ROLES = {
     # t = 0.1 and above keeps gf_boundary_log's series short.
     "t": st.one_of(st.floats(0.1, 1), ARGS),
     "kind": st.one_of(st.sampled_from(partitions.VALID_KINDS), ARGS),
-    "params": st.tuples(ARGS, ARGS, ARGS, ARGS),
+    # Half the draws are valid tuples, so that calls get past MexParams.
+    "params": st.one_of(st.tuples(*[st.integers(1, 8)] * 4), st.tuples(ARGS, ARGS, ARGS, ARGS)),
     "values": st.one_of(ARGS, st.lists(ARGS, max_size=3)),
 }
 # The roles of the arguments of every function in ``__all__``, the
-# scanners, the oracle column, the growth laws, the ratio helpers and the
+# scanners, the oracle column and its histogram gate, the stored moment
+# value and the size helpers, the growth laws, the ratio helpers and the
 # float entry points; "params" becomes a MexParams.
 SIGNATURES = {
     "MexParams": ("int",) * 4,
@@ -74,6 +79,11 @@ SIGNATURES = {
     "sigma_oracle": ("params", "int"),
     "varsigma_oracle": ("params", "int"),
     "oracle_values": ("kind", "params", "int"),
+    "mex_value_histogram": ("int", "int", "int"),
+    "moment_value": ("kind", "params", "int"),
+    "largest_mex": ("kind", "params", "int"),
+    "value_bits": ("kind", "params", "int"),
+    "sequence_bytes": ("kind", "params", "int"),
     "scan_bias": ("kind",) + ("int",) * 5,
     "scan_log_concavity": ("kind", "params", "int", "int"),
     "hardy_ramanujan_asymp": ("int",),
@@ -88,7 +98,9 @@ SIGNATURES = {
 GATED = {name: getattr(mexmoments, name) for name in mexmoments.__all__
          if callable(getattr(mexmoments, name)) and not name.endswith("Error")}
 GATED |= {f.__name__: f for f in (
-    partitions.oracle_values, conjectures.scan_bias, conjectures.scan_log_concavity,
+    partitions.oracle_values, partitions.mex_value_histogram, qseries.moment_value,
+    qseries.largest_mex, qseries.value_bits, qseries.sequence_bytes,
+    conjectures.scan_bias, conjectures.scan_log_concavity,
     asymptotics.hardy_ramanujan_asymp, asymptotics.sigma_asymp, asymptotics.varsigma_asymp,
     asymptotics.exact_over_asymptotic, asymptotics.corollary_ratio,
     asymptotics.qexpansion_ingham_params, asymptotics.gf_boundary_log,
@@ -110,6 +122,44 @@ def test_every_entry_point_refuses_bad_input_with_the_package_errors(name, data)
                       for role, arg in zip(roles, args)))
     except allowed:
         pass
+
+
+KERNELS = {"mex_value_counts", "sparse_dense_product"}
+
+
+def _kernel_uses(tree: ast.AST) -> tuple[list, list]:
+    """In a parsed module: the (outermost def, kernel) of each
+    ``backend.<kernel>`` or ``_pure.<kernel>`` attribute, "" at module
+    level, and the kernels it imports by name from any module."""
+    uses = []
+    for top in tree.body:
+        where = getattr(top, "name", "")
+        uses += [(where, node.attr) for node in ast.walk(top) if isinstance(node, ast.Attribute)
+                 and node.attr in KERNELS and isinstance(node.value, ast.Name)
+                 and node.value.id in ("backend", "_pure")]
+    imports = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name in KERNELS]
+    return uses, imports
+
+
+def test_each_kernel_has_one_caller():
+    # The histogram kernel checks none of its arguments: it trusts its one
+    # caller, the gate mex_value_histogram.  The product is reached only
+    # through _gf_coeffs, after its order and byte checks.
+    modules = sorted(Path(mexmoments.__file__).parent.glob("*.py"))
+    assert {m.name for m in modules} >= {"backend.py", "partitions.py", "qseries.py"}
+    found = {m.name: _kernel_uses(ast.parse(m.read_text(encoding="utf-8"))) for m in modules}
+    assert {name: uses for name, (uses, _) in found.items() if uses} == {
+        "partitions.py": [("mex_value_histogram", "mex_value_counts")],
+        "qseries.py": [("_gf_coeffs", "sparse_dense_product")],
+    }
+    assert {name: sorted(imports) for name, (_, imports) in found.items() if imports} == {
+        "backend.py": sorted(KERNELS)}
+    # the walk sees a call in a nested def, one at module level and an import
+    probe = ("from mexmoments._pure import mex_value_counts\nx = _pure.sparse_dense_product\n"
+             "class C:\n    def f(self):\n        return lambda: backend.mex_value_counts\n")
+    assert _kernel_uses(ast.parse(probe)) == (
+        [("", "sparse_dense_product"), ("C", "mex_value_counts")], ["mex_value_counts"])
 
 
 def test_reference_imports_nothing_from_the_package():

@@ -355,7 +355,41 @@ def test_histogram_tables_meet_the_oracle_cap_at_once(kernel_calls):
         with pytest.raises(ResourceCapError, match=f"^oracle request n={N} exceeds cap 60;"):
             mex_value_histogram(N, 1, 1)
         assert time.perf_counter() - start < 0.1
-    assert kernel_calls == []
     for args in ((-1, 1, 1), (1, 0, 1), (1, 1, 0)):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^[nsM] must be >= "):
             mex_value_histogram(*args)
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "2", None, 1.0])
+def test_histogram_gate_refuses_a_non_int_threshold_or_modulus(kernel_calls, bad):
+    # s and M are checked before the store lookup, so no bool or float
+    # becomes a key that hashes equal to an int's.
+    for args, name in (((5, bad, 1), "s"), ((5, 2, bad), "M")):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            mex_value_histogram(*args)
+        assert time.perf_counter() - start < 0.1
+    assert kernel_calls == []
+
+
+def test_histogram_gate_refuses_a_table_past_the_cell_limit(kernel_calls, monkeypatch):
+    # The cells the store charges, M * sum(n//M + 2 for n <= N), are
+    # checked before the walk, so a table the store could not keep is
+    # never built: M = 10^5 at N = 10 would take 0.33 s and about 100 MB.
+    for args in ((10, 1, 10**5), (60, 1, 10**400)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=r"^histogram table of M=.* cells, above 524288$"):
+            mex_value_histogram(*args)
+        assert time.perf_counter() - start < 0.1
+    assert kernel_calls == []
+    # The largest table the oracle builds, (1, 61) at n = 60, has 7,442
+    # cells: admitted at that limit and refused one below it.
+    monkeypatch.setattr(mexmoments.partitions, "STORE_CELL_LIMIT", 7441)
+    with pytest.raises(ResourceCapError, match="^histogram table of M=61 to n=60 holds 7442 "):
+        mex_value_histogram(60, 1, 61)
+    assert kernel_calls == []
+    monkeypatch.setattr(mexmoments.partitions, "STORE_CELL_LIMIT", 7442)
+    assert len(mex_value_histogram(60, 1, 61)) == 61
+    assert kernel_calls == [(60, 1, 61)]
+    assert mexmoments.partitions._tables.total == 7442

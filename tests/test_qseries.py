@@ -274,6 +274,15 @@ def test_largest_mex_is_the_largest_that_fits(kind, s, M, data, n):
         assert mex_weight(kind, s, M, A, k) <= n < mex_weight(kind, s, M, A, k + M)
 
 
+def test_largest_mex_refuses_a_bad_n():
+    # n is checked before math.isqrt or a floor division sees it.
+    p = MexParams(1, 2, 1, 1)
+    for n, message in ((-1, "n must be >= 0, got -1"), (2.5, "n must be an integer, got 2.5")):
+        with pytest.raises(ValidationError) as info:
+            qseries.largest_mex("sigma", p, n)
+        assert str(info.value) == message
+
+
 def test_largest_mex_equals_a_linear_scan():
     for kind in ("sigma", "varsigma"):
         for s in (1, 3):
