@@ -26,7 +26,7 @@ from numbers import Real
 
 from mexmoments import qseries
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams, _check_int, _check_kind, _show
+from mexmoments.partitions import MexParams, _check_int, _check_kind, _check_params, _show
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -171,6 +171,7 @@ def sigma_asymp(p: MexParams, n: int) -> float:
     Independent of the residue A in both branches.  An r whose terms
     leave float range raises ``ValidationError``.
     """
+    _check_params(p)
     n = _check_int("n", n, 1)
     if p.r == 0:
         return hardy_ramanujan_asymp(n) - math.log(p.M)
@@ -195,6 +196,7 @@ def varsigma_asymp(p: MexParams, n: int) -> float:
     to the sigma law for r >= 1 except that M^(r/2) replaces M^-1; for
     r = 0 the sequence is the partition numbers, so the Hardy-Ramanujan
     law applies as is."""
+    _check_params(p)
     if p.r == 0:
         return hardy_ramanujan_asymp(n)
     return sigma_asymp(p, n) + math.log(p.M) + p.r / 2 * math.log(p.M)
@@ -231,11 +233,13 @@ def corollary_ratio(kind: str, p: MexParams, a_prime: int, n: int) -> float:
     A and A' (same s, M, r), computed in log space from exact integers.
 
     A ratio past float range is ``inf``, as in ``exact_over_asymptotic``.
-    Raises ZeroDivisionError when the denominator value is still zero,
-    which happens at small n for residues whose statistic needs a minimum
-    weight to occur.  The values come from ``qseries.moment_value``, as
-    in ``exact_over_asymptotic``.
+    A' = A gives 1.0 at every n, n = 0 included, where both values are 0.
+    Otherwise a denominator value that is still zero, which happens at
+    small n for residues whose statistic needs a minimum weight to occur,
+    raises ZeroDivisionError.  The values come from
+    ``qseries.moment_value``, as in ``exact_over_asymptotic``.
     """
+    _check_params(p)
     p_prime = MexParams(p.s, p.M, a_prime, p.r)  # refuses A' outside 1..M
     n = _check_int("n", n, 0)
     if p_prime == p:

@@ -239,21 +239,17 @@ def _json_text(doc: dict, key: str) -> str:
     list of one dict per row, each written from one template.
 
     A column holds ints, or hashable values of which equal ones write the
-    same JSON (tuples stand for lists, bools mix with no int).  The other
-    values of ``doc`` are small and go through ``json.dumps``.  The text
-    is joined once, from one string per block of rows, so the row strings
-    of only one block are alive at a time.
+    same JSON (tuples stand for lists, bools mix with no int).  The list
+    goes into ``json.dumps``'s text of ``doc`` in place of the JSON of
+    ``"\\0" + key``, written at ``key``: ``ValueError`` if another field
+    writes it too.  The text is joined once, so the row strings of only
+    one block are alive at a time.
     """
-    pieces = ["{"]
-    for k, v in sorted(doc.items()):
-        pieces.append(f"\n  {json.dumps(k)}: ")
-        if k == key:
-            pieces += _json_list(v)
-        else:
-            pieces.append(_dumps(v).replace("\n", "\n  "))
-        pieces.append(",")
-    pieces[-1] = "\n}\n"  # the comma after the last field closes the document
-    return "".join(pieces)
+    placeholder = "\0" + key
+    head, *tail = _dumps({**doc, key: placeholder}).split(json.dumps(placeholder))
+    if len(tail) != 1:
+        raise ValueError(f"another field of the document writes the placeholder {placeholder!r}")
+    return "".join([head, *_json_list(doc[key]), tail[0], "\n"])
 
 
 def _report_text(report: conjectures.ScanReport) -> str:
@@ -262,7 +258,7 @@ def _report_text(report: conjectures.ScanReport) -> str:
     ordering goes to the emitter as one column per field, without
     per-entry dicts and lists."""
     doc = replace(report, ordering=()).to_json_dict()
-    doc["ordering"] = {k: [getattr(e, k) for e in report.ordering] for k in ("n", "perm", "ties")}
+    doc["ordering"] = dict(zip(conjectures.OrderingEntry._fields, zip(*report.ordering)))
     return _json_text(doc, "ordering")
 
 
@@ -304,7 +300,6 @@ def cmd_stats(args) -> int:
     if need_oracle:
         _check_cap(ns[-1])
     _check_printable_up_front(args.kind, [params], ns[-1])
-    # The series first: its byte budget refuses before any oracle weight k^r is computed.
     gf = qseries.moment_sequence(args.kind, params, ns[-1]).values[ns[0] :] if need_gf else None
     if args.n is not None and need_oracle:
         oracle_fn = sigma_oracle if args.kind == "sigma" else varsigma_oracle

@@ -10,14 +10,14 @@ not a proof of eventual behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from mexmoments import qseries
 from mexmoments.partitions import MexParams, _check_int, _check_kind
 
 
-@dataclass(frozen=True)
-class OrderingEntry:
+class OrderingEntry(NamedTuple):
     """Residues 1..M sorted by moment value at one n.
 
     ``perm`` lists the residues in ascending order of their exact values,
@@ -47,7 +47,6 @@ class ScanReport:
         Range-relative evidence only.
     """
 
-    kind: str
     params: dict
     n_lo: int
     n_hi: int
@@ -101,7 +100,6 @@ def scan_log_concavity(kind: str, p: MexParams, n_lo: int, n_hi: int) -> ScanRep
     else:
         stabilized = violations[-1] + 1
     return ScanReport(
-        kind=kind,
         params={"kind": kind, "s": p.s, "M": p.M, "A": p.A, "r": p.r},
         n_lo=n_lo,
         n_hi=n_hi,
@@ -130,20 +128,17 @@ def scan_bias(kind: str, s: int, M: int, r: int, n_lo: int, n_hi: int) -> ScanRe
     # The M sequences stay alive together, so store eviction cannot bound
     # them: their bytes are checked together, up front.
     qseries._check_coefficient_bytes(kind, p, n_hi, every_residue=True)
-    sequences = {
-        a: qseries.moment_sequence(kind, MexParams(s, M, a, r), n_hi) for a in range(1, M + 1)
-    }
+    residues = range(1, M + 1)
+    columns = [qseries.moment_sequence(kind, replace(p, A=a), n_hi).values for a in residues]
     pn = qseries.partition_numbers(n_hi) if (kind == "sigma" and r == 0) else None
     entries = []
     for n in range(n_lo, n_hi + 1):
-        row = [(sequences[a][n], a) for a in range(1, M + 1)]
-        if pn is not None:
-            total = sum(v for v, _ in row)
-            if total != pn[n]:
-                raise RuntimeError(
-                    f"residue classes fail to partition p({n}): {total} != {pn[n]}"
-                )
-        row.sort()
+        values = [column[n] for column in columns]
+        if pn is not None and sum(values) != pn[n]:
+            raise RuntimeError(
+                f"residue classes fail to partition p({n}): {sum(values)} != {pn[n]}"
+            )
+        row = sorted(zip(values, residues))
         perm = tuple(a for _, a in row)
         ties = []
         i = 0
@@ -154,7 +149,7 @@ def scan_bias(kind: str, s: int, M: int, r: int, n_lo: int, n_hi: int) -> ScanRe
             if j > i:
                 ties.append(tuple(a for _, a in row[i : j + 1]))
             i = j + 1
-        entries.append(OrderingEntry(n=n, perm=perm, ties=tuple(ties)))
+        entries.append(OrderingEntry(n, perm, tuple(ties)))
 
     # Longest suffix over which the ordering is constant.
     m = n_hi
@@ -168,7 +163,6 @@ def scan_bias(kind: str, s: int, M: int, r: int, n_lo: int, n_hi: int) -> ScanRe
     else:
         stabilized = m
     return ScanReport(
-        kind=kind,
         params={"kind": kind, "s": s, "M": M, "r": r},
         n_lo=n_lo,
         n_hi=n_hi,

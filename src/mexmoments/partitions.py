@@ -70,6 +70,13 @@ def _check_int(name: str, value, low: int) -> int:
     return value
 
 
+def _check_params(p) -> None:
+    """Refuse a ``p`` that is not a ``MexParams``, before any attribute
+    read or store lookup of it."""
+    if not isinstance(p, MexParams):
+        raise ValidationError(f"params must be a MexParams, got {type(p).__name__}")
+
+
 @dataclass(frozen=True)
 class MexParams:
     """Parameter tuple (s, M, A, r) labelling a moment sequence.

@@ -30,7 +30,7 @@ from operator import index, itemgetter
 
 from mexmoments import backend
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams, Store, _check_int, _check_kind, _show
+from mexmoments.partitions import MexParams, Store, _check_int, _check_kind, _check_params, _show
 
 #: Largest truncation order the series route accepts.  The p(n) table
 #: alone takes about 30 s to reach it on a 2-core machine, which still
@@ -123,6 +123,7 @@ class MomentSequence:
 
     def __init__(self, kind: str, params: MexParams, values):
         _check_kind(kind)
+        _check_params(params)
         # The checks run in C; the offending n is looked up only on failure.
         # A bool is refused, as by ``partitions._check_int``.
         try:
@@ -226,6 +227,7 @@ def largest_mex(kind: str, p: MexParams, n: int) -> int:
     at most p(n) k^r.  k is the root of the quadratic weight, taken with
     ``math.isqrt``, so any n is cheap."""
     _check_kind(kind)
+    _check_params(p)
     q = _check_int("n", n, 0) // p.s  # the parts fit in n when their weight over s is <= q
     if kind == "sigma":
         k = (1 + math.isqrt(8 * q + 1)) // 2  # the largest k with k(k-1)/2 <= q
@@ -314,6 +316,7 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
     ``ResourceCapError`` before any work.
     """
     _check_kind(kind)
+    _check_params(p)
     order = _check_order(order)
     key = (kind, p)
     seq = _store.get(key, order)
@@ -330,6 +333,7 @@ def moment_value(kind: str, p: MexParams, n: int) -> int:
     """``moment_sequence(kind, p, n)[n]``, read from the stored sequence
     when it already reaches n, so that a caller asking for several n,
     the largest first, computes one sequence and builds no prefix per n."""
+    _check_params(p)
     n = _check_order(n)
     seq = _store.get((kind, p), n)
     return (moment_sequence(kind, p, n) if seq is None else seq)[n]

@@ -653,6 +653,36 @@ def test_conjecture_bias_trivial_and_ties(capsys):
     assert all(entry["ties"] == [[1, 2, 3]] for entry in doc["ordering"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("stats", "--kind", "sigma", "--mod", "2", "--r", "1", "--range", "0:4200", "--method", "gf"),
+    ("stats", "--kind", "varsigma", "--mod", "3", "--res", "2", "--r", "2", "--range", "5:40",
+     "--method", "oracle"),
+    ("stats", "--kind", "sigma", "--mod", "3", "--res", "3", "--r", "0", "--n", "12",
+     "--method", "both"),
+    ("conjecture", "bias", "--kind", "varsigma", "--mod", "3", "--r", "0", "--range", "1:30"),
+    ("conjecture", "bias", "--kind", "sigma", "--mod", "1", "--r", "2", "--range", "1:30"),
+    ("conjecture", "logconcave", "--kind", "sigma", "--mod", "2", "--r", "1", "--range", "1:60"),
+], ids=["stats-gf", "stats-oracle", "stats-both", "bias-ties", "bias-mod-1", "logconcave"])
+def test_json_output_is_what_json_dumps_writes_for_it(capsys, argv):
+    # The gf table passes one block of rows (4096), and a log-concavity
+    # report has an empty ordering.
+    argv += ("--format", "json") if argv[0] == "stats" else ()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+
+
+def test_json_writer_refuses_a_document_that_writes_its_placeholder_twice():
+    # Another field writing the placeholder would leave two places for the
+    # list; the writer raises rather than pick one.
+    for params in ({"note": "\0rows"}, {"\0rows": 1}):
+        with pytest.raises(ValueError, match="placeholder"):
+            cli._json_text({"params": params, "rows": {"n": [1, 2]}}, "rows")
+    # one character off is a plain string
+    text = cli._json_text({"params": {"note": "\0row"}, "rows": {"n": [1, 2]}}, "rows")
+    assert json.loads(text) == {"params": {"note": "\0row"}, "rows": [{"n": 1}, {"n": 2}]}
+
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 

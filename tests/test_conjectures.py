@@ -1,9 +1,15 @@
 """Scanner tests: log-concavity and residue-bias reports on exact data."""
 
+import ast
+import inspect
+import json
+
 import pytest
 
-from mexmoments import MexParams, ResourceCapError, ValidationError, partition_numbers, qseries
-from mexmoments.conjectures import scan_bias, scan_log_concavity
+from mexmoments import (
+    MexParams, ResourceCapError, ValidationError, cli, partition_numbers, qseries,
+)
+from mexmoments.conjectures import OrderingEntry, scan_bias, scan_log_concavity
 
 
 def test_logconcave_partition_numbers_small_range():
@@ -170,3 +176,21 @@ def test_bias_budget_admits_the_recorded_scans(no_sequences, kind, M, r, n_hi):
 def test_bias_budget_refuses_two_thousand_residues(no_sequences):
     with pytest.raises(ResourceCapError, match="above the limit 268435456"):
         scan_bias("varsigma", 1, 2000, 1, 1, 20000)
+
+
+def test_ordering_entry_fields_are_its_json_keys_in_one_place():
+    # The writer reads the ordering's keys from OrderingEntry._fields, so
+    # the field names are written once: in the class.
+    entry = OrderingEntry(n=4, perm=(2, 1, 3), ties=((1, 3),))
+    assert OrderingEntry._fields == ("n", "perm", "ties") == tuple(entry.to_json_dict())
+    for report in (scan_bias("varsigma", 1, 3, 0, 1, 12), scan_bias("sigma", 2, 4, 1, 1, 12)):
+        ordering = json.loads(cli._report_text(report))["ordering"]
+        assert len(ordering) == 12
+        assert all(item.keys() == set(OrderingEntry._fields) for item in ordering)
+    # _report_text names no field: its only string constants are the
+    # document's key and its docstring
+    tree = ast.parse(inspect.getsource(cli._report_text))
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not strings & set(OrderingEntry._fields)
+    assert "ordering" in strings

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -56,19 +57,33 @@ def test_every_entry_point_refuses_an_unknown_kind_with_one_message(call):
 HUGE = [2**63, 10**400, -(10**400), 10**5000, -(10**5000)]
 ARGS = st.one_of(st.integers(-2, 64), st.sampled_from(HUGE),
                  st.floats(), st.booleans(), st.none(), st.text(max_size=2))
+
+
+class Fields(NamedTuple):
+    """The fields of a ``MexParams`` that the call builds, so that the
+    constructor's own errors are checked too."""
+
+    values: tuple
+
+
+FIELDS = st.one_of(st.tuples(*[st.integers(1, 8)] * 4), st.tuples(ARGS, ARGS, ARGS, ARGS))
+NOT_PARAMS = st.one_of(FIELDS, st.none(), st.lists(ARGS, max_size=4),
+                       st.dictionaries(st.text(max_size=2), ARGS, max_size=2))
 ROLES = {
     "int": ARGS,
     # t = 0.1 and above keeps gf_boundary_log's series short.
     "t": st.one_of(st.floats(0.1, 1), ARGS),
     "kind": st.one_of(st.sampled_from(partitions.VALID_KINDS), ARGS),
-    # Half the draws are valid tuples, so that calls get past MexParams.
-    "params": st.one_of(st.tuples(*[st.integers(1, 8)] * 4), st.tuples(ARGS, ARGS, ARGS, ARGS)),
+    # Half the draws are fields for MexParams, half of those valid ints so
+    # that calls get past MexParams.  The other half are not a MexParams
+    # and go in as they are: tuples, None, lists and dicts.
+    "params": st.booleans().flatmap(lambda wrap: FIELDS.map(Fields) if wrap else NOT_PARAMS),
     "values": st.one_of(ARGS, st.lists(ARGS, max_size=3)),
 }
 # The roles of the arguments of every function in ``__all__``, the
 # scanners, the oracle column and its histogram gate, the stored moment
 # value and the size helpers, the growth laws, the ratio helpers and the
-# float entry points; "params" becomes a MexParams.
+# float entry points; "params" is a MexParams or something else.
 SIGNATURES = {
     "MexParams": ("int",) * 4,
     "MomentSequence": ("kind", "params", "values"),
@@ -118,10 +133,25 @@ def test_every_entry_point_refuses_bad_input_with_the_package_errors(name, data)
     allowed = (mexmoments.ValidationError, mexmoments.ResourceCapError,
                *([ZeroDivisionError] if name == "corollary_ratio" else []))
     try:
-        GATED[name](*(mexmoments.MexParams(*arg) if role == "params" else arg
-                      for role, arg in zip(roles, args)))
+        GATED[name](*(mexmoments.MexParams(*arg.values) if type(arg) is Fields else arg
+                      for arg in args))
     except allowed:
         pass
+
+
+#: A valid argument of each other role, so that only ``p`` is wrong.
+VALID_ARGS = {"int": 3, "t": 0.5, "kind": "varsigma", "values": [1, 1, 2, 3]}
+
+
+@pytest.mark.parametrize("name", sorted(n for n, roles in SIGNATURES.items() if "params" in roles))
+def test_every_entry_point_refuses_params_that_are_not_a_mex_params(name):
+    # Unchecked, each would end in AttributeError, or in TypeError
+    # (unhashable) at a store lookup, or keep a tuple as its params.
+    roles = SIGNATURES[name]
+    for p in [(1, 2, 1, 1), None, [1, 2, 1, 1], {"s": 1}]:
+        args = [p if role == "params" else VALID_ARGS[role] for role in roles]
+        with pytest.raises(mexmoments.ValidationError, match="^params must be a MexParams, got "):
+            GATED[name](*args)
 
 
 KERNELS = {"mex_value_counts", "sparse_dense_product"}

@@ -226,7 +226,6 @@ def scan_reports(draw):
     ordering = tuple(draw(ordering_entries(M, n)) for n in range(n_lo, n_hi + 1)) if bias else ()
     violations = draw(st.lists(st.integers(n_lo, n_hi), unique=True).map(sorted))
     return ScanReport(
-        kind=draw(st.sampled_from(["sigma", "varsigma"])),
         params={"kind": "sigma", "s": draw(st.integers(1, 3)), "M": M, "r": 1,
                 **({} if bias else {"A": draw(st.integers(1, M))})},
         n_lo=n_lo,
@@ -239,7 +238,7 @@ def scan_reports(draw):
 
 
 def _report(ordering=(), M=3, **fields):
-    return ScanReport(kind="varsigma", params={"kind": "varsigma", "s": 1, "M": M, "r": 0},
+    return ScanReport(params={"kind": "varsigma", "s": 1, "M": M, "r": 0},
                       n_lo=1, n_hi=2, ordering=ordering, **fields)
 
 
