@@ -10,7 +10,7 @@ results never lose precision regardless of magnitude.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import add, getitem, mul, neg, sub
+from operator import add, mul, neg, sub
 
 #: Largest n the oracle enumerates (``partitions.mex_value_histogram``
 #: checks it).  The walk to n visits the partitions of every t <= n into
@@ -28,11 +28,14 @@ def walk(n: int, s: int, M: int, L: int) -> tuple[list, list]:
     """Walk the tails: the partitions of every t <= n into parts > L.
 
     Returns ``(nodes, breaks)``.  ``nodes[t]`` counts the tails of sum t.
-    ``breaks`` has one flat list per row A-1 with A <= min(M, n): at
-    c * (n + 1) + t, the tails of sum t whose first chain place A + c*M
-    above L with frequency < s lies past the row's first place above L,
-    cell (L - A + M) // M; every other tail breaks the chain there.  Rows
-    hold n//M + 2 cells.
+    ``breaks`` has one row A-1 per A <= min(M, n), and its cell c counts
+    the tails of sum t whose first chain place A + c*M above L with
+    frequency < s lies past the row's first place above L, cell
+    (L - A + M) // M; every other tail breaks the chain there.
+
+    Every histogram row of the package is laid out this way, cell-major:
+    n//M + 2 cells, each a column over t (or n') = 0..n, with cell c of t
+    at c * (n + 1) + t (at ``row[c][t]`` in a stored table).
 
     Each part k in L+1..M+L is the first place above L of exactly one
     row's chain, and a row keeps its first cell unless k occurs at least
@@ -79,14 +82,14 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
     every n' = 0..n, from one ``walk``.  It checks no argument: its one
     caller, ``partitions.mex_value_histogram``, checks n, s and M.
 
-    Returns M rows.  Row A-1 (for each residue A in 1..M) is one flat
-    list: the block of n' = 0, then that of n' = 1, ..., then that of n.
-    The block of n' has n'//M + 2 cells, and its cell m counts the
-    partitions of n' whose smallest positive integer congruent to A mod M
-    with part-frequency < s equals A + m*M (n'//M + 2 cells bound every
-    m).  Residues A > n' never occur as parts of n', so their block holds
-    all p(n') partitions at m = 0.  With M=1 the single row holds the
-    histograms of the plain frequency-s mex, shifted by one.
+    Returns M flat rows in ``walk``'s cell-major layout.  In row A-1 (for
+    each residue A in 1..M), cell m of n' counts the partitions of n'
+    whose smallest positive integer congruent to A mod M with
+    part-frequency < s equals A + m*M.  Cells past n'//M + 1 of n' are 0:
+    such a value needs saturated places that sum past n'.  Residues
+    A > n' never occur as parts of n', so all p(n') partitions sit at
+    m = 0.  With M=1 the single row holds the histograms of the plain
+    frequency-s mex, shifted by one.
 
     A partition is a tail of parts > L = SMALL_PARTS, of sum t, plus the
     multiplicities (c_1, ..., c_L) of the small parts, of weight
@@ -118,13 +121,6 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
     def shifted(xs: list, d: int) -> list:
         return [0] * min(d, stride) + xs[: max(stride - d, 0)]
 
-    # Block n' holds cells 0..n'//M + 1; a cell past them counts nothing.
-    blocks = [slice(j // M + 2) for j in range(stride)]
-
-    def layout(columns: list) -> list:
-        """The flat row of the per-n' counts of each cell."""
-        return list(chain.from_iterable(map(getitem, zip(*columns), blocks)))
-
     # The vectors (c_1, ..., c_L) of each weight R, one part at a time.
     vectors = [1] + [0] * n
     for i in range(1, L + 1):
@@ -133,7 +129,7 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
     # total[n']: every partition of n'.  Those whose small parts hold
     # places of weight w at least s times each number total[n' - s*w].
     total = conv(nodes, vectors)
-    plain = layout([total] + [zero] * (cells - 1))
+    plain = total + [0] * (stride * (cells - 1))
     counts = []
     for a0 in range(M):
         if a0 >= len(breaks):  # A > n: all p(n') partitions at m = 0
@@ -156,7 +152,7 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
                 columns[cell] = conv(xs, alive)
                 kept = list(map(sub, kept, columns[cell]))
         columns[first] = kept
-        counts.append(layout(columns))
+        counts.append(list(chain.from_iterable(columns[:cells])))
     return counts
 
 

@@ -36,10 +36,11 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _check_t(t: float) -> float:
-    """``t``, refused unless a real number (not a bool) with 0 < t <= 1."""
-    if isinstance(t, bool) or not isinstance(t, Real) or not 0 < t <= 1:
+    """``t`` as a float, refused unless a real number (not a bool) with
+    0 < t <= 1 that stays above 0 as a float."""
+    if isinstance(t, bool) or not isinstance(t, Real) or not 0 < t <= 1 or not float(t):
         raise ValidationError(f"t must be a real number with 0 < t <= 1, got {_show(t)}")
-    return t
+    return float(t)
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def gf_boundary_log(kind: str, p: MexParams, t: float) -> float:
     try:
         order = max(256, math.ceil(6.0 * growth / (t * t)))
     except (ZeroDivisionError, OverflowError):  # t * t underflows: an order past float range
-        raise ResourceCapError(f"t={t} needs a series order past float range") from None
+        raise ResourceCapError(f"t={_show(t)} needs a series order past float range") from None
     seq = qseries.moment_sequence(kind, p, order)
     # Factor out the peak magnitude so the float sum cannot overflow.
     peak = growth / t
@@ -112,7 +113,7 @@ def gf_boundary_log(kind: str, p: MexParams, t: float) -> float:
         if v
     )
     if not total:
-        raise ValidationError(f"every {kind} term to order {order} underflows at t={t}")
+        raise ValidationError(f"every {kind} term to order {order} underflows at t={_show(t)}")
     return math.log(total) + peak
 
 
@@ -135,7 +136,8 @@ def eta_inversion_check(t: float) -> tuple[float, float]:
     t = _check_t(t)
     K = math.ceil(min(20.0 * math.log(10.0) / t, ETA_MAX_TERMS + 1))  # the quotient may be inf
     if K > ETA_MAX_TERMS:
-        raise ResourceCapError(f"t={t} needs more product terms than the cap {ETA_MAX_TERMS}")
+        raise ResourceCapError(f"t={_show(t)} needs more product terms than the cap "
+                               f"{ETA_MAX_TERMS}")
     lhs = math.fsum(math.log1p(-math.exp(-k * t)) for k in range(1, K + 1))
     rhs = 0.5 * LOG_2PI - 0.5 * math.log(t) - math.pi**2 / (6.0 * t)
     return lhs, rhs

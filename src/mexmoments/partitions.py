@@ -12,8 +12,8 @@ moment sequences of :mod:`mexmoments.qseries`, in bytes.
 
 One table of (s, M) holds the histograms of every n' <= N, so the oracle
 reads a column: ``oracle_values`` gives the moment at every n = 0..N
-from one table, with s and M capped once at N+1 and one list of weights
-per call.  ``sigma_oracle`` and ``varsigma_oracle`` are its entry at n.
+from one table, with s and M capped once at N+1 and one weight per
+cell.  ``sigma_oracle`` and ``varsigma_oracle`` are its entry at n.
 
 Terminology used throughout the package, for a partition pi:
 
@@ -33,8 +33,8 @@ import threading
 from collections import OrderedDict
 from collections.abc import Hashable
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 from mexmoments import backend
 from mexmoments._pure import ORACLE_CAP
@@ -51,11 +51,15 @@ def _check_kind(kind: str) -> None:
 
 
 def _show(value) -> str:
-    """``repr(value)`` for a message, or the size of an int past int-to-str's limit."""
+    """``repr(value)`` for a message; never raises.  An int past
+    int-to-str's limit is named by its size, any other value whose repr
+    fails (a list holding such an int, say) by its type."""
     try:
         return repr(value)
-    except ValueError:
-        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    except Exception:
+        if type(value) is int:
+            return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+        return f"a {type(value).__name__}"
 
 
 def _check_int(name: str, value, low: int) -> int:
@@ -63,7 +67,7 @@ def _check_int(name: str, value, low: int) -> int:
     takes it and it is at least ``low``.  A bool is refused too: it would
     hash equal to 0 or 1 and share their store entries."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {_show(value)}")
     value = operator.index(value)
     if value < low:
         raise ValidationError(f"{name} must be >= {_show(low)}, got {_show(value)}")
@@ -154,7 +158,7 @@ def _check_cap(n: int) -> int:
 
 #: Cells the histogram store keeps before it drops whole tables, least
 #: recently used first.  The largest table the oracle builds by default,
-#: (s, M) = (1, 61) at n = 60, has 7,442.
+#: (s, M) = (s, 60) at n = 60, has 10,980.
 STORE_CELL_LIMIT = 1 << 19
 
 # One histogram table per (s, M): the histograms of every n' <= N, at the
@@ -164,26 +168,28 @@ _tables = Store(STORE_CELL_LIMIT)
 
 
 def mex_value_histogram(N: int, s: int, M: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The histograms of every n = 0..N: entry n holds M rows, and row
-    A-1 counts, per m, the partitions of n whose congruence mex for
-    (s, M, A) is A + m*M.  Rows of n have n//M + 2 entries.
+    """The histograms of every n = 0..N in ``_pure.walk``'s cell-major
+    layout: ``table[A-1][m][n]`` counts the partitions of n whose
+    congruence mex for (s, M, A) is A + m*M.
 
-    A prefix of the stored table of (s, M); a table shorter than N is
-    walked again to N.  The kernel's one gate, before any walk: N is
-    checked against ``ORACLE_CAP``, s and M as ints >= 1, and a table
-    not stored against ``STORE_CELL_LIMIT`` cells."""
+    The stored table of (s, M), served whole (its columns may run past
+    N); a table shorter than N is walked again to N.  The kernel's one
+    gate, before any walk: N is checked against ``ORACLE_CAP``, s and M
+    as ints >= 1, and a table not stored against ``STORE_CELL_LIMIT``
+    cells."""
     N = _check_cap(N)
     s, M = _check_int("s", s, 1), _check_int("M", M, 1)
     table = _tables.get((s, M), N)
     if table is None:
-        starts = list(accumulate((j // M + 2 for j in range(N + 1)), initial=0))
-        if M * starts[-1] > STORE_CELL_LIMIT:
+        cost = M * (N // M + 2) * (N + 1)
+        if cost > STORE_CELL_LIMIT:
             raise ResourceCapError(f"histogram table of M={_show(M)} to n={N} holds "
-                                   f"{_show(M * starts[-1])} cells, above {STORE_CELL_LIMIT}")
-        rows = [tuple(row) for row in backend.mex_value_counts(N, s, M)]
-        table = tuple(tuple(row[a:b] for row in rows) for a, b in pairwise(starts))
-        table = _tables.put((s, M), N, M * starts[-1], table)
-    return table[: N + 1]
+                                   f"{_show(cost)} cells, above {STORE_CELL_LIMIT}")
+        # Each flat row cut into its cells, N + 1 counts each.
+        rows = backend.mex_value_counts(N, s, M)
+        table = tuple(tuple(zip(*[iter(row)] * (N + 1))) for row in rows)
+        table = _tables.put((s, M), N, cost, table)
+    return table
 
 
 def oracle_values(kind: str, p: MexParams, N: int) -> list[int]:
@@ -200,11 +206,9 @@ def oracle_values(kind: str, p: MexParams, N: int) -> list[int]:
     histograms of s = N+1.  For varsigma with M > N each class holds one
     candidate part A <= N (so m is 0 or 1, and 1 exactly when A occurs at
     least s times), and every A > N holds all p(n) partitions at m = 0,
-    so modulus N+1 gives the same row for min(A, N+1).  The weights still
-    use the real M: v^r on v = A mod M for sigma (cell m holds v = m+1),
-    (A + m*M)^r for varsigma.  Values past the series route's byte budget
-    (``qseries.sequence_bytes``) raise ``ResourceCapError`` before any
-    weight is computed.
+    so modulus N+1 gives the same row for min(A, N+1).  Values past the
+    series route's byte budget (``qseries.sequence_bytes``) raise
+    ``ResourceCapError`` before any weight is computed.
     """
     from mexmoments.qseries import _check_coefficient_bytes  # qseries imports this module
 
@@ -212,19 +216,20 @@ def oracle_values(kind: str, p: MexParams, N: int) -> list[int]:
     N = _check_cap(N)
     _check_coefficient_bytes(kind, p, N)
     s = min(p.s, N + 1)
+    # The j-th cell read holds the value A + j*M: sigma reads the cells
+    # A-1, A-1+M, ... of the plain mex row, varsigma every cell of its row.
     if kind == "sigma":
-        row, table = 0, mex_value_histogram(N, s, 1)
+        row, first, step = mex_value_histogram(N, s, 1)[0], p.A - 1, p.M
     else:
-        row, table = min(p.A, N + 1) - 1, mex_value_histogram(N, s, min(p.M, N + 1))
+        row, first, step = mex_value_histogram(N, s, min(p.M, N + 1))[min(p.A, N + 1) - 1], 0, 1
     # No partition of n <= N has a larger value than the largest at N,
-    # which some partition of N has (qseries.largest_mex), so the weights
-    # stop at the last nonzero cell of N's block.
-    size = max(m + 1 for m, c in enumerate(table[N][row]) if c)
-    if kind == "sigma":
-        weights = [v**p.r if v % p.M == p.A % p.M else 0 for v in range(1, size + 1)]
-    else:
-        weights = [(p.A + m * p.M) ** p.r for m in range(size)]
-    return [sum(map(mul, hist[row], weights)) for hist in table]
+    # which some partition of N has (qseries.largest_mex), so the cells
+    # read stop at the last nonzero cell of n = N in the whole row.
+    size = max(m + 1 for m, column in enumerate(row) if column[N])
+    values = [0] * (N + 1)
+    for j, column in enumerate(row[first:size:step]):
+        values = list(map(add, values, map(mul, column, repeat((p.A + j * p.M) ** p.r))))
+    return values
 
 
 def sigma_oracle(p: MexParams, n: int) -> int:

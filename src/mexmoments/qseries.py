@@ -333,6 +333,7 @@ def moment_value(kind: str, p: MexParams, n: int) -> int:
     """``moment_sequence(kind, p, n)[n]``, read from the stored sequence
     when it already reaches n, so that a caller asking for several n,
     the largest first, computes one sequence and builds no prefix per n."""
+    _check_kind(kind)
     _check_params(p)
     n = _check_order(n)
     seq = _store.get((kind, p), n)

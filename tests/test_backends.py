@@ -17,15 +17,14 @@ from reference import d2_coeffs, invert_unit_series, mex_s_mod, partitions, part
 L = _pure.SMALL_PARTS
 
 
-def block(rows: list, n: int, M: int) -> list:
-    """The histogram of n in a kernel table: each row's cells after the
-    blocks of n' = 0..n-1, n'//M + 2 cells each."""
-    start = sum(j // M + 2 for j in range(n))
-    return [row[start : start + n // M + 2] for row in rows]
+def block(rows: list, n: int, N: int, M: int) -> list:
+    """The histogram of n in a kernel table walked to N: cell m of n sits
+    at m * (N + 1) + n of each row, for m <= n//M + 1."""
+    return [row[n : (n // M + 2) * (N + 1) : N + 1] for row in rows]
 
 
 def counts(n: int, s: int, M: int) -> list:
-    return block(mex_value_counts(n, s, M), n, M)
+    return block(mex_value_counts(n, s, M), n, n, M)
 
 
 def test_mex_value_counts_small_cases():
@@ -93,7 +92,7 @@ def test_mex_sum_is_andrews_newman_d2():
     # serves by default, far past the reference walk above, from one table.
     table = mex_value_counts(ORACLE_CAP, 1, 1)
     for n, want in enumerate(d2_coeffs(ORACLE_CAP)):
-        row = block(table, n, 1)[0]
+        row = block(table, n, ORACLE_CAP, 1)[0]
         assert sum(v * c for v, c in enumerate(row, 1)) == want, n
 
 
@@ -140,13 +139,15 @@ def histogram_args(draw):
 @settings(max_examples=120, deadline=None)
 @given(histogram_args())
 def test_kernels_equal_reference_at_interval_boundaries(args):
-    # One walk to n gives the histogram of every n' <= n.
+    # One walk to n gives the histogram of every n' <= n, in n//M + 2
+    # cells of n + 1 counts each; the cells of n' past n'//M + 1 are 0.
     n, s, M = args
     table = mex_value_counts(n, s, M)
     assert len(table) == M
-    assert all(len(row) == sum(j // M + 2 for j in range(n + 1)) for row in table)
+    assert all(len(row) == (n // M + 2) * (n + 1) for row in table)
     for j in range(n + 1):
-        assert block(table, j, M) == _reference_rows(j, s, M), j
+        assert block(table, j, n, M) == _reference_rows(j, s, M), j
+        assert not any(x for row in table for x in row[(j // M + 2) * (n + 1) + j :: n + 1]), j
 
 
 def test_invert_unit_series_roundtrip():

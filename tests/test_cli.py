@@ -71,8 +71,8 @@ def test_stats_json_format(capsys):
 @pytest.mark.parametrize("method", ["gf", "oracle", "both"])
 @pytest.mark.parametrize("kind", ["sigma", "varsigma"])
 def test_stats_n_prints_what_the_one_point_range_prints(capsys, kind, method, fmt):
-    # --n reads the per-n oracle (sigma_oracle, varsigma_oracle) and
-    # --range the column of oracle_values: both must exit and print alike.
+    # --n and --range both read a column of oracle_values and the series
+    # from n = 0: both must exit and print alike.
     argv = ("stats", "--kind", kind, "--s", "2", "--mod", "3", "--res", "2", "--r", "2",
             "--method", method, "--format", fmt)
     for x in (0, 7, 60):
@@ -215,8 +215,8 @@ def test_default_verify_walks_each_table_once(capsys, kernel_calls, monkeypatch)
     # one walk per (s, M) serves n = 0..30, for s = 1..3 and M = 1..4.
     # The grid runs the threshold outermost, so this holds even when the
     # store keeps only the two tables a row reads: at n = 30 the sigma
-    # table (s, 1) has 527 cells and the largest, (s, 4), has 668.
-    for limit in (partitions.STORE_CELL_LIMIT, 1400):
+    # table (s, 1) has 992 cells and the largest, (s, 4), has 1,116.
+    for limit in (partitions.STORE_CELL_LIMIT, 2200):
         monkeypatch.setattr(partitions, "_tables", partitions.Store(limit))
         kernel_calls.clear()
         assert run_cli(capsys, "verify")[0] == 0
@@ -260,7 +260,8 @@ def test_oracle_calls_sees_every_oracle_request(capsys, oracle_calls):
                  ("stats", "--kind", "varsigma", "--method", "both", "--n", "3"),
                  ("verify", "--max-mod", "1", "--max-s", "1", "--max-r", "0", "--max-n", "2")):
         assert run_cli(capsys, *argv)[0] == 0
-    assert oracle_calls == [("sigma", p, 3), (p, 3), ("sigma", p, 2), ("varsigma", p, 2)]
+    assert oracle_calls == [("sigma", p, 3), ("varsigma", p, 3), ("sigma", p, 2),
+                            ("varsigma", p, 2)]
 
 
 @pytest.mark.parametrize("argv", [

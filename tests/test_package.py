@@ -8,6 +8,7 @@ import inspect
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,6 +58,9 @@ def test_every_entry_point_refuses_an_unknown_kind_with_one_message(call):
 HUGE = [2**63, 10**400, -(10**400), 10**5000, -(10**5000)]
 ARGS = st.one_of(st.integers(-2, 64), st.sampled_from(HUGE),
                  st.floats(), st.booleans(), st.none(), st.text(max_size=2))
+# Containers whose repr fails: they hold an int past the int-to-str limit.
+UNSHOWABLE = st.sampled_from([10**5000, -(10**5000)]).flatmap(
+    lambda v: st.sampled_from([[v], (v,), {v: 1}]))
 
 
 class Fields(NamedTuple):
@@ -70,10 +74,11 @@ FIELDS = st.one_of(st.tuples(*[st.integers(1, 8)] * 4), st.tuples(ARGS, ARGS, AR
 NOT_PARAMS = st.one_of(FIELDS, st.none(), st.lists(ARGS, max_size=4),
                        st.dictionaries(st.text(max_size=2), ARGS, max_size=2))
 ROLES = {
-    "int": ARGS,
-    # t = 0.1 and above keeps gf_boundary_log's series short.
-    "t": st.one_of(st.floats(0.1, 1), ARGS),
-    "kind": st.one_of(st.sampled_from(partitions.VALID_KINDS), ARGS),
+    "int": st.one_of(ARGS, UNSHOWABLE),
+    # t = 0.1 and above keeps gf_boundary_log's series short; a fraction
+    # of 10^-5000 is above 0 but 0.0 as a float.
+    "t": st.one_of(st.floats(0.1, 1), ARGS, st.just(Fraction(1, 10**5000))),
+    "kind": st.one_of(st.sampled_from(partitions.VALID_KINDS), ARGS, UNSHOWABLE),
     # Half the draws are fields for MexParams, half of those valid ints so
     # that calls get past MexParams.  The other half are not a MexParams
     # and go in as they are: tuples, None, lists and dicts.

@@ -247,28 +247,39 @@ def test_varsigma_oracle_caps_the_kernel_modulus(kernel_calls):
     assert kernel_calls and all(M <= n + 1 for n, _, M in kernel_calls)
 
 
+def _at(table: tuple, n: int, M: int) -> list:
+    """The histogram of n in a table: cell m of row A-1 holds
+    table[A-1][m][n], for m <= n//M + 1."""
+    return [[column[n] for column in row[: n // M + 2]] for row in table]
+
+
 def test_one_walk_serves_every_smaller_n(kernel_calls):
-    # The table of (s, M) at n = 20 holds the histogram of every n <= 20;
-    # a longer request walks again, and the longer table then serves all.
+    # The table of (s, M) at n = 20 holds the histogram of every n <= 20
+    # and is served whole; a longer request walks again, and the longer
+    # table then serves all with the same histograms.
     first = mex_value_histogram(20, 2, 3)
-    assert [mex_value_histogram(n, 2, 3) for n in range(21)] == [first[: n + 1] for n in range(21)]
+    assert all(mex_value_histogram(n, 2, 3) is first for n in range(21))
     assert kernel_calls == [(20, 2, 3)]
-    assert mex_value_histogram(25, 2, 3)[25][0][0] > 0
-    assert mex_value_histogram(20, 2, 3) == first
+    longer = mex_value_histogram(25, 2, 3)
+    assert longer[0][0][25] > 0
+    assert all(mex_value_histogram(n, 2, 3) is longer for n in range(26))
+    assert [_at(longer, n, 3) for n in range(21)] == [_at(first, n, 3) for n in range(21)]
     assert kernel_calls == [(20, 2, 3), (25, 2, 3)]
 
 
 def test_histogram_store_evicts_whole_tables(kernel_calls, monkeypatch):
-    # Four tables of 104 (M = 1) or 124 (M = 2) cells at n = 12, under a
+    # Four tables of 182 (M = 1) or 208 (M = 2) cells at n = 12, under a
     # limit that holds two: the least recently used go first, and a table
     # asked for again is walked again and gives the same histograms.
     store = mexmoments.partitions._tables
-    monkeypatch.setattr(store, "limit", 300)
+    monkeypatch.setattr(store, "limit", 500)
     keys = [(1, 1), (2, 1), (1, 2), (2, 2)]
-    first = {key: [mex_value_histogram(n, *key)[n] for n in (12, 5)] for key in keys}
+    first = {key: [mex_value_histogram(n, *key) for n in (12, 5)] for key in keys}
+    assert all(table is at_5 for table, at_5 in first.values())
     assert len(kernel_calls) == 4
     assert list(store.entries) == [(1, 2), (2, 2)]
-    again = {key: [mex_value_histogram(n, *key)[n] for n in (12, 5)] for key in keys}
+    assert store.total == 2 * 208
+    again = {key: [mex_value_histogram(n, *key) for n in (12, 5)] for key in keys}
     assert again == first
     assert kernel_calls[4][1:] == (1, 1)
     # One table above the limit is kept alone.
@@ -287,7 +298,7 @@ def test_histogram_store_threads_agree(kernel_calls):
 
     def ask(i):
         start.wait(timeout=30)
-        results[i] = mex_value_histogram(ns[i], 2, 3)[ns[i]]
+        results[i] = _at(mex_value_histogram(ns[i], 2, 3), ns[i], 3)
 
     threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(ns))]
     interval = sys.getswitchinterval()
@@ -302,10 +313,11 @@ def test_histogram_store_threads_agree(kernel_calls):
     assert not any(t.is_alive() for t in threads)
     store = mexmoments.partitions._tables
     n, cost, table = store.entries[(2, 3)]
-    assert n == 24 and len(table) == 25  # n = 0..24
-    assert store.total == cost == sum(cost for _, cost, _ in store.entries.values())
+    assert n == 24 and {len(column) for row in table for column in row} == {25}  # n = 0..24
+    assert store.total == cost == 3 * (24 // 3 + 2) * 25
+    assert cost == sum(cost for _, cost, _ in store.entries.values())
     for n, rows in zip(ns, results):
-        assert [list(row) for row in rows] == [
+        assert rows == [
             [sum(1 for pi in partitions(n) if mex_s_mod(pi, 2, 3, A) == A + m * 3)
              for m in range(n // 3 + 2)]
             for A in (1, 2, 3)
@@ -321,13 +333,16 @@ def test_sigma_residue_classes_partition_everything():
                 assert total == pn
 
 
-def test_histogram_value_bound():
+def test_histogram_value_bound(kernel_calls):
+    # In a table walked to n, n//M + 2 cells bound every value, and each
+    # row's cells sum to p(n') at every n' <= n.
     for (n, s, M) in [(8, 1, 3), (10, 2, 2), (6, 3, 4)]:
-        rows = mex_value_histogram(n, s, M)[n]
-        assert len(rows) == M
-        for row in rows:
+        table = mex_value_histogram(n, s, M)
+        assert len(table) == M
+        for row in table:
             assert len(row) == n // M + 2
-            assert sum(row) == partition_numbers(n)[n]
+            assert all(len(column) == n + 1 for column in row)
+            assert list(map(sum, zip(*row))) == partition_numbers(n)
 
 
 def test_oracle_cap_enforced():
@@ -374,22 +389,24 @@ def test_histogram_gate_refuses_a_non_int_threshold_or_modulus(kernel_calls, bad
 
 
 def test_histogram_gate_refuses_a_table_past_the_cell_limit(kernel_calls, monkeypatch):
-    # The cells the store charges, M * sum(n//M + 2 for n <= N), are
-    # checked before the walk, so a table the store could not keep is
-    # never built: M = 10^5 at N = 10 would take 0.33 s and about 100 MB.
+    # The cells the store charges, M * (N//M + 2) * (N + 1), are checked
+    # before the walk, so a table the store could not keep is never built:
+    # M = 10^5 at N = 10 would take 0.33 s and about 100 MB.
     for args in ((10, 1, 10**5), (60, 1, 10**400)):
         start = time.perf_counter()
         with pytest.raises(ResourceCapError, match=r"^histogram table of M=.* cells, above 524288$"):
             mex_value_histogram(*args)
         assert time.perf_counter() - start < 0.1
     assert kernel_calls == []
-    # The largest table the oracle builds, (1, 61) at n = 60, has 7,442
-    # cells: admitted at that limit and refused one below it.
-    monkeypatch.setattr(mexmoments.partitions, "STORE_CELL_LIMIT", 7441)
-    with pytest.raises(ResourceCapError, match="^histogram table of M=61 to n=60 holds 7442 "):
-        mex_value_histogram(60, 1, 61)
+    # The largest table the oracle builds, with M <= n + 1, is (s, 60) at
+    # n = 60, with 10,980 cells: admitted at that limit and refused one
+    # below it.
+    assert max(M * (60 // M + 2) * 61 for M in range(1, 62)) == 60 * 3 * 61 == 10980
+    monkeypatch.setattr(mexmoments.partitions, "STORE_CELL_LIMIT", 10979)
+    with pytest.raises(ResourceCapError, match="^histogram table of M=60 to n=60 holds 10980 "):
+        mex_value_histogram(60, 1, 60)
     assert kernel_calls == []
-    monkeypatch.setattr(mexmoments.partitions, "STORE_CELL_LIMIT", 7442)
-    assert len(mex_value_histogram(60, 1, 61)) == 61
-    assert kernel_calls == [(60, 1, 61)]
-    assert mexmoments.partitions._tables.total == 7442
+    monkeypatch.setattr(mexmoments.partitions, "STORE_CELL_LIMIT", 10980)
+    assert len(mex_value_histogram(60, 1, 60)) == 60
+    assert kernel_calls == [(60, 1, 60)]
+    assert mexmoments.partitions._tables.total == 10980
