@@ -12,13 +12,6 @@ from __future__ import annotations
 from itertools import chain, repeat
 from operator import add, mul, neg, sub
 
-#: Largest n the oracle enumerates (``partitions.mex_value_histogram``
-#: checks it).  The walk to n visits the partitions of every t <= n into
-#: parts above SMALL_PARTS, 37,689 at n = 60 (p(60) is about 9.7e5), and
-#: its time grows about 3x per 10: the pure walk took 0.02 s at n = 60 and
-#: 0.74 s at n = 90 on a 2-core machine.  A larger n is the series route's job.
-ORACLE_CAP = 60
-
 #: L: the parts 1..L of a partition are counted per remainder, not
 #: walked; the walk visits only the tails of parts above L.
 SMALL_PARTS = 4
@@ -80,7 +73,8 @@ def walk(n: int, s: int, M: int, L: int) -> tuple[list, list]:
 def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
     """Histogram the frequency-s mex statistics over the partitions of
     every n' = 0..n, from one ``walk``.  It checks no argument: its one
-    caller, ``partitions.mex_value_histogram``, checks n, s and M.
+    caller, ``partitions.mex_value_histogram``, checks n against
+    ``partitions.ORACLE_CAP`` and caps s and M at n+1.
 
     Returns M flat rows in ``walk``'s cell-major layout.  In row A-1 (for
     each residue A in 1..M), cell m of n' counts the partitions of n'

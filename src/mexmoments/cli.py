@@ -264,6 +264,19 @@ def _report_text(report: conjectures.ScanReport) -> str:
     return _json_text(doc, "ordering")
 
 
+def _report_text_bytes(M: int, count: int) -> int:
+    """An upper bound on the bytes ``_report_text`` holds at once for a
+    bias report of ``count`` entries over M residues: 64 KiB for the
+    encoder and the document (31 KB measured), and a byte per character
+    of each entry, at most 100 besides its residues, each 10 plus its
+    digits in perm and 12 plus its digits in ties, and 21 per tie group
+    (at most M//2).  The text is held twice while it is joined, and one
+    block of ``_JSON_BLOCK`` entries twice more (its fields and entries)."""
+    digits = M.bit_length() * 31 // 100 + 1  # at least len(str(M)), without str
+    entry = 100 + (22 + 2 * digits) * M + 21 * (M // 2)
+    return 2**16 + 2 * (count + min(count, _JSON_BLOCK)) * entry
+
+
 def _table_text(meta: dict, columns: dict, fmt: str) -> str:
     """The "csv" or "json" text of the table whose columns, in CSV order,
     map each name to one value per row.  CSV: a ``# params: meta`` line,
@@ -325,6 +338,10 @@ def cmd_stats(args) -> int:
 SEQUENCE_WORK = 10_000
 VALUE_WORK = 500
 
+#: Work units of one histogram table walk, per partition of the largest
+#: n: a walk to n = 60 (p(60) = 966,467) took 7-20 ms on a 2-core machine.
+WALK_WORK = 10
+
 #: Most work ``verify`` starts: its largest grid along each of moduli,
 #: thresholds and r runs in 13-20 s on a 2-core machine, at 16-17 MB
 #: resident.  A larger limit would admit --max-r 6000 (25 s).
@@ -335,15 +352,19 @@ def verify_work(max_mod: int, max_s: int, max_r: int, max_n: int) -> int:
     """An upper estimate, from the bounds alone, of the work of the
     verify grid: ``SEQUENCE_WORK`` per sequence, ``VALUE_WORK`` per value,
     and the value's bits, at most log2 p(max_n) + r log2(max_n + 1) for
-    moment order r, each log rounded up to a bit length.  The arithmetic
-    is exact, so bounds of any size give a number.  ``max_n`` is at most
-    ``ORACLE_CAP``."""
+    moment order r, each log rounded up to a bit length; and
+    ``WALK_WORK`` times p(max_n) per histogram table, one per s and M up
+    to max_n + 1, where ``partitions.mex_value_histogram`` caps them.  The
+    arithmetic is exact, so bounds of any size give a number.  ``max_n``
+    is at most ``partitions.ORACLE_CAP``."""
     triples = max_mod * (max_mod + 1) // 2 * max_s  # (s, M, A) per kind
     orders = max_r + 1
-    p_bits = qseries.partition_numbers(max_n)[max_n].bit_length()
-    column_bits = orders * p_bits + max_n.bit_length() * max_r * orders // 2
+    pn = qseries.partition_numbers(max_n)[max_n]
+    column_bits = orders * pn.bit_length() + max_n.bit_length() * max_r * orders // 2
     values = max_n + 1
-    return 2 * triples * (orders * (SEQUENCE_WORK + values * VALUE_WORK) + values * column_bits)
+    tables = min(max_s, values) * min(max_mod, values)
+    return (2 * triples * (orders * (SEQUENCE_WORK + values * VALUE_WORK) + values * column_bits)
+            + tables * WALK_WORK * pn)
 
 
 def cmd_verify(args) -> int:

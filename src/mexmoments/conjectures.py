@@ -109,6 +109,21 @@ def scan_log_concavity(kind: str, p: MexParams, n_lo: int, n_hi: int) -> ScanRep
     )
 
 
+def _report_bytes(M: int, n_lo: int, n_hi: int) -> int:
+    """An upper bound on the bytes of a bias scan's ordering for
+    n_lo..n_hi and of its JSON text (``cli._report_text_bytes``), on
+    CPython 3.11, whose objects take multiples of 16 bytes.  Per n the
+    ordering holds the entry and n (96), their slots (40), the perm tuple
+    (48 + 8M) and its residue ints past 256 (32 each), and the ties, at
+    most M//2 groups of M residues in all (48 + 56 per group + 8 per
+    residue)."""
+    from mexmoments.cli import _report_text_bytes  # cli imports this module
+
+    count = n_hi - n_lo + 1
+    ordering = 136 + 48 + 8 * M + 32 * max(M - 256, 0) + 48 + 56 * (M // 2) + 8 * M
+    return count * ordering + _report_text_bytes(M, count)
+
+
 def scan_bias(kind: str, s: int, M: int, r: int, n_lo: int, n_hi: int) -> ScanReport:
     """Sort the residues 1..M by exact moment value at every n in
     [n_lo, n_hi] and report the orderings.
@@ -117,18 +132,26 @@ def scan_bias(kind: str, s: int, M: int, r: int, n_lo: int, n_hi: int) -> ScanRe
     ordering by "<=" makes equal values legitimate.  For the sigma family
     with r = 0 the residue classes partition all partitions of n, so the
     per-n values are additionally checked to sum to p(n).  A scan whose M
-    sequences could hold more than ``qseries.STORE_BYTE_LIMIT`` bytes
-    (``qseries.sequence_bytes``) raises ``ResourceCapError`` before any
-    sequence is computed.
+    sequences (``qseries.sequence_bytes``), ordering and report text
+    (``_report_bytes``) could hold more than ``qseries.STORE_BYTE_LIMIT``
+    bytes raises ``ResourceCapError`` before any sequence is computed.
     """
     _check_kind(kind)
     p = MexParams(s, M, 1, r)  # rejects s, M and r outside their domains
     s, M, r = p.s, p.M, p.r
     n_lo, n_hi = _check_range(n_lo, n_hi)
-    # The M sequences stay alive together, so store eviction cannot bound
-    # them: their bytes are checked together, up front.
-    qseries._check_coefficient_bytes(kind, p, n_hi, every_residue=True)
+    # The M sequences stay alive together and with the report, so store
+    # eviction cannot bound them: their bytes are checked together, up
+    # front.  No sequence bound is below that of r = 0, which A leaves
+    # unchanged, so more residues than fit at r = 0 are refused at once.
     residues = range(1, M + 1)
+    least = qseries.sequence_bytes(kind, replace(p, r=0), n_hi)  # checks n_hi's order limit
+    report = _report_bytes(M, n_lo, n_hi)
+    nbytes = report + M * least
+    if nbytes <= qseries.STORE_BYTE_LIMIT:
+        nbytes = report + sum(qseries.sequence_bytes(kind, replace(p, A=a), n_hi)
+                              for a in residues)
+    qseries._check_coefficient_bytes(kind, n_hi, nbytes, M)
     columns = [qseries.moment_sequence(kind, replace(p, A=a), n_hi).values for a in residues]
     pn = qseries.partition_numbers(n_hi) if (kind == "sigma" and r == 0) else None
     entries = []

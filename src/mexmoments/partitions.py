@@ -12,8 +12,8 @@ moment sequences of :mod:`mexmoments.qseries`, in bytes.
 
 One table of (s, M) holds the histograms of every n' <= N, so the oracle
 reads a column: ``oracle_values`` gives the moment at every n = 0..N
-from one table, with s and M capped once at N+1 and one weight per
-cell.  ``sigma_oracle`` and ``varsigma_oracle`` are its entry at n.
+from one table, with one weight per cell.  ``sigma_oracle`` and
+``varsigma_oracle`` are its entry at n.
 
 Terminology used throughout the package, for a partition pi:
 
@@ -37,7 +37,6 @@ from itertools import repeat
 from operator import add, mul
 
 from mexmoments import backend
-from mexmoments._pure import ORACLE_CAP
 from mexmoments.errors import ResourceCapError, ValidationError
 
 #: The two moment families.
@@ -145,6 +144,14 @@ class Store:
             return self.entries[key][2]
 
 
+#: Largest n the oracle enumerates (``mex_value_histogram`` checks it).
+#: The walk to n visits the partitions of every t <= n into parts above
+#: ``_pure.SMALL_PARTS``, 37,689 at n = 60 (p(60) is about 9.7e5), and
+#: its time grows about 3x per 10: the pure walk took 0.02 s at n = 60 and
+#: 0.74 s at n = 90 on a 2-core machine.  A larger n is the series route's job.
+ORACLE_CAP = 60
+
+
 def _check_cap(n: int) -> int:
     """``n`` as a plain int, refused below 0 and above ``ORACLE_CAP``."""
     n = _check_int("n", n, 0)
@@ -157,8 +164,8 @@ def _check_cap(n: int) -> int:
 
 
 #: Cells the histogram store keeps before it drops whole tables, least
-#: recently used first.  The largest table the oracle builds by default,
-#: (s, M) = (s, 60) at n = 60, has 10,980.
+#: recently used first.  The largest table ``mex_value_histogram``
+#: builds, (s, M) = (s, 60) at n = 60, has 10,980.
 STORE_CELL_LIMIT = 1 << 19
 
 # One histogram table per (s, M): the histograms of every n' <= N, at the
@@ -172,23 +179,23 @@ def mex_value_histogram(N: int, s: int, M: int) -> tuple[tuple[tuple[int, ...], 
     layout: ``table[A-1][m][n]`` counts the partitions of n whose
     congruence mex for (s, M, A) is A + m*M.
 
-    The stored table of (s, M), served whole (its columns may run past
-    N); a table shorter than N is walked again to N.  The kernel's one
-    gate, before any walk: N is checked against ``ORACLE_CAP``, s and M
-    as ints >= 1, and a table not stored against ``STORE_CELL_LIMIT``
-    cells."""
+    The kernel's one gate, before any walk: N is checked against
+    ``ORACLE_CAP``, and s and M as ints >= 1, each then capped at N+1.
+    No part of a partition of n <= N occurs N+1 times, so s > N gives the
+    histograms of s = N+1.  With M > N each class holds one candidate
+    part A <= N (m is 0 or 1), and each A > N holds all p(n) partitions
+    at m = 0, so modulus N+1 gives the same rows; row N+1 stands for
+    every A > N+1.  So no table passes 10,980 cells.  The stored table of
+    the capped (s, M) is served whole (past N its columns are those of
+    the capped pair); a table shorter than N is walked again to N."""
     N = _check_cap(N)
-    s, M = _check_int("s", s, 1), _check_int("M", M, 1)
+    s, M = min(_check_int("s", s, 1), N + 1), min(_check_int("M", M, 1), N + 1)
     table = _tables.get((s, M), N)
     if table is None:
-        cost = M * (N // M + 2) * (N + 1)
-        if cost > STORE_CELL_LIMIT:
-            raise ResourceCapError(f"histogram table of M={_show(M)} to n={N} holds "
-                                   f"{_show(cost)} cells, above {STORE_CELL_LIMIT}")
         # Each flat row cut into its cells, N + 1 counts each.
         rows = backend.mex_value_counts(N, s, M)
         table = tuple(tuple(zip(*[iter(row)] * (N + 1))) for row in rows)
-        table = _tables.put((s, M), N, cost, table)
+        table = _tables.put((s, M), N, M * (N // M + 2) * (N + 1), table)
     return table
 
 
@@ -201,27 +208,23 @@ def oracle_values(kind: str, p: MexParams, N: int) -> list[int]:
     the sum of (congruence mex)^r over all partitions of n (r = 0 gives
     p(n)).
 
-    The table's parameters are capped once, at N+1.  No part of a
-    partition of n <= N occurs N+1 times, so every s > N gives the
-    histograms of s = N+1.  For varsigma with M > N each class holds one
-    candidate part A <= N (so m is 0 or 1, and 1 exactly when A occurs at
-    least s times), and every A > N holds all p(n) partitions at m = 0,
-    so modulus N+1 gives the same row for min(A, N+1).  Values past the
-    series route's byte budget (``qseries.sequence_bytes``) raise
-    ``ResourceCapError`` before any weight is computed.
+    ``mex_value_histogram`` caps s and M at N+1, so varsigma reads row
+    min(A, N+1).  Values past the series route's byte budget
+    (``qseries.sequence_bytes``) raise ``ResourceCapError`` before any
+    weight is computed.
     """
-    from mexmoments.qseries import _check_coefficient_bytes  # qseries imports this module
+    # qseries imports this module.
+    from mexmoments.qseries import _check_coefficient_bytes, sequence_bytes
 
     _check_kind(kind)
     N = _check_cap(N)
-    _check_coefficient_bytes(kind, p, N)
-    s = min(p.s, N + 1)
+    _check_coefficient_bytes(kind, N, sequence_bytes(kind, p, N))
     # The j-th cell read holds the value A + j*M: sigma reads the cells
     # A-1, A-1+M, ... of the plain mex row, varsigma every cell of its row.
     if kind == "sigma":
-        row, first, step = mex_value_histogram(N, s, 1)[0], p.A - 1, p.M
+        row, first, step = mex_value_histogram(N, p.s, 1)[0], p.A - 1, p.M
     else:
-        row, first, step = mex_value_histogram(N, s, min(p.M, N + 1))[min(p.A, N + 1) - 1], 0, 1
+        row, first, step = mex_value_histogram(N, p.s, p.M)[min(p.A, N + 1) - 1], 0, 1
     # No partition of n <= N has a larger value than the largest at N,
     # which some partition of N has (qseries.largest_mex), so the cells
     # read stop at the last nonzero cell of n = N in the whole row.

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import index, itemgetter
 
 from mexmoments import backend
@@ -250,24 +250,27 @@ def value_bits(kind: str, p: MexParams, n: int) -> float:
 
 
 def sequence_bytes(kind: str, p: MexParams, order: int) -> int:
-    """An upper bound on what the store charges for the sequence to
-    ``order``: per value a tuple slot and the ``sys.getsizeof`` of an int
-    of ``value_bits`` at ``order``, plus ``_ENTRY_BYTES``."""
-    digits = math.ceil(value_bits(kind, p, order) / sys.int_info.bits_per_digit)
-    return (order + 1) * (8 + int.__basicsize__ + int.__itemsize__ * digits) + _ENTRY_BYTES
+    """What the store charges for the sequence to ``order``, an upper
+    bound on what it holds: per value at n a tuple slot and the
+    ``sys.getsizeof`` of an int of ``value_bits`` at n, plus
+    ``_ENTRY_BYTES``.  ``value_bits`` at n is at most that at ``order``
+    less c (sqrt(order) - sqrt(n)), c = pi sqrt(2/3) / ln 2, and sqrt(n)
+    sums to at most (2/3) (order + 1)^1.5, so the digits sum in closed form."""
+    per_digit = sys.int_info.bits_per_digit
+    top = math.ceil(value_bits(kind, p, order) / per_digit)  # checks the arguments
+    values = index(order) + 1
+    c = math.pi * math.sqrt(2 / 3) / math.log(2)
+    saved = c * (values * math.sqrt(values - 1) - values**1.5 * 2 / 3)
+    # Each value rounds its digits up once: at most one digit more than its share.
+    digits = values * (top + 1) - math.ceil(saved / per_digit)
+    return values * (8 + int.__basicsize__) + int.__itemsize__ * digits + _ENTRY_BYTES
 
 
-def _check_coefficient_bytes(kind: str, p: MexParams, order: int, every_residue=False) -> None:
-    """Refuse, before any k^r or p(n) is computed, the sequence of
-    ``kind`` to ``order`` for ``p``, or with ``every_residue`` those of
-    A = 1..M, when their ``sequence_bytes`` sum past ``STORE_BYTE_LIMIT``.
-    No bound is below that of r = 0, which s, M and A leave unchanged, so
-    more residues than fit at r = 0 are refused without a look at any."""
-    count = p.M if every_residue else 1
-    nbytes = count * sequence_bytes(kind, replace(p, r=0), order) if every_residue else 0
-    if nbytes <= STORE_BYTE_LIMIT:
-        params = (replace(p, A=a) for a in range(1, count + 1)) if every_residue else [p]
-        nbytes = sum(sequence_bytes(kind, q, order) for q in params)
+def _check_coefficient_bytes(kind: str, order: int, nbytes: int, count: int = 1) -> None:
+    """Refuse ``count`` sequences of ``kind`` to ``order`` when
+    ``nbytes``, their bound with whatever their caller holds beside them,
+    is past ``STORE_BYTE_LIMIT``: the package's one byte refusal, which
+    every caller makes before any k^r or p(n) is computed."""
     if nbytes > STORE_BYTE_LIMIT:
         raise ResourceCapError(
             f"{_show(count)} {kind} sequence(s) to order {order} could need "
@@ -280,7 +283,7 @@ def _gf_coeffs(kind: str, support, p: MexParams, order: int) -> MomentSequence:
     the sparse theta factor ``support(p, N)``, by coefficient extraction,
     after ``_check_coefficient_bytes``."""
     order = _check_order(order)
-    _check_coefficient_bytes(kind, p, order)
+    _check_coefficient_bytes(kind, order, sequence_bytes(kind, p, order))
     dense = partition_numbers(order)
     values = backend.sparse_dense_product(support(p, order), dense, order + 1)
     return MomentSequence(kind, p, values)
@@ -311,9 +314,9 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
     repeating a request at that order returns the same object.  A smaller
     order is the stored sequence's ``prefix`` (coefficients at n <= N do
     not depend on the truncation order): a copy of its values, built per
-    call, not stored and not checked again.  A sequence whose
-    ``sequence_bytes`` exceed ``STORE_BYTE_LIMIT`` raises
-    ``ResourceCapError`` before any work.
+    call, not stored and not checked again.  The store charges an entry
+    its ``sequence_bytes``, the bound that the series functions check
+    against ``STORE_BYTE_LIMIT`` before any work.
     """
     _check_kind(kind)
     _check_params(p)
@@ -321,11 +324,8 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
     key = (kind, p)
     seq = _store.get(key, order)
     if seq is None:
-        _check_coefficient_bytes(kind, p, order)
         gf_coeffs = sigma_gf_coeffs if kind == "sigma" else varsigma_gf_coeffs
-        seq = gf_coeffs(p, order)
-        cost = sum(map(sys.getsizeof, seq.values)) + 8 * len(seq.values) + _ENTRY_BYTES
-        seq = _store.put(key, order, cost, seq)
+        seq = _store.put(key, order, sequence_bytes(kind, p, order), gf_coeffs(p, order))
     return seq if seq.order == order else seq.prefix(order)
 
 

@@ -1,5 +1,5 @@
-"""Shared fixtures: counters of the calls that reach the histogram kernel
-and the series route, each from an empty store."""
+"""Shared fixtures: counters of the calls that reach the histogram kernel,
+the series route and its product, each from an empty store."""
 
 import pytest
 
@@ -34,4 +34,18 @@ def gf_calls(monkeypatch):
             calls.append((kind, p, order))
             return gf(p, order)
         monkeypatch.setattr(qseries, f"{kind}_gf_coeffs", counted)
+    return calls
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """An empty sequence store, and the arguments of every sparse x dense
+    product the series route runs."""
+    from mexmoments import backend, partitions, qseries
+
+    monkeypatch.setattr(qseries, "_store", partitions.Store(qseries.STORE_BYTE_LIMIT))
+    calls = []
+    product = backend.sparse_dense_product
+    monkeypatch.setattr(backend, "sparse_dense_product",
+                        lambda *a: calls.append(a) or product(*a))
     return calls

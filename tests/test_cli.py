@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mexmoments import MexParams, backend, cli, partition_numbers, partitions
+from mexmoments import MexParams, cli, partition_numbers, partitions
 from mexmoments.cli import main
 
 
@@ -282,12 +282,14 @@ def test_oracle_cap_is_checked_before_any_work(capsys, oracle_calls, argv):
     ("--max-s", "100000000", "--max-mod", "1", "--max-r", "0", "--max-n", "1"),
     ("--max-mod", "1", "--max-s", "1", "--max-r", "6000", "--max-n", "60"),
     ("--max-mod", "9" * 4000, "--max-s", "9" * 4000, "--max-r", "9" * 4000),
-], ids=["moduli", "thresholds", "r", "past-float-range"])
+    ("--max-mod", "62", "--max-s", "61", "--max-r", "0", "--max-n", "60"),
+], ids=["moduli", "thresholds", "r", "past-float-range", "walks"])
 def test_verify_refuses_a_grid_of_minutes_before_any_work(capsys, oracle_calls, product_calls,
                                                           argv):
     # The first three ran for 15 s or more (the r grid 27 s at 332 MB)
     # before the grid's work was estimated up front; the estimate of the
-    # last is far past float range.
+    # fourth is far past float range.  The last walks 3,721 tables of
+    # 7-20 ms each, 40-75 s, before the walks were counted.
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", *argv)
     assert time.perf_counter() - start < 1.0
@@ -325,12 +327,15 @@ def test_verify_leaves_the_sequence_store_as_it_found_it(capsys, product_calls):
 
 def test_verify_work_limit_admits_each_axis_up_to_its_largest_grid():
     # The grids timed when the limit was set: the largest admitted along
-    # moduli, thresholds and r, and the first refused past each.
+    # moduli, thresholds and r, and the first refused past each.  Counting
+    # the table walks moved the r edge at n = 60 down from 5113.
     for admitted, refused in [((952, 1, 0, 1), (953, 1, 0, 1)),
                               ((1, 454462, 0, 1), (1, 454463, 0, 1)),
-                              ((1, 1, 5113, 60), (1, 1, 5114, 60))]:
+                              ((1, 1, 5111, 60), (1, 1, 5112, 60))]:
         assert cli.verify_work(*admitted) <= cli.VERIFY_WORK_LIMIT < cli.verify_work(*refused)
     assert cli.verify_work(4, 3, 2, 30) < cli.VERIFY_WORK_LIMIT / 1000  # the default grid
+    # One walk per table, s and M capped at max_n + 1: 61 * 61 tables.
+    assert cli.verify_work(62, 61, 0, 60) > cli.VERIFY_WORK_LIMIT
 
 
 def test_stats_huge_threshold_is_served_by_the_oracle(capsys, kernel_calls):
@@ -405,18 +410,6 @@ def test_huge_r_is_refused_before_any_work(
     assert series_calls == [] and oracle_calls == []
 
 
-@pytest.fixture
-def product_calls(monkeypatch):
-    """An empty sequence store, and the arguments of every sparse x dense
-    product the series route runs."""
-    monkeypatch.setattr(cli.qseries, "_store", cli.qseries.Store(cli.qseries.STORE_BYTE_LIMIT))
-    calls = []
-    product = backend.sparse_dense_product
-    monkeypatch.setattr(backend, "sparse_dense_product",
-                        lambda *a: calls.append(a) or product(*a))
-    return calls
-
-
 @pytest.mark.parametrize("argv", [
     ("conjecture", "bias", "--kind", "sigma", "--mod", "4", "--r", "10000000", "--range", "1:300"),
     ("stats", "--kind", "varsigma", "--r", "10000000", "--range", "0:300"),
@@ -485,6 +478,57 @@ def test_bias_scan_budget_admits_two_hundred_residues(capsys, product_calls):
     assert code == 0
     assert len(json.loads(out)["ordering"]) == 300
     assert len(product_calls) == 200
+
+
+# A child that runs one command line under a byte limit and prints its
+# exit code and its peak resident kB before and after the request.  A
+# process keeps the ru_maxrss of the one that started it across exec (the
+# test process, here), so the request runs in a fork, which starts from
+# this small one's.
+RSS_CHILD = """
+import os, resource, sys
+from mexmoments import cli, qseries
+qseries.STORE_BYTE_LIMIT = qseries._store.limit = int(sys.argv[1])
+if os.fork() == 0:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    code = cli.main(sys.argv[2:])
+    print(code, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
+    os._exit(0)
+os.wait()
+"""
+
+
+@pytest.mark.parametrize("limit, kind, M, r, n_hi, admitted", [
+    # Admitted before its ordering and text were counted: 317.6 MB resident.
+    (2**28, "varsigma", 128, 1, 20000, False),
+    # Under a 16 MiB limit, the same overrun in under a second: M sequences
+    # to 60 fit the limit, their ordering and text do not.
+    (2**24, "varsigma", 5600, 1, 60, False),
+    # The largest admitted scans of their kind, near the limit.
+    (2**24, "varsigma", 980, 1, 60, True),
+    (2**24, "sigma", 4, 1, 12378, True),
+    (2**24, "sigma", 1, 1, 26640, True),
+    # Ties on most rows: sigma with r = 0 is 0 for every mex past the largest.
+    (2**24, "sigma", 40, 0, 1000, True),
+])
+def test_bias_scan_stays_within_the_byte_limit(tmp_path, limit, kind, M, r, n_hi, admitted):
+    # A fresh child per request: its peak resident memory grows by at most
+    # the limit, plus what the bound leaves out: the p(n) table (bounded by
+    # the sequence of varsigma r = 0) and 4 MiB for the product's packed
+    # copies and the allocator.  Admitted scans near a 16 MiB limit grew
+    # 0.77-0.99 of it without the allowance.
+    argv = ["conjecture", "bias", "--kind", kind, "--mod", str(M), "--r", str(r),
+            "--range", f"1:{n_hi}", "--out", str(tmp_path / "report.json")]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", RSS_CHILD, str(limit), *argv],
+                          capture_output=True, text=True)
+    code, before, after = map(int, proc.stdout.split())
+    allowance = cli.qseries.sequence_bytes("varsigma", MexParams(1, 1, 1, 0), n_hi) + 2**22
+    assert (after - before) * 1024 <= limit + allowance, proc.stderr
+    assert code == (0 if admitted else 3), proc.stderr
+    if not admitted:
+        assert time.perf_counter() - start < 1.0
+        assert "coefficient bytes, above the limit" in proc.stderr
 
 
 @pytest.mark.parametrize("method, message", [("gf", "above the limit"), ("oracle", "exceeds cap")])

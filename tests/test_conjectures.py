@@ -1,13 +1,15 @@
 """Scanner tests: log-concavity and residue-bias reports on exact data."""
 
 import ast
+import gc
 import inspect
 import json
+import tracemalloc
 
 import pytest
 
 from mexmoments import (
-    MexParams, ResourceCapError, ValidationError, cli, partition_numbers, qseries,
+    MexParams, ResourceCapError, ValidationError, cli, conjectures, partition_numbers, qseries,
 )
 from mexmoments.conjectures import OrderingEntry, scan_bias, scan_log_concavity
 
@@ -132,10 +134,12 @@ def test_bias_validates_parameters_up_front():
 
 
 def test_bias_budget_counts_its_sequences(monkeypatch):
-    # The M sequences to order hi, each by qseries.sequence_bytes: a limit
-    # one byte short refuses before any sequence, the exact bytes admit.
+    # The M sequences to order hi, each by qseries.sequence_bytes, and the
+    # ordering and text of lo..hi: a limit one byte short refuses before
+    # any sequence, the exact bytes admit.
     M, lo, hi = 3, 11, 30
     need = sum(qseries.sequence_bytes("sigma", MexParams(1, M, a, 1), hi) for a in range(1, M + 1))
+    need += conjectures._report_bytes(M, lo, hi)
     monkeypatch.setattr(qseries, "_store", qseries.Store(qseries.STORE_BYTE_LIMIT))
     monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need - 1)
     with pytest.raises(ResourceCapError, match=f"3 sigma sequence.s. to order {hi}"):
@@ -143,6 +147,28 @@ def test_bias_budget_counts_its_sequences(monkeypatch):
     assert not qseries._store.entries
     monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need)
     assert len(scan_bias("sigma", 1, M, 1, lo, hi).ordering) == hi - lo + 1
+
+
+@pytest.mark.parametrize("kind, s, M, r, hi", [
+    ("sigma", 1, 7, 0, 3),        # the report's own objects dominate
+    ("sigma", 1, 40, 0, 30),      # sigma r = 0: ties on every row
+    ("sigma", 2, 300, 0, 40),     # residue ints past 256
+    ("varsigma", 1, 8, 2, 9000),  # three writer blocks
+])
+def test_report_bytes_bound_what_a_scan_holds(kind, s, M, r, hi):
+    # With its sequences stored, a scan and its JSON text allocate no more
+    # than the bound at their peak.
+    for a in range(1, M + 1):
+        qseries.moment_sequence(kind, MexParams(s, M, a, r), hi)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli._report_text(scan_bias(kind, s, M, r, 1, hi))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= conjectures._report_bytes(M, 1, hi)
 
 
 class Admitted(Exception):

@@ -256,13 +256,14 @@ def _at(table: tuple, n: int, M: int) -> list:
 def test_one_walk_serves_every_smaller_n(kernel_calls):
     # The table of (s, M) at n = 20 holds the histogram of every n <= 20
     # and is served whole; a longer request walks again, and the longer
-    # table then serves all with the same histograms.
+    # table then serves all with the same histograms.  Below n = 2 the
+    # gate caps s or M at n + 1, another key.
     first = mex_value_histogram(20, 2, 3)
-    assert all(mex_value_histogram(n, 2, 3) is first for n in range(21))
+    assert all(mex_value_histogram(n, 2, 3) is first for n in range(2, 21))
     assert kernel_calls == [(20, 2, 3)]
     longer = mex_value_histogram(25, 2, 3)
     assert longer[0][0][25] > 0
-    assert all(mex_value_histogram(n, 2, 3) is longer for n in range(26))
+    assert all(mex_value_histogram(n, 2, 3) is longer for n in range(2, 26))
     assert [_at(longer, n, 3) for n in range(21)] == [_at(first, n, 3) for n in range(21)]
     assert kernel_calls == [(20, 2, 3), (25, 2, 3)]
 
@@ -388,25 +389,18 @@ def test_histogram_gate_refuses_a_non_int_threshold_or_modulus(kernel_calls, bad
     assert kernel_calls == []
 
 
-def test_histogram_gate_refuses_a_table_past_the_cell_limit(kernel_calls, monkeypatch):
-    # The cells the store charges, M * (N//M + 2) * (N + 1), are checked
-    # before the walk, so a table the store could not keep is never built:
-    # M = 10^5 at N = 10 would take 0.33 s and about 100 MB.
-    for args in ((10, 1, 10**5), (60, 1, 10**400)):
+def test_histogram_gate_caps_threshold_and_modulus_at_n_plus_one(kernel_calls):
+    # Every s and M past N + 1 gives the rows of N + 1 (row N + 1 stands
+    # for every larger residue), so the gate walks that table at once,
+    # and no table it builds passes the 10,980 cells of (s, 60) at n = 60.
+    for N, M in ((10, 10**5), (60, 10**400)):
         start = time.perf_counter()
-        with pytest.raises(ResourceCapError, match=r"^histogram table of M=.* cells, above 524288$"):
-            mex_value_histogram(*args)
+        table = mex_value_histogram(N, 1, M)
         assert time.perf_counter() - start < 0.1
-    assert kernel_calls == []
-    # The largest table the oracle builds, with M <= n + 1, is (s, 60) at
-    # n = 60, with 10,980 cells: admitted at that limit and refused one
-    # below it.
+        assert kernel_calls[-1] == (N, 1, N + 1) and len(table) == N + 1
+        assert mexmoments.partitions._tables.entries[(1, N + 1)][1] <= 10980
+    assert len(kernel_calls) == 2
     assert max(M * (60 // M + 2) * 61 for M in range(1, 62)) == 60 * 3 * 61 == 10980
-    monkeypatch.setattr(mexmoments.partitions, "STORE_CELL_LIMIT", 10979)
-    with pytest.raises(ResourceCapError, match="^histogram table of M=60 to n=60 holds 10980 "):
-        mex_value_histogram(60, 1, 60)
-    assert kernel_calls == []
-    monkeypatch.setattr(mexmoments.partitions, "STORE_CELL_LIMIT", 10980)
-    assert len(mex_value_histogram(60, 1, 60)) == 60
-    assert kernel_calls == [(60, 1, 60)]
-    assert mexmoments.partitions._tables.total == 10980
+    assert mex_value_histogram(60, 10**9, 60) is mex_value_histogram(60, 61, 60)
+    assert kernel_calls[2:] == [(60, 61, 60)]
+    assert mexmoments.partitions._tables.entries[(61, 60)][1] == 10980

@@ -492,7 +492,7 @@ def test_store_threads_agree(gf_calls):
     entry = qseries._store.entries[key]
     n, cost, seq = entry
     assert n == 600 and seq.values == fresh
-    assert cost == sum(map(sys.getsizeof, fresh)) + 8 * len(fresh) + qseries._ENTRY_BYTES
+    assert cost == qseries.sequence_bytes("varsigma", p, 600)
     assert qseries._store.total == cost
 
 
@@ -538,20 +538,21 @@ def test_series_orders_above_the_limit_are_refused(gf_calls):
     ("varsigma", MexParams(3, 5, 5, 0), 200),
     ("sigma", MexParams(1, 1, 1, 9), 1),
 ])
-def test_coefficient_budget_is_an_upper_bound(gf_calls, monkeypatch, kind, p, order):
+def test_coefficient_budget_is_an_upper_bound(product_calls, monkeypatch, kind, p, order):
     # A limit of sequence_bytes admits the sequence and one byte less
-    # refuses it, before any work; what the store then charges is within
-    # the bound.
+    # refuses it, before any work (no product, no longer p(n) table); the
+    # store then charges the bound it checked.
     need = qseries.sequence_bytes(kind, p, order)
     monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need - 1)
+    table = len(qseries._pn_table)
     with pytest.raises(ResourceCapError, match=f"1 {kind} sequence.s. to order {order}"):
         qseries.moment_sequence(kind, p, order)
-    assert gf_calls == []
+    assert product_calls == [] and len(qseries._pn_table) == table
     monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need)
     values = qseries.moment_sequence(kind, p, order).values
     assert values == FRESH_GF[kind](p, order).values
-    assert gf_calls == [(kind, p, order)]
-    assert qseries._store.entries[(kind, p)][1] <= need
+    assert qseries._store.entries[(kind, p)][1] == need
+    assert sum(map(sys.getsizeof, values)) + 8 * len(values) + qseries._ENTRY_BYTES <= need
 
 
 @settings(max_examples=150, deadline=None)
@@ -563,6 +564,18 @@ def test_value_bits_bounds_every_value(kind, s, M, data, r, order):
     assert all(v.bit_length() <= qseries.value_bits(kind, p, n) for n, v in enumerate(values))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("sigma", "varsigma")), st.integers(1, 4), st.integers(1, 12),
+       st.data(), st.integers(0, 64), st.integers(0, 3000))
+def test_sequence_bytes_bounds_what_a_sequence_holds(kind, s, M, data, r, order):
+    # The closed form sums the digits of value_bits at every n, so it must
+    # stay above the sizes of the values themselves.
+    p = MexParams(s, M, data.draw(st.integers(1, M), label="A"), r)
+    values = FRESH_GF[kind](p, order).values
+    held = sum(map(sys.getsizeof, values)) + 8 * len(values) + qseries._ENTRY_BYTES
+    assert held <= qseries.sequence_bytes(kind, p, order)
+
+
 def test_partition_numbers_are_within_the_bound():
     # p(n) < exp(pi sqrt(2n/3)), the term of value_bits that r = 0 and
     # k < 2 leave, with room to spare for float rounding past n = 0.
@@ -572,14 +585,17 @@ def test_partition_numbers_are_within_the_bound():
     assert slack[0] == 0 and min(slack[1:]) > 3
 
 
-def test_coefficient_budget_refuses_before_any_work(gf_calls):
+def test_coefficient_budget_refuses_before_any_work(product_calls):
+    # The check sits inside the series function, so "no work" is no
+    # product and no longer p(n) table.
+    table = len(qseries._pn_table)
     for kind in FRESH_GF:
         with pytest.raises(ResourceCapError, match="coefficient bytes"):
             qseries.moment_sequence(kind, MexParams(1, 4, 1, 10**7), 300)
         # No mex at n <= N//2 = 7 reaches 2, but 2^r is a value at N = 15.
         with pytest.raises(ResourceCapError, match="coefficient bytes"):
             qseries.moment_sequence(kind, MexParams(10, 1, 1, 2**63), 15)
-    assert gf_calls == []
+    assert product_calls == [] and len(qseries._pn_table) == table
 
 
 def test_sigma_first_moment_is_andrews_newman_d2():
