@@ -378,8 +378,8 @@ def cmd_verify(args) -> int:
             f"the verify grid needs about 10^{math.log10(work):.2f} work units, above the "
             f"limit 10^{math.log10(VERIFY_WORK_LIMIT):.0f}"
         )
-    # Threshold outermost: the oracle reads the histogram table of (s, 1)
-    # for sigma and of (s, M) for varsigma, s and M capped at max_n + 1,
+    # Threshold outermost: the oracle reads the histogram table of (s, step)
+    # for the kind's chain (MexParams._chain), s and M capped at max_n + 1,
     # so each table serves a run of consecutive rows and is walked once.
     grid = (
         MexParams(s, M, A, r)

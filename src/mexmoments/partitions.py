@@ -21,6 +21,9 @@ Terminology used throughout the package, for a partition pi:
   frequency as a part of pi is less than s (the ordinary mex is s=1);
 * the congruence mex for (s, M, A): the smallest positive integer
   congruent to A mod M whose frequency is less than s;
+* the chain of a kind: 1, 2, 3, ... for sigma and A, A+M, ... for
+  varsigma (``MexParams._chain``), so that either mex is the first chain
+  element whose frequency is below s;
 * sigma moment: sum of mex^r over the partitions of n whose mex lies in
   the residue class A mod M;
 * varsigma moment: sum of (congruence mex)^r over all partitions of n.
@@ -101,6 +104,11 @@ class MexParams:
             raise ValidationError(
                 f"residue must satisfy 0 < A <= M, got A={_show(self.A)}, M={_show(self.M)}"
             )
+
+    def _chain(self, kind: str) -> tuple[int, int]:
+        """(first, step) of the chain of ``kind``: the one place a kind
+        picks its chain (module docstring)."""
+        return (1, 1) if kind == "sigma" else (self.A, self.M)
 
 
 class Store:
@@ -219,18 +227,17 @@ def oracle_values(kind: str, p: MexParams, N: int) -> list[int]:
     _check_kind(kind)
     N = _check_cap(N)
     _check_coefficient_bytes(kind, N, sequence_bytes(kind, p, N))
-    # The j-th cell read holds the value A + j*M: sigma reads the cells
-    # A-1, A-1+M, ... of the plain mex row, varsigma every cell of its row.
-    if kind == "sigma":
-        row, first, step = mex_value_histogram(N, p.s, 1)[0], p.A - 1, p.M
-    else:
-        row, first, step = mex_value_histogram(N, p.s, p.M)[min(p.A, N + 1) - 1], 0, 1
+    # The table of (s, step) counts mexes along the kind's chain
+    # (MexParams._chain): its row min(first, N+1) holds the chain's cells,
+    # and the j-th cell read from (A - first)/step on holds A + j*M.
+    first, step = p._chain(kind)
+    row = mex_value_histogram(N, p.s, step)[min(first, N + 1) - 1]
     # No partition of n <= N has a larger value than the largest at N,
     # which some partition of N has (qseries.largest_mex), so the cells
     # read stop at the last nonzero cell of n = N in the whole row.
     size = max(m + 1 for m, column in enumerate(row) if column[N])
     values = [0] * (N + 1)
-    for j, column in enumerate(row[first:size:step]):
+    for j, column in enumerate(row[(p.A - first) // step : size : p.M // step]):
         values = list(map(add, values, map(mul, column, repeat((p.A + j * p.M) ** p.r))))
     return values
 

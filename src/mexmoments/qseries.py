@@ -178,62 +178,44 @@ class MomentSequence:
         return f"MomentSequence(kind={self.kind!r}, params={self.params}, order={self.order})"
 
 
-def _sigma_support(p: MexParams, order: int) -> list[tuple[int, int]]:
-    """Sparse exponent/weight pairs of the sigma theta factor.
+def _support(kind: str, p: MexParams, order: int) -> list[tuple[int, int]]:
+    """Sparse exponent/weight pairs of the theta factor of ``kind``.
 
-    One pair of terms per k = A, A+M, ... : weight +k^r at exponent
-    s*k*(k-1)/2 and weight -k^r at exponent s*k*(k+1)/2, kept while the
-    exponent stays within the truncation order.
+    One pair of terms per element k of the chain (``MexParams._chain``),
+    W the sum of the chain below k: weight +w at exponent s*W and -w at
+    s*(W+k), w = k^r on the class A mod M and 0 elsewhere, kept while the
+    exponent stays within the truncation order and collected.  For
+    varsigma the -w of k meets the +w of k+M, which telescopes the factor.
     """
+    s, M, A, r = p.s, p.M, p.A, p.r
+    k, step = p._chain(kind)
     weights: dict[int, int] = {}
-    k = p.A
-    while True:
-        e1 = p.s * k * (k - 1) // 2
-        if e1 > order:
-            break
-        w = k**p.r
-        weights[e1] = weights.get(e1, 0) + w
-        e2 = e1 + p.s * k
-        if e2 <= order:
-            weights[e2] = weights.get(e2, 0) - w
-        k += p.M
-    return sorted((e, w) for e, w in weights.items() if w != 0)
-
-
-def _varsigma_support_telescoped(p: MexParams, order: int) -> list[tuple[int, int]]:
-    """Telescoped form of the varsigma theta factor: constant A^r plus
-    difference weights (M(m+1)+A)^r - (Mm+A)^r on the shifted quadratic
-    exponents.  The tests hold it to the raw two-term form, term by term
-    after collecting."""
-    weights: dict[int, int] = {0: p.A**p.r}
-    m = 0
-    while True:
-        e = p.s * (p.M * m * (m + 1) // 2 + p.A * (m + 1))
-        if e > order:
-            break
-        w = (p.M * (m + 1) + p.A) ** p.r - (p.M * m + p.A) ** p.r
+    e = 0  # s*W
+    while e <= order:
+        w = k**r if (k - A) % M == 0 else 0
         weights[e] = weights.get(e, 0) + w
-        m += 1
-    return sorted((e, w) for e, w in weights.items() if w != 0)
+        e += s * k
+        weights[e] = weights.get(e, 0) - w
+        k += step
+    return sorted((e, w) for e, w in weights.items() if w != 0 and e <= order)
 
 
 def largest_mex(kind: str, p: MexParams, n: int) -> int:
     """Largest k = A + mM whose mex parts fit in n >= 0; 0 if none does.
 
-    A partition whose mex (sigma) or congruence mex (varsigma) is k
-    holds each of 1..k-1 (sigma) or A, A+M, ..., k-M (varsigma) at least
-    s times, of weight s k(k-1)/2 or s (M m(m-1)/2 + A m).  So no
-    partition of n has a larger mex in the class, and the moment at n is
-    at most p(n) k^r.  k is the root of the quadratic weight, taken with
-    ``math.isqrt``, so any n is cheap."""
+    A partition whose mex (sigma) or congruence mex (varsigma) is k holds
+    each chain element below k at least s times, of weight s W
+    (``_support``).  So no partition of n has a larger mex in the class,
+    and the moment at n is at most p(n) k^r.  The last chain element that
+    fits is a root of the quadratic W, taken with ``math.isqrt`` so that
+    any n is cheap, then rounded down into the class."""
     _check_kind(kind)
     _check_params(p)
     q = _check_int("n", n, 0) // p.s  # the parts fit in n when their weight over s is <= q
-    if kind == "sigma":
-        k = (1 + math.isqrt(8 * q + 1)) // 2  # the largest k with k(k-1)/2 <= q
-        return 0 if k < p.A else k - (k - p.A) % p.M
-    b = 2 * p.A - p.M  # M m(m-1)/2 + A m <= q  <=>  M m^2 + b m <= 2q
-    return p.A + p.M * ((math.isqrt(b * b + 8 * p.M * q) - b) // (2 * p.M))
+    first, step = p._chain(kind)
+    b = 2 * first - step  # W = first j + step j(j-1)/2 <= q  <=>  step j^2 + b j <= 2q
+    k = first + step * ((math.isqrt(b * b + 8 * step * q) - b) // (2 * step))
+    return 0 if k < p.A else k - (k - p.A) % p.M
 
 
 def value_bits(kind: str, p: MexParams, n: int) -> float:
@@ -278,28 +260,27 @@ def _check_coefficient_bytes(kind: str, order: int, nbytes: int, count: int = 1)
         )
 
 
-def _gf_coeffs(kind: str, support, p: MexParams, order: int) -> MomentSequence:
+def _gf_coeffs(kind: str, p: MexParams, order: int) -> MomentSequence:
     """Moments of ``kind`` for n = 0..N: the partition-number series times
-    the sparse theta factor ``support(p, N)``, by coefficient extraction,
-    after ``_check_coefficient_bytes``."""
+    the sparse theta factor ``_support(kind, p, N)``, by coefficient
+    extraction, after ``_check_coefficient_bytes``."""
     order = _check_order(order)
     _check_coefficient_bytes(kind, order, sequence_bytes(kind, p, order))
     dense = partition_numbers(order)
-    values = backend.sparse_dense_product(support(p, order), dense, order + 1)
+    values = backend.sparse_dense_product(_support(kind, p, order), dense, order + 1)
     return MomentSequence(kind, p, values)
 
 
 def sigma_gf_coeffs(p: MexParams, order: int) -> MomentSequence:
     """Sigma moments for n = 0..N by coefficient extraction; must agree
     with sigma_oracle wherever both exist."""
-    return _gf_coeffs("sigma", _sigma_support, p, order)
+    return _gf_coeffs("sigma", p, order)
 
 
 def varsigma_gf_coeffs(p: MexParams, order: int) -> MomentSequence:
-    """Varsigma moments for n = 0..N by coefficient extraction, with the
-    telescoped theta factor; must agree with varsigma_oracle wherever both
-    exist."""
-    return _gf_coeffs("varsigma", _varsigma_support_telescoped, p, order)
+    """Varsigma moments for n = 0..N by coefficient extraction; must agree
+    with varsigma_oracle wherever both exist."""
+    return _gf_coeffs("varsigma", p, order)
 
 
 _store = Store(STORE_BYTE_LIMIT)

@@ -15,7 +15,8 @@ t -> 0+ data into coefficient growth.
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from itertools import repeat
+from operator import add, mul, sub
 
 from mpmath import mp, mpf
 
@@ -65,17 +66,59 @@ def d2_coeffs(order: int) -> list:
     return [sum(map(mul, d[: j + 1], reversed(d[: j + 1]))) for j in range(order + 1)]
 
 
-def varsigma_support_direct(s: int, M: int, A: int, r: int, order: int) -> list:
-    """Sparse (exponent, weight) terms of the varsigma theta factor in its
-    raw two-term form: +(Mm+A)^r at s*(M*m*(m-1)/2 + A*m) and -(Mm+A)^r one
-    quadratic step up, collected and sorted, zero weights dropped."""
+def support_direct(kind: str, s: int, M: int, A: int, r: int, order: int) -> list:
+    """Sparse (exponent, weight) terms of the theta factor of ``kind`` in
+    its raw two-term form: for each k = A, A+M, ... a term +k^r at
+    ``mex_weight`` s W(k) and a term -k^r one step up, at s (W(k) + k);
+    collected and sorted, zero weights and exponents past ``order``
+    dropped."""
     weights: dict[int, int] = {}
-    for m in range(order + 1):
-        e1 = s * (M * m * (m - 1) // 2 + A * m)
-        e2 = e1 + s * (M * m + A)
-        weights[e1] = weights.get(e1, 0) + (M * m + A) ** r
-        weights[e2] = weights.get(e2, 0) - (M * m + A) ** r
+    k = A
+    while (e := mex_weight(kind, s, M, A, k)) <= order:
+        weights[e] = weights.get(e, 0) + k**r
+        weights[e + s * k] = weights.get(e + s * k, 0) - k**r
+        k += M
     return sorted((e, w) for e, w in weights.items() if w != 0 and e <= order)
+
+
+def _over_one_minus(a: list, k: int) -> None:
+    """a / (1 - q^k) in place, truncated to len(a): each block of k
+    coefficients adds the block before it, already divided."""
+    for b in range(k, len(a), k):
+        a[b : b + k] = map(add, a[b : b + k], a[b - k : b])
+
+
+def moment_dp(kind: str, s: int, M: int, A: int, r: int, N: int) -> list:
+    """The moments of ``kind`` at n = 0..N by a dynamic program over the
+    parts k = 1..N in increasing size, from the definitions alone.
+
+    The chain is 1, 2, 3, ... for sigma and A, A+M, ... for varsigma; the
+    mex is its first element of frequency below s, of weight w(k) = k^r
+    on the class A mod M and 0 elsewhere.  After the parts 1..k,
+    ``alive[t]`` counts the partial partitions of t holding every chain
+    element up to k at least s times, and ``dead[t]`` sums w(mex) over
+    those whose mex is decided.  Each part k divides both by 1 - q^k; a
+    chain element then moves the partitions with fewer than s copies of
+    it to ``dead`` at weight w(k).  What stays alive at the end
+    has the first chain element above N as its mex."""
+    chain, step = (1, 1) if kind == "sigma" else (A, M)
+
+    def weight(k: int) -> int:
+        return k**r if (k - A) % M == 0 else 0
+
+    alive = [1] + [0] * N
+    dead = [0] * (N + 1)
+    for k in range(1, N + 1):
+        _over_one_minus(dead, k)
+        # Once s copies of the chain so far pass N, nothing stays alive.
+        if any(alive):
+            _over_one_minus(alive, k)
+            if k == chain:
+                shift = min(s * k, N + 1)
+                full, alive = alive, [0] * shift + alive[: N + 1 - shift]
+                dead = list(map(add, dead, map(mul, map(sub, full, alive), repeat(weight(k)))))
+                chain += step
+    return list(map(add, dead, map(mul, alive, repeat(weight(chain)))))
 
 
 def gamma_half_integer(m: int) -> tuple:
@@ -147,6 +190,50 @@ def partitions_above(L: int, n: int) -> int:
         for t in range(k, n + 1):
             counts[t] += counts[t - k]
     return sum(counts)
+
+
+# ---------------------------------------------------------------------------
+# p(n) by the Hardy-Ramanujan-Rademacher series
+
+
+def lehmer_tail(n: int, K: int) -> float:
+    """Lehmer's bound on the terms k > K of the Rademacher series for p(n)
+    (Lehmer, "On the series for the partition function", Trans. AMS,
+    1938), n >= 2."""
+    c = math.pi * math.sqrt(2 * n / 3)
+    return (44 * math.pi**2 / (225 * math.sqrt(3)) / math.sqrt(K)
+            + math.pi * math.sqrt(2) / 75 * math.sqrt(K / (n - 1)) * math.sinh(c / K))
+
+
+def hrr_partition(n: int) -> int:
+    """p(n) for n >= 2 from the Hardy-Ramanujan-Rademacher series
+
+        p(n) = 2 pi (24n-1)^(-3/4) sum_{k<=K} A_k(n)/k I_{3/2}(pi sqrt(24n-1) / (6k)),
+
+    with I_{3/2}(x) = sqrt(2/(pi x)) (cosh x - sinh x / x) and Selberg's
+    A_k(n) = sqrt(k/3) sum (-1)^l cos(pi (6l+1) / (6k)) over l mod 2k with
+    (3l^2 + l)/2 = -n mod k (Whiteman, Pacific J. Math., 1956).  K starts
+    at floor(sqrt(n)) + 10 and grows until ``lehmer_tail`` is below 1/4.
+    The sum runs at the bits of p(n)'s bound exp(pi sqrt(2n/3)) plus 64,
+    taken from n and never from a table; it must lie within 1/4 of an
+    integer, which is returned."""
+    K = math.isqrt(n) + 10
+    while lehmer_tail(n, K) >= 0.25:
+        K += 1
+    with mp.workprec(int(math.pi * math.sqrt(2 * n / 3) / math.log(2)) + 64):
+        x = mp.pi * mp.sqrt(24 * n - 1) / 6
+        total = mpf(0)
+        for k in range(1, K + 1):
+            a = sum((-1) ** l * mp.cospi(mpf(6 * l + 1) / (6 * k))
+                    for l in range(2 * k) if ((3 * l * l + l) // 2 + n) % k == 0)
+            if a:
+                y = x / k
+                bessel = mp.sqrt(2 / (mp.pi * y)) * (mp.cosh(y) - mp.sinh(y) / y)
+                total += mp.sqrt(mpf(k) / 3) * a / k * bessel
+        total *= 2 * mp.pi / mpf(24 * n - 1) ** mpf(0.75)
+        nearest = mp.nint(total)
+        assert abs(total - nearest) < 0.25, (n, total)
+        return int(nearest)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from mexmoments import MexParams, partition_numbers, sigma_oracle, varsigma_oracle
@@ -25,8 +27,10 @@ from mexmoments import qseries
 from mexmoments.conjectures import scan_bias, scan_log_concavity
 from reference import (
     euler_product_coeffs,
+    hrr_partition,
     ingham_transfer,
     invert_unit_series,
+    moment_dp,
     partial_theta_expansion,
     partial_theta_sum,
     theta_remainder_coefficient,
@@ -317,3 +321,43 @@ def test_criterion_12_exact_identities_beyond_the_oracle(gf_calls):
                     "M in {2,3,5}, r in {0..3}; N = 2048 computes nothing new")
     assert not failures, f"failures: {failures}"
     assert len(gf_calls) == products == 144, gf_calls
+
+
+#: (s, M, A, r) for both kinds: M = 1, A = M and A = 1, and (1, 5, 1, 2),
+#: whose sigma weight reaches k = 41 > 40 below n = 1024.
+DP_GRID = [(1, 1, 1, 1), (1, 2, 2, 3), (1, 5, 1, 2), (1, 5, 5, 3), (2, 3, 2, 2),
+           (2, 4, 1, 1), (2, 7, 7, 0), (3, 6, 3, 3), (3, 7, 4, 3), (1, 7, 6, 1)]
+
+
+def test_criterion_13_series_equals_the_definition_dp():
+    # The DP places the parts one size at a time and uses no p(n) table,
+    # no theta support and no product, so it checks the series route for
+    # general parameters far past the oracle's n <= 60.
+    N = 1024
+    failures = []
+    for kind, (s, M, A, r) in itertools.product(("sigma", "varsigma"), DP_GRID):
+        series = qseries.moment_sequence(kind, MexParams(s, M, A, r), N).values
+        if list(series) != moment_dp(kind, s, M, A, r, N):
+            failures.append((kind, s, M, A, r))
+    ok = not failures
+    _report(13, ok, f"series moments equal the definition-level DP at every n <= {N} "
+                    f"for {2 * len(DP_GRID)} sequences of both kinds (s<=3, M<=7, r<=3)")
+    assert ok, f"failures: {failures}"
+
+
+#: Ramanujan's congruences p(m n + a) = 0 mod m, as (m, a).
+CONGRUENCES = [(5, 4), (7, 5), (11, 6), (25, 24), (49, 47), (121, 116)]
+
+
+@settings(max_examples=4, deadline=None)
+@given(n=st.integers(4096, 2**15))
+@example(n=2**15)
+def test_criterion_14_partition_table_equals_hrr(n):
+    # The Rademacher series shares nothing with the pentagonal recurrence;
+    # the congruences look at every value of the table.
+    table = partition_numbers(2**15)
+    broken = [(m, a) for m, a in CONGRUENCES if any(v % m for v in table[a::m])]
+    ok = table[n] == hrr_partition(n) and not broken
+    _report(14, ok, f"p({n}) equals the Hardy-Ramanujan-Rademacher series, and Ramanujan's "
+                    "six congruences hold over the table to 2^15")
+    assert ok, f"p({n}) or the congruences {broken}"

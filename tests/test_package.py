@@ -197,6 +197,41 @@ def test_each_kernel_has_one_caller():
         [("", "sparse_dense_product"), ("C", "mex_value_counts")], ["mex_value_counts"])
 
 
+def _kind_comparisons(tree: ast.AST) -> list:
+    """In a parsed module: the dotted def names, "" at module level, of
+    each comparison with "sigma" or "varsigma" anywhere in an operand."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}".lstrip(".")
+            elif isinstance(child, ast.Compare) and any(
+                    isinstance(c, ast.Constant) and c.value in ("sigma", "varsigma")
+                    for operand in (child.left, *child.comparators) for c in ast.walk(operand)):
+                found.append(where)
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_kind_picks_its_chain_in_one_place():
+    # sigma and varsigma differ only in their chain (MexParams._chain).
+    # Beside it, only the varsigma r = 0 identity and the dispatch to the
+    # traced *_gf_coeffs names may look at the kind.
+    package = Path(mexmoments.__file__).parent
+    found = {name: _kind_comparisons(ast.parse((package / name).read_text(encoding="utf-8")))
+             for name in ("partitions.py", "qseries.py")}
+    assert found == {"partitions.py": ["MexParams._chain"],
+                     "qseries.py": ["MomentSequence.__init__", "moment_sequence"]}
+    # the walk sees a comparison in a nested def, in a tuple and at module level
+    probe = ("x = k == 'sigma'\nclass C:\n    def f(self, k):\n"
+             "        return lambda: k in ('varsigma',) or k != 'other'\n")
+    assert _kind_comparisons(ast.parse(probe)) == ["", "C.f"]
+
+
 def test_reference_imports_nothing_from_the_package():
     # Criteria 1-3 are an independent route only while the references
     # share no code with the package they check.

@@ -34,7 +34,7 @@ from reference import (
     invert_unit_series,
     largest_mex_scan,
     mex_weight,
-    varsigma_support_direct,
+    support_direct,
 )
 
 
@@ -160,14 +160,23 @@ def test_varsigma_gf_examples():
         assert varsigma_gf_coeffs(MexParams(s, M, A, r), 0)[0] == A**r
 
 
-def test_varsigma_gf_forms_agree():
-    # varsigma_gf_coeffs multiplies by the telescoped support; equal
-    # supports give equal products.
-    for (s, M, A, r) in [(1, 1, 1, 0), (1, 2, 1, 1), (2, 3, 2, 2), (3, 4, 4, 1), (2, 5, 3, 0)]:
+# A above sqrt(2 order / s), s above every order, and a modulus of 10^20.
+SUPPORT_EDGES = [(1, 1000, 1000, 2), (2, 900, 700, 1), (10**6, 3, 2, 1), (10**6, 1, 1, 3),
+                 (1, 10**20, 1, 2), (3, 10**20, 7, 1), (1, 10**20, 10**20, 3)]
+
+
+def test_gf_forms_agree():
+    # Each kind's theta factor, walked along its chain, equals the raw
+    # two-term form term by term after collecting; equal supports give
+    # equal products.
+    grid = [(s, M, A, r) for s in range(1, 5) for M in range(1, 13) for A in range(1, M + 1)
+            for r in range(4)]
+    for (s, M, A, r) in grid + SUPPORT_EDGES:
         p = MexParams(s, M, A, r)
-        for order in (60, 2000):
-            assert varsigma_support_direct(s, M, A, r, order) == \
-                qseries._varsigma_support_telescoped(p, order)
+        for order in (0, 1, 7, 60, 2000, 2**18):
+            for kind in ("sigma", "varsigma"):
+                assert qseries._support(kind, p, order) == \
+                    support_direct(kind, s, M, A, r, order), (kind, p, order)
 
 
 def test_gf_matches_oracle_spot_grid():
@@ -182,15 +191,13 @@ def test_gf_matches_oracle_spot_grid():
 
 def test_gf_assembly_equals_dense_series_mul():
     # The sparse assembly must agree with an honest dense multiplication.
-    from mexmoments.qseries import _sigma_support, _varsigma_support_telescoped
-
     N = 40
     pn = partition_numbers(N)
     for (s, M, A, r) in [(1, 2, 1, 1), (2, 3, 2, 0), (1, 1, 1, 2)]:
         p = MexParams(s, M, A, r)
         for support, gf in [
-            (_sigma_support(p, N), sigma_gf_coeffs(p, N)),
-            (_varsigma_support_telescoped(p, N), varsigma_gf_coeffs(p, N)),
+            (qseries._support("sigma", p, N), sigma_gf_coeffs(p, N)),
+            (qseries._support("varsigma", p, N), varsigma_gf_coeffs(p, N)),
         ]:
             dense = [0] * (N + 1)
             for e, w in support:
@@ -203,15 +210,13 @@ def test_gf_assembly_equals_dense_series_mul_over_many_blocks(r):
     # At N = 600 the packed product holds at most 40 coefficients per
     # block, so it runs over many blocks.  The supports shifted by
     # t = 1..40 multiply by q^t and reach every residue shift.
-    from mexmoments.qseries import _sigma_support, _varsigma_support_telescoped
-
     N = 600
     pn = partition_numbers(N)
     for (s, M, A) in [(1, 2, 1), (2, 3, 2), (1, 1, 1)]:
         p = MexParams(s, M, A, r)
         for support, gf in [
-            (_sigma_support(p, N), sigma_gf_coeffs(p, N)),
-            (_varsigma_support_telescoped(p, N), varsigma_gf_coeffs(p, N)),
+            (qseries._support("sigma", p, N), sigma_gf_coeffs(p, N)),
+            (qseries._support("varsigma", p, N), varsigma_gf_coeffs(p, N)),
         ]:
             dense = [0] * (N + 1)
             for e, w in support:
