@@ -156,8 +156,9 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
 _PACK_BITS = 3600
 
 
-def sparse_dense_product(sparse: list, dense: list, length: int) -> list:
-    """Multiply a sparse polynomial by a dense series, truncated.
+def sparse_dense_product(sparse: list, dense: list, length: int, *, start: int = 0) -> list:
+    """Multiply a sparse polynomial by a dense series, truncated: the
+    coefficients ``start..length-1`` of the product, 0 <= start <= length.
 
     ``sparse`` holds (exponent, weight) pairs; ``dense`` must have at least
     ``length`` coefficients.  Exact integer arithmetic throughout.
@@ -174,19 +175,21 @@ def sparse_dense_product(sparse: list, dense: list, length: int) -> list:
     packed copies are cut from one byte string; each block of the result
     is decoded by adding the bias back and slicing its bytes.  The term at
     exponent e = qK + r adds copy r of the packed series (``dense``
-    shifted by r slots) from block q on.  A lone term is served as a plain
-    shifted copy of ``dense``, without packing.
+    shifted by r slots) from block max(q, start // K) on: only the blocks
+    that hold the window are summed and decoded.  A lone term is served
+    as a plain shifted copy of ``dense``, without packing.
     """
     live = [(e, w) for e, w in sparse if w and e < length]
     if len(live) < 2:
-        out = [0] * length
+        out = [0] * (length - start)
         for e, w in live:
-            ys = dense[: length - e]
+            lo = max(e, start)
+            ys = dense[lo - e : length - e]
             if w == -1:
                 ys = list(map(neg, ys))
             elif w != 1:
                 ys = [w * y for y in ys]
-            out[e:] = ys
+            out[lo - start :] = ys
         return out
     groups: dict[int, list] = {}
     for e, w in live:
@@ -198,6 +201,7 @@ def sparse_dense_product(sparse: list, dense: list, length: int) -> list:
     W = 8 * S
     K = max(1, min(_PACK_BITS // W, length))
     nb = -(-length // K)
+    b0 = start // K  # the first block of the window
     bias = 1 << (W - 1)
     from_bytes = int.from_bytes
     # K slots of bias on either side read as zeros once the bias is taken
@@ -215,21 +219,28 @@ def sparse_dense_product(sparse: list, dense: list, length: int) -> list:
         for r in {e % K for e, _ in live}
     }
     del view, stream
-    out = [0] * nb
+    # out[i] is block b0 + i; a term at block q adds its copy's block
+    # i - q to block i >= max(q, b0).
+    out = [0] * (nb - b0)
     for terms in groups.values():
         terms.sort()
         q0, r = divmod(terms[0][0], K)
         w0 = terms[0][1]
-        acc = copies[r][: nb - q0]
+        lo = q0 if q0 > b0 else b0
+        acc = copies[r][lo - q0 : nb - q0]
         for e, w in terms[1:]:
             q, r = divmod(e, K)
             op = add if (w > 0) == (w0 > 0) else sub
-            acc[q - q0 :] = map(op, acc[q - q0 :], copies[r])
-        out[q0:] = [x + w0 * y for x, y in zip(out[q0:], acc)]
+            if q >= b0:
+                acc[q - lo :] = map(op, acc[q - lo :], copies[r])
+            else:  # the term starts before the window, so acc starts at block b0
+                acc[:] = map(op, acc, copies[r][b0 - q :])
+        out[lo - b0 :] = [x + w0 * y for x, y in zip(out[lo - b0 :], acc)]
     del acc, copies
 
     blocks = map(int.to_bytes, map(add, out, repeat(full)), repeat(K * S), repeat("little"))
     slots = range(0, K * S, S)
     result = [from_bytes(data[j : j + S], "little") - bias for data in blocks for j in slots]
-    del result[length:]
+    del result[length - b0 * K :]
+    del result[: start - b0 * K]
     return result

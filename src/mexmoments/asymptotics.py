@@ -221,6 +221,9 @@ def exact_over_asymptotic(kind: str, p: MexParams, n: int) -> float:
 
     The value comes from ``qseries.moment_value``: a table over several n
     asks for its largest first, and one stored sequence serves every row.
+    In another order each larger n extends the stored sequence by the
+    coefficients past it, so no coefficient is computed twice, but each
+    extension runs a product of its own.
     """
     n = _check_int("n", n, 1)
     exact = qseries.moment_value(kind, p, n)

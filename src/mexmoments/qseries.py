@@ -12,12 +12,14 @@ any truncation order N.
 Coefficients at n <= N do not depend on the truncation order N, so two
 process-wide caches only ever grow: the p(n) table, and a
 ``partitions.Store`` holding one moment sequence per (kind, params) at
-the largest order requested so far.  A smaller order is a prefix of it,
-built on request and not kept, so only the stored order returns the
-same object each time.  The store is bounded by ``STORE_BYTE_LIMIT``
-bytes, and a single sequence that could need more is refused up front;
-every series entry point refuses orders above ``SERIES_ORDER_LIMIT``
-with ``ResourceCapError``.
+the largest order requested so far.  A larger order extends the stored
+sequence by the window of coefficients past it, computed by the product
+from that start on; a smaller order is a prefix of it, built on request
+and not kept, so only the stored order returns the same object each
+time.  The store is bounded by ``STORE_BYTE_LIMIT`` bytes, and a single
+sequence that could need more is refused up front; every series entry
+point refuses orders above ``SERIES_ORDER_LIMIT`` with
+``ResourceCapError``.
 """
 
 from __future__ import annotations
@@ -113,6 +115,42 @@ def partition_numbers(order: int) -> list[int]:
     return _pn_table[: order + 1]
 
 
+def _check_values(kind: str, params: MexParams, values, start: int = 0) -> tuple[int, ...]:
+    """``values``, the moments at n = start, start+1, ..., as a tuple of
+    ints, refused unless each is >= 0 and, for varsigma r = 0, p(n)."""
+    # The checks run in C; the offending n is looked up only on failure.
+    # A bool is refused, as by ``partitions._check_int``.
+    try:
+        values = tuple(values)
+        if bool in set(map(type, values)):
+            raise TypeError
+        values = tuple(map(index, values))
+    except TypeError:
+        raise ValidationError("moment values must be a sequence of integers") from None
+    if not values:
+        raise ValidationError("moment values must include n=0, got none")
+    if min(values) < 0:
+        n = next(n for n, v in enumerate(values) if v < 0)
+        raise ValidationError(
+            f"moment values must be >= 0, got {_show(values[n])} at n={start + n}")
+    if kind == "varsigma" and params.r == 0:
+        # The 0th varsigma moment counts every partition once, so the
+        # sequence must literally be p(n).  Enforcing it here turns any
+        # assembly bug into a loud failure.
+        expected = partition_numbers(start + len(values) - 1)[start:]
+        if list(values) != expected:
+            n, got, want = next(
+                (n, got, want)
+                for n, (got, want) in enumerate(zip(values, expected), start)
+                if got != want
+            )
+            raise ValidationError(
+                f"varsigma r=0 must equal the partition numbers; "
+                f"mismatch at n={n}: {_show(got)} != {_show(want)}"
+            )
+    return values
+
+
 @dataclass(frozen=True)
 class MomentSequence:
     """Exact values of one moment family for n = 0..N."""
@@ -124,52 +162,34 @@ class MomentSequence:
     def __init__(self, kind: str, params: MexParams, values):
         _check_kind(kind)
         _check_params(params)
-        # The checks run in C; the offending n is looked up only on failure.
-        # A bool is refused, as by ``partitions._check_int``.
-        try:
-            values = tuple(values)
-            if bool in set(map(type, values)):
-                raise TypeError
-            values = tuple(map(index, values))
-        except TypeError:
-            raise ValidationError("moment values must be a sequence of integers") from None
-        if not values:
-            raise ValidationError("moment values must include n=0, got none")
-        if min(values) < 0:
-            n = next(n for n, v in enumerate(values) if v < 0)
-            raise ValidationError(f"moment values must be >= 0, got {_show(values[n])} at n={n}")
-        if kind == "varsigma" and params.r == 0:
-            # The 0th varsigma moment counts every partition once, so the
-            # sequence must literally be p(n).  Enforcing it here turns any
-            # assembly bug into a loud failure.
-            expected = partition_numbers(len(values) - 1)
-            if list(values) != expected:
-                n, got, want = next(
-                    (n, got, want)
-                    for n, (got, want) in enumerate(zip(values, expected))
-                    if got != want
-                )
-                raise ValidationError(
-                    f"varsigma r=0 must equal the partition numbers; "
-                    f"mismatch at n={n}: {_show(got)} != {_show(want)}"
-                )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _check_values(kind, params, values))
 
     @property
     def order(self) -> int:
         return len(self.values) - 1
 
+    def _holding(self, values: tuple[int, ...]) -> MomentSequence:
+        """A sequence of this kind and params over ``values``, unchecked."""
+        seq = object.__new__(MomentSequence)
+        object.__setattr__(seq, "kind", self.kind)
+        object.__setattr__(seq, "params", self.params)
+        object.__setattr__(seq, "values", values)
+        return seq
+
     def prefix(self, order: int) -> MomentSequence:
         """The sequence for n = 0..order <= N, on a copy of those values.
         Every check of ``__init__`` holds for a prefix of values that
         passed it, so none is run again."""
-        seq = object.__new__(MomentSequence)
-        object.__setattr__(seq, "kind", self.kind)
-        object.__setattr__(seq, "params", self.params)
-        object.__setattr__(seq, "values", self.values[: order + 1])
-        return seq
+        return self._holding(self.values[: order + 1])
+
+    def _extended(self, window) -> MomentSequence:
+        """The sequence for n = 0..N + len(window): these values, then
+        ``window`` for n = N+1, ....  Only the window is checked: the
+        values held passed ``__init__``'s checks, which are per n."""
+        return self._holding(self.values + _check_values(self.kind, self.params, window,
+                                                           self.order + 1))
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]
@@ -260,15 +280,20 @@ def _check_coefficient_bytes(kind: str, order: int, nbytes: int, count: int = 1)
         )
 
 
-def _gf_coeffs(kind: str, p: MexParams, order: int) -> MomentSequence:
+def _gf_coeffs(kind: str, p: MexParams, order: int, held: MomentSequence | None = None
+               ) -> MomentSequence:
     """Moments of ``kind`` for n = 0..N: the partition-number series times
     the sparse theta factor ``_support(kind, p, N)``, by coefficient
-    extraction, after ``_check_coefficient_bytes``."""
+    extraction, after ``_check_coefficient_bytes``.  Given ``held``, the
+    stored sequence to an order below N, only the window of coefficients
+    past it is computed and checked, and appended to it."""
     order = _check_order(order)
     _check_coefficient_bytes(kind, order, sequence_bytes(kind, p, order))
-    dense = partition_numbers(order)
-    values = backend.sparse_dense_product(_support(kind, p, order), dense, order + 1)
-    return MomentSequence(kind, p, values)
+    args = (_support(kind, p, order), partition_numbers(order), order + 1)
+    product = backend.sparse_dense_product
+    if held is None:
+        return MomentSequence(kind, p, product(*args))
+    return held._extended(product(*args, start=held.order + 1))
 
 
 def sigma_gf_coeffs(p: MexParams, order: int) -> MomentSequence:
@@ -290,30 +315,34 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
     """Stored accessor used by the asymptotics checks, the scanners and
     the CLI.
 
-    Each (kind, params) is computed once at the largest order requested
-    so far; a larger order is computed afresh and replaces it, and
-    repeating a request at that order returns the same object.  A smaller
-    order is the stored sequence's ``prefix`` (coefficients at n <= N do
-    not depend on the truncation order): a copy of its values, built per
-    call, not stored and not checked again.  The store charges an entry
-    its ``sequence_bytes``, the bound that the series functions check
-    against ``STORE_BYTE_LIMIT`` before any work.
+    Each (kind, params) is held at the largest order requested so far,
+    and repeating a request at that order returns the same object.  A
+    larger order extends the held sequence: only the coefficients past
+    its order are computed (a window of the product) and checked, and the
+    longer sequence replaces it.  A smaller order is the stored
+    sequence's ``prefix`` (coefficients at n <= N do not depend on the
+    truncation order): a copy of its values, built per call, not stored
+    and not checked again.  The store charges an entry its
+    ``sequence_bytes``, the bound that the series functions check against
+    ``STORE_BYTE_LIMIT`` at the new order before any work.
     """
     _check_kind(kind)
     _check_params(p)
     order = _check_order(order)
     key = (kind, p)
-    seq = _store.get(key, order)
-    if seq is None:
+    seq = _store.get(key, 0)  # the entry at whatever order it holds
+    if seq is None or seq.order < order:
         gf_coeffs = sigma_gf_coeffs if kind == "sigma" else varsigma_gf_coeffs
-        seq = _store.put(key, order, sequence_bytes(kind, p, order), gf_coeffs(p, order))
+        grown = gf_coeffs(p, order) if seq is None else _gf_coeffs(kind, p, order, seq)
+        seq = _store.put(key, order, sequence_bytes(kind, p, order), grown)
     return seq if seq.order == order else seq.prefix(order)
 
 
 def moment_value(kind: str, p: MexParams, n: int) -> int:
     """``moment_sequence(kind, p, n)[n]``, read from the stored sequence
-    when it already reaches n, so that a caller asking for several n,
-    the largest first, computes one sequence and builds no prefix per n."""
+    when it already reaches n, without building a prefix.  A larger n
+    extends the stored sequence by the coefficients past it, so a caller
+    asking for several n in any order computes each coefficient once."""
     _check_kind(kind)
     _check_params(p)
     n = _check_order(n)

@@ -39,13 +39,13 @@ def gf_calls(monkeypatch):
 
 @pytest.fixture
 def product_calls(monkeypatch):
-    """An empty sequence store, and the arguments of every sparse x dense
-    product the series route runs."""
+    """An empty sequence store, and the (positional, keyword) arguments
+    of every sparse x dense product the series route runs."""
     from mexmoments import backend, partitions, qseries
 
     monkeypatch.setattr(qseries, "_store", partitions.Store(qseries.STORE_BYTE_LIMIT))
     calls = []
     product = backend.sparse_dense_product
     monkeypatch.setattr(backend, "sparse_dense_product",
-                        lambda *a: calls.append(a) or product(*a))
+                        lambda *a, **kw: calls.append((a, kw)) or product(*a, **kw))
     return calls

@@ -12,6 +12,7 @@ Those points are detected exactly and replaced by a strictly stronger
 smallness assertion; everything else runs the stated window at 60 digits.
 """
 
+import functools
 import itertools
 import json
 from pathlib import Path
@@ -329,6 +330,10 @@ DP_GRID = [(1, 1, 1, 1), (1, 2, 2, 3), (1, 5, 1, 2), (1, 5, 5, 3), (2, 3, 2, 2),
            (2, 4, 1, 1), (2, 7, 7, 0), (3, 6, 3, 3), (3, 7, 4, 3), (1, 7, 6, 1)]
 
 
+#: The DP of each sequence, computed once for both criterion 13 tests.
+_dp = functools.cache(moment_dp)
+
+
 def test_criterion_13_series_equals_the_definition_dp():
     # The DP places the parts one size at a time and uses no p(n) table,
     # no theta support and no product, so it checks the series route for
@@ -337,11 +342,29 @@ def test_criterion_13_series_equals_the_definition_dp():
     failures = []
     for kind, (s, M, A, r) in itertools.product(("sigma", "varsigma"), DP_GRID):
         series = qseries.moment_sequence(kind, MexParams(s, M, A, r), N).values
-        if list(series) != moment_dp(kind, s, M, A, r, N):
+        if list(series) != _dp(kind, s, M, A, r, N):
             failures.append((kind, s, M, A, r))
     ok = not failures
     _report(13, ok, f"series moments equal the definition-level DP at every n <= {N} "
                     f"for {2 * len(DP_GRID)} sequences of both kinds (s<=3, M<=7, r<=3)")
+    assert ok, f"failures: {failures}"
+
+
+def test_criterion_13_extended_sequences_equal_the_definition_dp(product_calls):
+    # From an empty store, each sequence is computed to 512 and then
+    # extended by the window 513..1024 of a second product.
+    N = 1024
+    failures = []
+    for kind, (s, M, A, r) in itertools.product(("sigma", "varsigma"), DP_GRID):
+        p = MexParams(s, M, A, r)
+        qseries.moment_sequence(kind, p, N // 2)
+        if list(qseries.moment_sequence(kind, p, N).values) != _dp(kind, s, M, A, r, N):
+            failures.append((kind, s, M, A, r))
+    steps = [(N // 2 + 1, {}), (N + 1, {"start": N // 2 + 1})]
+    ok = not failures and [(args[2], kw) for args, kw in product_calls] == steps * 2 * len(DP_GRID)
+    _report(13, ok, f"series moments extended from {N // 2} to {N} through the store equal "
+                    f"the definition-level DP at every n <= {N} for the same "
+                    f"{2 * len(DP_GRID)} sequences")
     assert ok, f"failures: {failures}"
 
 

@@ -11,6 +11,8 @@ from collections import defaultdict
 from pathlib import Path
 
 from mexmoments import backend
+from mexmoments.partitions import MexParams
+from mexmoments.qseries import moment_sequence
 
 TRACING = Path(__file__).resolve().parents[1] / "e2ebench" / "tracing.py"
 
@@ -40,3 +42,21 @@ def test_kernel_counter_reads_the_kernel_result():
     counter(counts, (6, 1, 2), backend.mex_value_counts(6, 1, 2))
     # Row 0 holds every partition of n' = 0..6 once: p(0) + ... + p(6).
     assert counts["partitions_walked"] == 1 + 1 + 2 + 3 + 5 + 7 + 11
+
+
+def test_product_counter_unpacks_a_window_call(product_calls):
+    # A window call is (sparse, dense, length) positionally plus start=,
+    # so the counter still unpacks it; it counts the call's coeff_ops as
+    # a whole product's (length - e per live term), not the window's.
+    tracing = _tracing()
+    (counter,) = [c for spec, attr, _, c in tracing.TARGETS
+                  if (spec, attr) == ("mexmoments.backend", "sparse_dense_product")]
+    p = MexParams(1, 2, 1, 1)
+    moment_sequence("sigma", p, 20)
+    moment_sequence("sigma", p, 40)
+    (args, kw), = product_calls[1:]
+    assert len(args) == 3 and kw == {"start": 21}
+    counts = defaultdict(int)
+    counter(counts, args, backend.sparse_dense_product(*args, **kw))
+    live = [e for e, w in args[0] if w and e < 41]
+    assert counts["terms"] == len(live) and counts["coeff_ops"] == sum(41 - e for e in live)

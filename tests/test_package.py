@@ -219,13 +219,14 @@ def _kind_comparisons(tree: ast.AST) -> list:
 
 def test_the_kind_picks_its_chain_in_one_place():
     # sigma and varsigma differ only in their chain (MexParams._chain).
-    # Beside it, only the varsigma r = 0 identity and the dispatch to the
-    # traced *_gf_coeffs names may look at the kind.
+    # Beside it, only the varsigma r = 0 identity (in _check_values, which
+    # checks a new sequence and the window that extends a stored one) and
+    # the dispatch to the traced *_gf_coeffs names may look at the kind.
     package = Path(mexmoments.__file__).parent
     found = {name: _kind_comparisons(ast.parse((package / name).read_text(encoding="utf-8")))
              for name in ("partitions.py", "qseries.py")}
     assert found == {"partitions.py": ["MexParams._chain"],
-                     "qseries.py": ["MomentSequence.__init__", "moment_sequence"]}
+                     "qseries.py": ["_check_values", "moment_sequence"]}
     # the walk sees a comparison in a nested def, in a tuple and at module level
     probe = ("x = k == 'sigma'\nclass C:\n    def f(self, k):\n"
              "        return lambda: k in ('varsigma',) or k != 'other'\n")

@@ -47,42 +47,63 @@ def test_sigma_r0_residue_classes_sum_to_partition_count(s, M, n):
 
 @st.composite
 def sparse_dense_args(draw):
-    """(sparse, dense, length) with few distinct |weight|s of both signs,
-    weights 0 and +-1, one very large weight, duplicate exponents,
-    exponents at or beyond ``length`` and ``dense`` longer than needed."""
+    """(sparse, dense, length, start) with few distinct |weight|s of both
+    signs, weights 0 and +-1, one very large weight, duplicate exponents,
+    exponents at or beyond ``length``, ``dense`` longer than needed and a
+    window start anywhere in 0..length."""
     length = draw(st.integers(0, 24))
     dense = draw(st.lists(st.integers(-(10**30), 10**30), min_size=length, max_size=length + 3))
     big = draw(st.integers(2**64, 2**256))
     magnitude = st.sampled_from([0, 1, 2, 3, big])
     weight = st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
     sparse = draw(st.lists(st.tuples(st.integers(0, length + 2), weight), max_size=10))
-    return sparse, dense, length
+    return sparse, dense, length, draw(st.integers(0, length))
+
+
+PN = partition_numbers(310)
+# Dense values below 2^594 and weights summing below 2^3 give 600-bit
+# slots and K = 3600 // 600 = 6 coefficients per block, so these lengths
+# end on a full block, one slot into a block and one slot short of one;
+# the support's exponents take every residue mod 6.
+_WIDE = [(-1) ** n * PN[n] << 540 for n in range(302)]
+_SUPPORT = [(0, 1), (1, -1), (2, 1), (9, -1), (16, 1), (29, 1)]
+_SIGNED = [(-1) ** n * PN[n] for n in range(40)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_dense_args())
-@example(([(0, 3), (0, -3), (1, 3)], [5, 7], 0))
-@example(([(0, -3), (0, 3), (1, -3)], [5, 7], 1))
+@example(([(0, 3), (0, -3), (1, 3)], [5, 7], 0, 0))
+@example(([(0, -3), (0, 3), (1, -3)], [5, 7], 1, 0))
+# a window from a block boundary (K = 6), one past it, and an empty one
+@example((_SUPPORT, _WIDE, 300, 120))
+@example((_SUPPORT, _WIDE, 301, 121))
+@example((_SUPPORT, _WIDE, 299, 299))
+# lone terms of weight +-1 and +-2^64, the window before and past them
+@example(([(7, 1)], _SIGNED, 40, 3))
+@example(([(7, -1)], _SIGNED, 40, 20))
+@example(([(5, 2**64)], _SIGNED, 40, 30))
+@example(([(5, -(2**64))], _SIGNED, 40, 0))
+@example(([(5, -(2**64))], _SIGNED, 40, 40))
+# groups of |weight| 3 and 5, each of both signs
+@example(([(0, 3), (2, -3), (11, 3), (1, 5), (4, -5), (30, -5)], _SIGNED, 40, 9))
 def test_sparse_dense_product_equals_schoolbook(args):
-    sparse, dense, length = args
+    sparse, dense, length, start = args
     poly = [0] * length
     for e, w in sparse:
         if e < length:
             poly[e] += w
-    assert _pure.sparse_dense_product(sparse, dense, length) == cauchy_product(
-        poly, dense[:length]
-    )
-
-
-PN = partition_numbers(310)
+    whole = cauchy_product(poly, dense[:length])
+    assert _pure.sparse_dense_product(sparse, dense, length) == whole
+    assert _pure.sparse_dense_product(sparse, dense, length, start=start) == whole[start:]
 
 
 @st.composite
 def packed_product_args(draw):
-    """(sparse, dense, length) at the magnitudes the packed product meets:
-    dense values that grow like p(n) times a multiplier of either sign,
-    weights +-1, small weights and weights of 2^64..2^256, sometimes one
-    weight above 2^3600, which leaves one coefficient per block."""
+    """(sparse, dense, length, start) at the magnitudes the packed product
+    meets: dense values that grow like p(n) times a multiplier of either
+    sign, weights +-1, small weights and weights of 2^64..2^256, sometimes
+    one weight above 2^3600, which leaves one coefficient per block, and
+    a window start anywhere in 0..length."""
     length = draw(st.integers(0, 300))
     extra = draw(st.integers(0, 3))
     multipliers = st.integers(-(2**40), 2**40)
@@ -93,39 +114,35 @@ def packed_product_args(draw):
     sparse = draw(st.lists(st.tuples(st.integers(0, length + 2), weight), max_size=12))
     if draw(st.booleans()):
         sparse.append((draw(st.integers(0, length)), draw(st.integers(2**3600, 2**3700))))
-    return sparse, dense, length
+    return sparse, dense, length, draw(st.integers(0, length))
 
 
-# Dense values below 2^594 and weights summing below 2^3 give 600-bit
-# slots and K = 3600 // 600 = 6 coefficients per block, so these lengths
-# end on a full block, one slot into a block and one slot short of one;
-# the support's exponents take every residue mod 6.
-_WIDE = [(-1) ** n * PN[n] << 540 for n in range(302)]
-_SUPPORT = [(0, 1), (1, -1), (2, 1), (9, -1), (16, 1), (29, 1)]
 # Weights summing to 7 on values just under 2^597 fill a slot up to its
 # sign bit.
-_FULL = ([(0, 1), (1, 2), (2, 4)], [(1 << 597) - 1 - n for n in range(30)], 30)
+_FULL = ([(0, 1), (1, 2), (2, 4)], [(1 << 597) - 1 - n for n in range(30)], 30, 29)
 
 
 @settings(max_examples=150, deadline=None)
 @given(packed_product_args())
-@example((_SUPPORT, _WIDE, 300))
-@example((_SUPPORT, _WIDE, 301))
-@example((_SUPPORT, _WIDE, 299))
+@example((_SUPPORT, _WIDE, 300, 6))
+@example((_SUPPORT, _WIDE, 301, 300))
+@example((_SUPPORT, _WIDE, 299, 1))
 @example(_FULL)
-@example(([(0, 2**3601 + 5), (3, -1), (4, 7), (4, 2**70)], PN[:40], 40))
-@example(([(5, -1), (0, 0), (50, 1)], PN[:50], 50))
+@example(([(0, 2**3601 + 5), (3, -1), (4, 7), (4, 2**70)], PN[:40], 40, 4))
+@example(([(5, -1), (0, 0), (50, 1)], PN[:50], 50, 49))
 def test_packed_product_equals_schoolbook(args):
-    sparse, dense, length = args
+    sparse, dense, length, start = args
     sparse_before, dense_before = list(sparse), list(dense)
     poly = [0] * length
     for e, w in sparse:
         if e < length:
             poly[e] += w
-    result = _pure.sparse_dense_product(sparse, dense, length)
-    assert result == cauchy_product(poly, dense[:length])
-    assert type(result) is list and len(result) == length
-    assert result is not dense and all(type(v) is int for v in result)
+    whole = cauchy_product(poly, dense[:length])
+    for begin, result in ((0, _pure.sparse_dense_product(sparse, dense, length)),
+                          (start, _pure.sparse_dense_product(sparse, dense, length, start=start))):
+        assert result == whole[begin:]
+        assert type(result) is list and len(result) == length - begin
+        assert result is not dense and all(type(v) is int for v in result)
     assert sparse == sparse_before and dense == dense_before
 
 

@@ -378,16 +378,25 @@ def test_store_serves_smaller_order_as_prefix(gf_calls, kind, p):
     assert gf_calls == [(kind, p, 300)]
 
 
+def _windows(product_calls) -> list:
+    """The (length, keywords) of each recorded product call."""
+    return [(args[2], kw) for args, kw in product_calls]
+
+
 @pytest.mark.parametrize("kind,p", STORE_CASES)
-def test_store_grows_and_serves_later_prefixes(gf_calls, kind, p):
+def test_store_grows_and_serves_later_prefixes(gf_calls, product_calls, kind, p):
+    # The growth from 40 to 250 is one product over the window 41..250,
+    # appended to the stored values.
     small = qseries.moment_sequence(kind, p, 40)
     large = qseries.moment_sequence(kind, p, 250)
+    assert _windows(product_calls) == [(41, {}), (251, {"start": 41})]
     assert large.values == FRESH_GF[kind](p, 250).values
+    product_calls.clear()
     for order in (0, 40, 100, 250):
         assert qseries.moment_sequence(kind, p, order).values == large.values[: order + 1]
     assert qseries.moment_sequence(kind, p, 250) is large
     assert small.values == large.values[:41]
-    assert gf_calls == [(kind, p, 40), (kind, p, 250)]
+    assert gf_calls == [(kind, p, 40)] and product_calls == []
 
 
 @pytest.mark.parametrize("kind,p", STORE_CASES)
@@ -426,24 +435,81 @@ def test_prefix_requests_run_no_checks(gf_calls, monkeypatch, kind, p):
     for order, seq in prefixes.items():
         assert seq.values == stored.values[: order + 1]
         assert seq == FRESH_GF[kind](p, order)
-    # A store miss builds a new sequence and checks it.
+    # A store miss reads the p(n) table to extend the sequence.
     checks.clear()
     qseries.moment_sequence(kind, p, 201)
     assert checks
 
 
 @pytest.mark.parametrize("kind,p", STORE_CASES)
-def test_moment_value_reads_the_stored_sequence(gf_calls, kind, p):
+def test_moment_value_reads_the_stored_sequence(gf_calls, product_calls, kind, p):
     # Largest n first: one sequence serves every smaller n, and no
     # prefix is built for the values read from it.
-    want = FRESH_GF[kind](p, 150).values
-    assert [qseries.moment_value(kind, p, n) for n in range(150, -1, -1)] == list(want[::-1])
+    want = FRESH_GF[kind](p, 200).values
+    product_calls.clear()
+    assert [qseries.moment_value(kind, p, n) for n in range(150, -1, -1)] == list(want[150::-1])
     assert gf_calls == [(kind, p, 150)]
     assert qseries._store.entries[(kind, p)][0] == 150
-    assert qseries.moment_value(kind, p, 200) == FRESH_GF[kind](p, 200)[200]
-    assert gf_calls == [(kind, p, 150), (kind, p, 200)]
+    # A larger n extends the stored sequence by the window 151..200.
+    assert qseries.moment_value(kind, p, 200) == want[200]
+    assert gf_calls == [(kind, p, 150)]
+    assert _windows(product_calls) == [(151, {}), (201, {"start": 151})]
+    assert qseries._store.entries[(kind, p)][2].values == want
     with pytest.raises(ValidationError):
         qseries.moment_value(kind, p, -1)
+
+
+@pytest.mark.parametrize("kind,p", STORE_CASES)
+def test_ascending_moment_values_compute_each_coefficient_once(product_calls, kind, p):
+    # Each larger n extends the stored sequence by one coefficient, so the
+    # products of n = 0..300 ascending cover 301 coefficients in all, not
+    # the 45,451 of one whole sequence per n.
+    values = [qseries.moment_value(kind, p, n) for n in range(301)]
+    assert sum(args[2] - kw.get("start", 0) for args, kw in product_calls) == 301
+    assert len(product_calls) == 301
+    assert values == list(FRESH_GF[kind](p, 300).values)
+    entry = qseries._store.entries[(kind, p)]
+    assert entry[0] == 300 and entry[1] == qseries.sequence_bytes(kind, p, 300)
+    assert qseries._store.total == entry[1]
+
+
+@pytest.mark.parametrize("kind,p", STORE_CASES)
+def test_extension_is_refused_past_the_byte_budget_before_any_product(product_calls, monkeypatch,
+                                                                       kind, p):
+    # The bound is checked at the new order, before the window's product
+    # and any longer p(n) table; the entry held is left as it was.
+    held = qseries.moment_sequence(kind, p, 100)
+    need = qseries.sequence_bytes(kind, p, 200)
+    monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need - 1)
+    table = len(qseries._pn_table)
+    with pytest.raises(ResourceCapError, match=f"1 {kind} sequence.s. to order 200"):
+        qseries.moment_sequence(kind, p, 200)
+    assert len(product_calls) == 1 and len(qseries._pn_table) == table
+    assert qseries._store.entries[(kind, p)][2] is held
+    monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need)
+    assert qseries.moment_sequence(kind, p, 200).values == FRESH_GF[kind](p, 200).values
+    assert _windows(product_calls[:2]) == [(101, {}), (201, {"start": 101})]
+    assert qseries._store.entries[(kind, p)][1] == need
+
+
+def test_a_wrong_window_value_is_refused(monkeypatch):
+    # The window is checked as a new sequence is: a kernel that returns
+    # one wrong coefficient past the stored order breaks the varsigma
+    # r = 0 identity at that n, and nothing is stored.
+    p = MexParams(1, 3, 2, 0)
+    monkeypatch.setattr(qseries, "_store", Store(qseries.STORE_BYTE_LIMIT))
+    held = qseries.moment_sequence("varsigma", p, 100)
+    product = backend.sparse_dense_product
+
+    def off_by_one(sparse, dense, length, *, start=0):
+        values = product(sparse, dense, length, start=start)
+        values[150 - start] += 1
+        return values
+
+    monkeypatch.setattr(backend, "sparse_dense_product", off_by_one)
+    with pytest.raises(ValidationError, match="mismatch at n=150"):
+        qseries.moment_sequence("varsigma", p, 200)
+    assert qseries._store.entries[("varsigma", p)][2] is held
 
 
 def test_store_evicts_least_recently_used(gf_calls, monkeypatch):
