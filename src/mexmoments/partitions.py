@@ -154,9 +154,9 @@ class Store:
 
 #: Largest n the oracle enumerates (``mex_value_histogram`` checks it).
 #: The walk to n visits the partitions of every t <= n into parts above
-#: ``_pure.SMALL_PARTS``, 37,689 at n = 60 (p(60) is about 9.7e5), and
-#: its time grows about 3x per 10: the pure walk took 0.02 s at n = 60 and
-#: 0.74 s at n = 90 on a 2-core machine.  A larger n is the series route's job.
+#: ``_pure.SMALL_PARTS``, 3,614 at n = 60 (p(60) is about 9.7e5), and
+#: its time grows about 3x per 10: the kernel took 0.001 s at n = 60 and
+#: 0.02 s at n = 90 on a 2-core machine.  A larger n is the series route's job.
 ORACLE_CAP = 60
 
 

@@ -5,6 +5,7 @@ sparse x dense product."""
 import random
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,13 +128,16 @@ def histogram_args(draw):
     # rows 1..M, or leave rows A > L whose chain starts above L; the
     # parts L+1..M+L start the chains the walk follows.  Moduli past n'
     # leave rows A > n' with all p(n') at m = 0, and small moduli let
-    # chains cross many blocks.
+    # chains cross many blocks.  L itself is drawn: at L = SMALL_PARTS
+    # and n <= 22 few tails are left to walk, so the smaller L hold the
+    # walk's follow and break logic to the reference too.
+    small = draw(st.sampled_from(sorted({1, 2, 4, L})))
     n = draw(st.integers(0, 22))
-    near = sorted({max(1, n // i + d) for i in range(1, L + 2) for d in (-1, 0, 1)} | {n + 1})
+    near = sorted({max(1, n // i + d) for i in range(1, small + 2) for d in (-1, 0, 1)} | {n + 1})
     s = draw(st.one_of(st.integers(1, n + 2), st.sampled_from(near)))
-    M = draw(st.one_of(st.sampled_from([*range(1, L + 3), n + 1, n + 2, n + 3]),
+    M = draw(st.one_of(st.sampled_from([*range(1, small + 3), n + 1, n + 2, n + 3]),
                        st.integers(1, n + 3)))
-    return n, s, M
+    return small, n, s, M
 
 
 @settings(max_examples=120, deadline=None)
@@ -141,13 +145,25 @@ def histogram_args(draw):
 def test_kernels_equal_reference_at_interval_boundaries(args):
     # One walk to n gives the histogram of every n' <= n, in n//M + 2
     # cells of n + 1 counts each; the cells of n' past n'//M + 1 are 0.
-    n, s, M = args
-    table = mex_value_counts(n, s, M)
+    # The kernel reads SMALL_PARTS per call.
+    small, n, s, M = args
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_pure, "SMALL_PARTS", small)
+        table = mex_value_counts(n, s, M)
     assert len(table) == M
     assert all(len(row) == (n // M + 2) * (n + 1) for row in table)
     for j in range(n + 1):
-        assert block(table, j, n, M) == _reference_rows(j, s, M), j
+        assert block(table, j, n, M) == _reference_rows(j, s, M), (small, j)
         assert not any(x for row in table for x in row[(j // M + 2) * (n + 1) + j :: n + 1]), j
+
+
+def test_the_oracle_still_enumerates():
+    # With M = 1 the small parts fill the cells of mex <= L + 1 and the
+    # tails' breaks fill the rest, so a count in a cell of mex >= L + 2
+    # shows the walk still does work at n = 55.  Cell m holds mex m + 1.
+    n = 55
+    (row,) = mex_value_counts(n, 1, 1)
+    assert any(row[m * (n + 1) + n] for m in range(L + 1, n + 2))
 
 
 def test_invert_unit_series_roundtrip():
