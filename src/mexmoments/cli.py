@@ -401,16 +401,18 @@ def cmd_verify(args) -> int:
             seq = gf_coeffs(params, args.max_n)
             sequences += 1
             oracle = oracle_values(kind, params, args.max_n)
-            for n, (got, want) in enumerate(zip(seq.values, oracle)):
-                checked += 1
-                if got != want:
-                    sys.stderr.write(
-                        f"MISMATCH kind={kind} s={params.s} M={params.M} A={params.A} "
-                        f"r={params.r} n={n}: series={got} oracle={want}\n"
-                    )
-                    _emit(f"checked {checked} values across {sequences} sequences; 1 mismatch\n",
-                          args)
-                    return EXIT_MISMATCH
+            if seq.values == tuple(oracle):
+                checked += len(oracle)
+                continue
+            # Only a mismatch is walked value by value, to report the first.
+            n = next(n for n, (got, want) in enumerate(zip(seq.values, oracle)) if got != want)
+            sys.stderr.write(
+                f"MISMATCH kind={kind} s={params.s} M={params.M} A={params.A} "
+                f"r={params.r} n={n}: series={seq.values[n]} oracle={oracle[n]}\n"
+            )
+            _emit(f"checked {checked + n + 1} values across {sequences} sequences; 1 mismatch\n",
+                  args)
+            return EXIT_MISMATCH
     _emit(f"checked {checked} values across {sequences} sequences; 0 mismatches\n", args)
     return EXIT_OK
 

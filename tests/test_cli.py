@@ -237,8 +237,9 @@ def test_verify_injected_mismatch_detected(capsys, monkeypatch):
         capsys, "verify", "--max-mod", "2", "--max-s", "1", "--max-r", "0", "--max-n", "6",
     )
     assert code == 2
-    assert "MISMATCH kind=varsigma s=1 M=2 A=2 r=0 n=6" in err
-    assert "1 mismatch" in out
+    # 5 whole sequences of n = 0..6 before it, then n = 0..6 of this one
+    assert err == "MISMATCH kind=varsigma s=1 M=2 A=2 r=0 n=6: series=11 oracle=12\n"
+    assert out == "checked 42 values across 6 sequences; 1 mismatch\n"
 
 
 def test_default_verify_walks_each_table_once(capsys, kernel_calls, monkeypatch):

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import operator
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -103,7 +104,8 @@ def packed_product_args(draw):
     meets: dense values that grow like p(n) times a multiplier of either
     sign, weights +-1, small weights and weights of 2^64..2^256, sometimes
     one weight above 2^3600, which leaves one coefficient per block, and
-    a window start anywhere in 0..length."""
+    a window start anywhere in 0..length or K+1 slots or fewer from its
+    end, for the product's block size K."""
     length = draw(st.integers(0, 300))
     extra = draw(st.integers(0, 3))
     multipliers = st.integers(-(2**40), 2**40)
@@ -114,12 +116,22 @@ def packed_product_args(draw):
     sparse = draw(st.lists(st.tuples(st.integers(0, length + 2), weight), max_size=12))
     if draw(st.booleans()):
         sparse.append((draw(st.integers(0, length)), draw(st.integers(2**3600, 2**3700))))
-    return sparse, dense, length, draw(st.integers(0, length))
+    # K as the product computes it (1 to about 60 here): windows of K and
+    # K+1 slots fall on either side of its one-block rule.
+    live = [w for e, w in sparse if w and e < length]
+    top = max(map(abs, dense[:length]), default=0)
+    W = 8 * ((top.bit_length() + sum(map(abs, live)).bit_length() + 8) // 8)
+    K = max(1, min(_pure._PACK_BITS // W, length))
+    short = st.integers(0, K + 1).map(lambda width: max(0, length - width))
+    return sparse, dense, length, draw(st.one_of(st.integers(0, length), short))
 
 
 # Weights summing to 7 on values just under 2^597 fill a slot up to its
 # sign bit.
 _FULL = ([(0, 1), (1, 2), (2, 4)], [(1 << 597) - 1 - n for n in range(30)], 30, 29)
+# Windows of K = 6 slots (summed directly) and of K + 1 (packed) that
+# start one slot before, at and one slot after the block boundary 120.
+_EDGES = [(_SUPPORT, _WIDE, start + width, start) for start in (119, 120, 121) for width in (6, 7)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -144,6 +156,31 @@ def test_packed_product_equals_schoolbook(args):
         assert type(result) is list and len(result) == length - begin
         assert result is not dense and all(type(v) is int for v in result)
     assert sparse == sparse_before and dense == dense_before
+
+
+def test_product_sums_one_block_directly(monkeypatch):
+    # A window of at most K slots is summed term by term, one more slot is
+    # packed; either way it equals the schoolbook product.
+    direct = []
+    real = _pure._shifted_sum
+    monkeypatch.setattr(_pure, "_shifted_sum", lambda *args: direct.append(args) or real(*args))
+    for sparse, dense, length, start in _EDGES:
+        direct.clear()
+        poly = [0] * length
+        for e, w in sparse:
+            poly[e] += w
+        got = _pure.sparse_dense_product(sparse, dense, length, start=start)
+        assert got == cauchy_product(poly, dense[:length])[start:]
+        assert len(direct) == (length - start == 6)
+
+
+def test_lone_unit_term_shares_dense_ints():
+    # A stored varsigma r = 0 sequence is p(n) itself, not a copy of it.
+    dense = [PN[n] << 600 for n in range(50)]
+    whole = _pure.sparse_dense_product([(3, 1)], dense, 50)
+    window = _pure.sparse_dense_product([(3, 1), (9, 0), (50, 1)], dense, 50, start=10)
+    assert whole[:3] == [0, 0, 0] and all(map(operator.is_, whole[3:], dense[:47]))
+    assert all(map(operator.is_, window, dense[7:47]))
 
 
 def stdlib_json(doc: dict) -> str:
