@@ -155,6 +155,12 @@ def mex_value_counts(n: int, s: int, M: int) -> list[list[int]]:
 # allocator.  Larger blocks lose most of the gain (README, Caching).
 _PACK_BITS = 3600
 
+# Result blocks the packed product sums at a time.  Tiles of 64 to 4096
+# blocks take the same time up to N = 32768; 256 keeps the product's
+# memory near the least of them and is within 7% of the fastest at 2^17
+# (BENCH_tiled_product.json).
+_TILE = 256
+
 
 def _shifted_sum(live: list, dense: list, length: int, start: int) -> list:
     """The window ``start..length-1`` of sum_(e, w) w * q^e * dense, one
@@ -172,6 +178,28 @@ def _shifted_sum(live: list, dense: list, length: int, start: int) -> list:
         j = lo - start
         out[j:] = map(add, out[j:], ys) if i else ys
     return out
+
+
+def _tile_sums(groups, a: int, b: int) -> list:
+    """The packed result blocks a..b-1.  ``groups`` holds the terms of
+    each |weight| group by ascending exponent e = qK + r, as (q, copy r,
+    w); a term adds its copy's block i - q to block i >= q.  A group's
+    blocks are added (or, at weight -w0, subtracted) into one tile-sized
+    sum, multiplied by the group's first weight w0 once."""
+    tile = [0] * (b - a)
+    for terms in groups.values():
+        q0, copy, w0 = terms[0]
+        if q0 >= b:
+            continue
+        lo0 = max(q0, a)
+        acc = copy[lo0 - q0 : b - q0]
+        for q, copy, w in terms[1:]:
+            if q >= b:
+                break
+            lo = max(q, a)
+            acc[lo - lo0 :] = map(add if w == w0 else sub, acc[lo - lo0 :], copy[lo - q : b - q])
+        tile[lo0 - a :] = [x + w0 * y for x, y in zip(tile[lo0 - a :], acc)]
+    return tile
 
 
 def sparse_dense_product(sparse: list, dense: list, length: int, *, start: int = 0) -> list:
@@ -204,6 +232,12 @@ def sparse_dense_product(sparse: list, dense: list, length: int, *, start: int =
     exponent e = qK + r adds copy r of the packed series (``dense``
     shifted by r slots) from block max(q, start // K) on: only the blocks
     that hold the window are summed and decoded.
+
+    The result blocks from start // K on are summed one tile of ``_TILE``
+    blocks at a time.  In tile [a, b), each group sums its terms' copy
+    blocks max(q, a) - q .. b - q - 1 and multiplies that tile-sized sum
+    by its weight once.  So besides the packed copies and the result
+    blocks, the sums hold only tile-sized lists.
     """
     live = [(e, w) for e, w in sparse if w and e < length]
     if len(live) < 2:
@@ -215,9 +249,6 @@ def sparse_dense_product(sparse: list, dense: list, length: int, *, start: int =
     K = max(1, min(_PACK_BITS // W, length))
     if length - start <= K:
         return _shifted_sum(live, dense, length, start)
-    groups: dict[int, list] = {}
-    for e, w in live:
-        groups.setdefault(abs(w), []).append((e, w))
     nb = -(-length // K)
     b0 = start // K  # the first block of the window
     bias = 1 << (W - 1)
@@ -237,24 +268,17 @@ def sparse_dense_product(sparse: list, dense: list, length: int, *, start: int =
         for r in {e % K for e, _ in live}
     }
     del view, stream
-    # out[i] is block b0 + i; a term at block q adds its copy's block
-    # i - q to block i >= max(q, b0).
-    out = [0] * (nb - b0)
-    for terms in groups.values():
-        terms.sort()
-        q0, r = divmod(terms[0][0], K)
-        w0 = terms[0][1]
-        lo = q0 if q0 > b0 else b0
-        acc = copies[r][lo - q0 : nb - q0]
-        for e, w in terms[1:]:
-            q, r = divmod(e, K)
-            op = add if (w > 0) == (w0 > 0) else sub
-            if q >= b0:
-                acc[q - lo :] = map(op, acc[q - lo :], copies[r])
-            else:  # the term starts before the window, so acc starts at block b0
-                acc[:] = map(op, acc, copies[r][b0 - q :])
-        out[lo - b0 :] = [x + w0 * y for x, y in zip(out[lo - b0 :], acc)]
-    del acc, copies
+    # Each |weight| group's terms, as ``_tile_sums`` reads them.
+    groups: dict[int, list] = {}
+    for e, w in sorted(live):
+        groups.setdefault(abs(w), []).append((e // K, copies[e % K], w))
+    del copies
+    # out[i] is block b0 + i.  One tile at a time, in a helper whose lists
+    # die with each call, so no list but the copies and out outgrows a tile.
+    out: list = []
+    for a in range(b0, nb, _TILE):
+        out += _tile_sums(groups, a, min(a + _TILE, nb))
+    del groups
 
     blocks = map(int.to_bytes, map(add, out, repeat(full)), repeat(K * S), repeat("little"))
     slots = range(0, K * S, S)

@@ -81,6 +81,62 @@ def support_direct(kind: str, s: int, M: int, A: int, r: int, order: int) -> lis
     return sorted((e, w) for e, w in weights.items() if w != 0 and e <= order)
 
 
+#: The Mersenne prime 2^61 - 1: certificates compare residues mod P.
+P = 2**61 - 1
+
+
+def window_at(window: list, start: int, x: int) -> int:
+    """sum_i window[i] * x^(start + i) mod P: the coefficients
+    start, start+1, ... of a series evaluated at x, by Horner's rule."""
+    acc = 0
+    for v in reversed(window):
+        acc = (acc * x + v) % P
+    return acc * pow(x, start, P) % P
+
+
+def certify_product(sparse: list, dense: list, length: int, start: int, x: int) -> int:
+    """The residue mod P that ``window_at`` must give at x for the
+    coefficients start..length-1 of sparse x dense, from the factors
+    alone, in O(length) operations mod P:
+
+        sum_(e, w) w x^e (Pre[length-1-e] - Pre[start-e-1]),
+
+    Pre[j] = sum_(m <= j) d_m x^m, and 0 for j < 0.  A window that differs
+    from the product's at some coefficient gives the same residue at no
+    more than length - 1 of the P values of x (Schwartz-Zippel), so a
+    random x certifies it with an error below length / P."""
+    pre = [0]  # pre[j + 1] = Pre[j]
+    acc, power = 0, 1
+    for d in dense[:length]:
+        acc = (acc + d % P * power) % P
+        pre.append(acc)
+        power = power * x % P
+    total = 0
+    for e, w in sparse:
+        if e < length:
+            total += w % P * pow(x, e, P) * (pre[length - e] - pre[max(start - e, 0)])
+    return total % P
+
+
+def pentagonal_support(order: int) -> list:
+    """Euler's prod_(k >= 1) (1 - q^k) up to q^order, as (exponent,
+    weight) terms: (-1)^j at the generalized pentagonal numbers
+    j(3j -+ 1)/2."""
+    terms = [(0, 1)]
+    j = 1
+    while j * (3 * j - 1) // 2 <= order:
+        pair = (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
+        terms += [(g, (-1) ** j) for g in pair if g <= order]
+        j += 1
+    return terms
+
+
+def certify_partition_numbers(table: list, x: int) -> bool:
+    """Whether ``table`` passes for p(0..N) at x: Euler's product times
+    the partition series is 1, so its coefficients 0..N certify to 1."""
+    return certify_product(pentagonal_support(len(table) - 1), table, len(table), 0, x) == 1
+
+
 def _over_one_minus(a: list, k: int) -> None:
     """a / (1 - q^k) in place, truncated to len(a): each block of k
     coefficients adds the block before it, already divided."""

@@ -23,10 +23,13 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from mexmoments import MexParams, partition_numbers, sigma_oracle, varsigma_oracle
+from mexmoments import _pure, qseries
 from mexmoments import asymptotics as asy
-from mexmoments import qseries
 from mexmoments.conjectures import scan_bias, scan_log_concavity
 from reference import (
+    P,
+    certify_partition_numbers,
+    certify_product,
     euler_product_coeffs,
     hrr_partition,
     ingham_transfer,
@@ -34,7 +37,9 @@ from reference import (
     moment_dp,
     partial_theta_expansion,
     partial_theta_sum,
+    support_direct,
     theta_remainder_coefficient,
+    window_at,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -384,3 +389,86 @@ def test_criterion_14_partition_table_equals_hrr(n):
     _report(14, ok, f"p({n}) equals the Hardy-Ramanujan-Rademacher series, and Ramanujan's "
                     "six congruences hold over the table to 2^15")
     assert ok, f"p({n}) or the congruences {broken}"
+
+
+#: Tile sizes the certified products run at: tiles of 1, 2 and 3 result
+#: blocks put tile edges everywhere, and the module's own size is the one
+#: every caller meets.
+TILES = [1, 2, 3, _pure._TILE]
+points = st.integers(2, P - 2)
+
+
+def _certify(sparse, factor, dense, length, start, x, tile):
+    """Whether the window of ``sparse`` x ``dense`` that the product
+    returns with tiles of ``tile`` blocks certifies as ``factor`` x
+    ``dense`` at x."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_pure, "_TILE", tile)
+        window = _pure.sparse_dense_product(sparse, dense, length, start=start)
+    return window_at(window, start, x) == certify_product(factor, dense, length, start, x)
+
+
+@st.composite
+def theta_products(draw):
+    """(kind, (s, M, A, r), N, start): a theta factor of either kind to
+    N <= 4096 and a window start anywhere in 0..N+1."""
+    M = draw(st.integers(1, 8))
+    p = (draw(st.integers(1, 3)), M, draw(st.integers(1, M)), draw(st.integers(0, 3)))
+    N = draw(st.integers(0, 4096))
+    return draw(st.sampled_from(["sigma", "varsigma"])), p, N, draw(st.integers(0, N + 1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(theta_products(), points, st.sampled_from(TILES))
+# (1, 5, 1, 2): the sigma weight reaches k = 41 > 40 below n = 1024
+@example(("sigma", (1, 5, 1, 2), 4096, 0), 3, 2)
+@example(("varsigma", (1, 3, 2, 1), 4096, 2049), 3, 1)
+def test_criterion_15_theta_products_certify_mod_a_prime(args, x, tile):
+    # The package's support and product against the reference's two-term
+    # theta factor, one residue mod P per window.
+    kind, (s, M, A, r), N, start = args
+    support = qseries._support(kind, MexParams(s, M, A, r), N)
+    ok = _certify(support, support_direct(kind, s, M, A, r, N), partition_numbers(N), N + 1,
+                  start, x, tile)
+    _report(15, ok, f"the {kind} {(s, M, A, r)} product to {N}, window from {start}, "
+                    f"tile {tile}, certifies mod 2^61 - 1")
+    assert ok
+
+
+@st.composite
+def raw_products(draw):
+    """(sparse, N, start): up to 40 terms with weights of +-1..+-2^256 at
+    exponents 0..N+2, N <= 4096, and a window start anywhere in 0..N+1."""
+    N = draw(st.integers(0, 4096))
+    magnitude = st.one_of(st.just(1), st.integers(2, 9), st.integers(2**64, 2**256))
+    weight = st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+    sparse = draw(st.lists(st.tuples(st.integers(0, N + 2), weight), max_size=40))
+    return sparse, N, draw(st.integers(0, N + 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(raw_products(), points, st.sampled_from(TILES))
+def test_criterion_15_raw_products_certify_mod_a_prime(args, x, tile):
+    sparse, N, start = args
+    ok = _certify(sparse, sparse, partition_numbers(N), N + 1, start, x, tile)
+    _report(15, ok, f"a product of {len(sparse)} raw terms to {N}, window from {start}, "
+                    f"tile {tile}, certifies mod 2^61 - 1")
+    assert ok
+
+
+def test_criterion_15_stats_products_and_table_certify():
+    # The two cold products of the benchmark's stats session, whole, and
+    # the p(n) table to 2^15 against Euler's product.
+    N = 2**15
+    x = 1_000_003
+    table = partition_numbers(N)
+    failures = [] if certify_partition_numbers(table, x) else ["p(n)"]
+    for kind, (s, M, A, r) in (("varsigma", (1, 3, 2, 1)), ("sigma", (1, 2, 1, 1))):
+        values = list(qseries.moment_sequence(kind, MexParams(s, M, A, r), N).values)
+        if window_at(values, 0, x) != certify_product(support_direct(kind, s, M, A, r, N),
+                                                      table, N + 1, 0, x):
+            failures.append(kind)
+    ok = not failures
+    _report(15, ok, f"varsigma (1,3,2,1) and sigma (1,2,1,1) to {N} and the p(n) table "
+                    "to 2^15 certify mod 2^61 - 1")
+    assert ok, f"failures: {failures}"

@@ -2,7 +2,10 @@
 assembly, against partitions listed from the definitions; and the
 sparse x dense product."""
 
+import gc
 import random
+import sys
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mexmoments.partitions
-from mexmoments import MexParams, _pure, backend, sigma_oracle, varsigma_oracle
+from mexmoments import MexParams, _pure, backend, qseries, sigma_oracle, varsigma_oracle
 from mexmoments._pure import mex_value_counts
 from mexmoments.partitions import ORACLE_CAP
 from reference import d2_coeffs, invert_unit_series, mex_s_mod, partitions, partitions_above
@@ -181,3 +184,32 @@ def test_sparse_dense_degenerate_terms():
     # zero weights and out-of-range exponents are ignored
     assert _pure.sparse_dense_product([(0, 0), (5, 9)], dense, 3) == [0, 0, 0]
     assert _pure.sparse_dense_product([(1, -1)], dense, 3) == [0, -1, -2]
+
+
+def test_packed_product_holds_its_copies_result_and_a_few_tiles():
+    # While it sums, the product holds its packed copies of p(n), one per
+    # residue of the exponents mod K that occurs, the result blocks so far
+    # and about four tile-sized lists: the tile, its next value, the
+    # group sum and that sum's next value.  While it decodes it holds the
+    # result blocks, no larger than one copy, and the result.  A
+    # series-long list besides these breaks the bound.
+    N = 8192
+    dense = qseries.partition_numbers(N)
+    for kind, p in (("sigma", MexParams(1, 2, 1, 1)), ("varsigma", MexParams(1, 3, 2, 1))):
+        sparse = qseries._support(kind, p, N)
+        S = (max(dense).bit_length() + sum(abs(w) for _, w in sparse).bit_length() + 8) // 8
+        K = _pure._PACK_BITS // (8 * S)
+        blocks = -(-(N + 1) // K)
+        block = sys.getsizeof((1 << 8 * S * K) - 1) + 8  # a block and its list slot
+        copies = len({e % K for e, _ in sparse}) * blocks * block
+        tiles = 4 * min(_pure._TILE, blocks) * block
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = _pure.sparse_dense_product(sparse, dense, N + 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        held = sys.getsizeof(result) + sum(map(sys.getsizeof, result))
+        assert peak <= copies + held + tiles, (kind, peak, copies, held, tiles)

@@ -11,6 +11,7 @@ import json
 import math
 import operator
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -134,15 +135,31 @@ _FULL = ([(0, 1), (1, 2), (2, 4)], [(1 << 597) - 1 - n for n in range(30)], 30, 
 _EDGES = [(_SUPPORT, _WIDE, start + width, start) for start in (119, 120, 121) for width in (6, 7)]
 
 
+# Tiles of 1, 2 and 3 result blocks put tile edges everywhere; the last
+# is the module's own size.
+_TILES = [1, 2, 3, _pure._TILE]
+# With K = 6 and tiles of 3 blocks: a term at block 3 (a tile's first
+# block) and one at block 5 (its last).
+_TILE_EDGES = [(0, 1), (18, -1), (35, 2), (40, -1)]
+
+
 @settings(max_examples=150, deadline=None)
-@given(packed_product_args())
-@example((_SUPPORT, _WIDE, 300, 6))
-@example((_SUPPORT, _WIDE, 301, 300))
-@example((_SUPPORT, _WIDE, 299, 1))
-@example(_FULL)
-@example(([(0, 2**3601 + 5), (3, -1), (4, 7), (4, 2**70)], PN[:40], 40, 4))
-@example(([(5, -1), (0, 0), (50, 1)], PN[:50], 50, 49))
-def test_packed_product_equals_schoolbook(args):
+@given(packed_product_args(), st.sampled_from(_TILES))
+@example((_SUPPORT, _WIDE, 300, 6), _pure._TILE)
+@example((_SUPPORT, _WIDE, 301, 300), _pure._TILE)
+@example((_SUPPORT, _WIDE, 299, 1), _pure._TILE)
+@example(_FULL, _pure._TILE)
+@example(([(0, 2**3601 + 5), (3, -1), (4, 7), (4, 2**70)], PN[:40], 40, 4), _pure._TILE)
+@example(([(5, -1), (0, 0), (50, 1)], PN[:50], 50, 49), _pure._TILE)
+# tiles of 3 blocks (K = 6): a window from block 4, inside the whole
+# product's second tile; terms at a tile's first and last blocks; lengths
+# of one tile and of one tile plus one block
+@example((_SUPPORT, _WIDE, 300, 25), 3)
+@example((_TILE_EDGES, _WIDE, 60, 0), 3)
+@example((_TILE_EDGES, _WIDE, 60, 19), 3)
+@example((_SUPPORT, _WIDE, 18, 0), 3)
+@example((_SUPPORT, _WIDE, 24, 0), 3)
+def test_packed_product_equals_schoolbook(args, tile):
     sparse, dense, length, start = args
     sparse_before, dense_before = list(sparse), list(dense)
     poly = [0] * length
@@ -150,8 +167,11 @@ def test_packed_product_equals_schoolbook(args):
         if e < length:
             poly[e] += w
     whole = cauchy_product(poly, dense[:length])
-    for begin, result in ((0, _pure.sparse_dense_product(sparse, dense, length)),
-                          (start, _pure.sparse_dense_product(sparse, dense, length, start=start))):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_pure, "_TILE", tile)
+        results = ((0, _pure.sparse_dense_product(sparse, dense, length)),
+                   (start, _pure.sparse_dense_product(sparse, dense, length, start=start)))
+    for begin, result in results:
         assert result == whole[begin:]
         assert type(result) is list and len(result) == length - begin
         assert result is not dense and all(type(v) is int for v in result)
