@@ -215,7 +215,9 @@ def sparse_dense_product(sparse: list, dense: list, length: int, *, start: int =
     window: packing would cost more than it saves there.  Measured on
     theta supports times p(n), direct over packed time is 0.3-0.7 at
     31-61 coefficients, 0.6-1.0 at 128 and 0.8-1.8 at 256-512, where K
-    is 40-90; for windows of 1-4 slots at N = 8192 it is 0.01-0.03.
+    is 40-90; for windows of 1-4 slots at N = 8192 it is 0.01-0.03.  K is
+    at least 1, so a window of one slot takes this path before ``dense``
+    is scanned for K.
 
     Otherwise terms are grouped by |weight|.  The signed shifted copies
     of ``dense`` in one group are summed with plain adds and subtracts,
@@ -227,11 +229,12 @@ def sparse_dense_product(sparse: list, dense: list, length: int, *, start: int =
     int, in W-bit slots wide enough for any coefficient of the result and
     its sign, so one add does the work of K.  ``dense`` enters biased by
     2^(W-1) per slot, so every slot is a W-bit unsigned field and the
-    packed copies are cut from one byte string; each block of the result
-    is decoded by adding the bias back and slicing its bytes.  The term at
-    exponent e = qK + r adds copy r of the packed series (``dense``
-    shifted by r slots) from block max(q, start // K) on: only the blocks
-    that hold the window are summed and decoded.
+    packed copies are cut from one buffer, written a tile of K * ``_TILE``
+    coefficients at a time; each block of the result is decoded by adding
+    the bias back and slicing its bytes.  The term at exponent e = qK + r
+    adds copy r of the packed series (``dense`` shifted by r slots) from
+    block max(q, start // K) on: only the blocks that hold the window are
+    summed and decoded.
 
     The result blocks from start // K on are summed one tile of ``_TILE``
     blocks at a time.  In tile [a, b), each group sums its terms' copy
@@ -240,7 +243,7 @@ def sparse_dense_product(sparse: list, dense: list, length: int, *, start: int =
     blocks, the sums hold only tile-sized lists.
     """
     live = [(e, w) for e, w in sparse if w and e < length]
-    if len(live) < 2:
+    if len(live) < 2 or length - start <= 1:
         return _shifted_sum(live, dense, length, start)
     # |result| <= max|dense| * sum|w| < 2^(W-1), with W a whole number of bytes.
     top = max(map(abs, dense[:length]))
@@ -253,15 +256,22 @@ def sparse_dense_product(sparse: list, dense: list, length: int, *, start: int =
     b0 = start // K  # the first block of the window
     bias = 1 << (W - 1)
     from_bytes = int.from_bytes
-    # K slots of bias on either side read as zeros once the bias is taken
-    # off, so every block is cut whole, the first and last included.
+    # A slot of bias reads as zero once the bias is taken off.  The buffer
+    # starts as bias throughout, and K such slots on either side of dense
+    # let every block be cut whole, the first and last included.  It is
+    # filled a tile at a time, so only one tile's byte strings are alive
+    # beside it.
     pad = bias.to_bytes(S, "little") * K
     full = from_bytes(pad, "little")
-    stream = b"".join(chain([pad], map(int.to_bytes, map(add, dense[:length], repeat(bias)),
-                                        repeat(S), repeat("little")), [pad]))
+    stream = bytearray(pad) * (nb + 2)
+    chunk = K * _TILE
+    for c in range(0, length, chunk):
+        xs = dense[c : min(c + chunk, length)]
+        stream[(K + c) * S : (K + c + len(xs)) * S] = b"".join(
+            map(int.to_bytes, map(add, xs, repeat(bias)), repeat(S), repeat("little")))
     view = memoryview(stream)
     # Copy r packs q^r * dense: its block i holds dense[iK - r : iK - r + K].
-    # Only the residues that occur get a copy; the string goes before the sums.
+    # Only the residues that occur get a copy; the buffer goes before the sums.
     copies = {
         r: [from_bytes(view[a * S : (a + K) * S], "little") - full
             for a in range(K - r, (nb + 1) * K - r, K)]

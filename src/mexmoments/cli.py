@@ -18,6 +18,14 @@ whose estimated work exceeds ``VERIFY_WORK_LIMIT``.  Data outputs are
 deterministic: identical arguments yield byte-identical files; run
 metadata (timestamp, backend, argv) goes to a ``<out>.meta.json``
 sidecar instead.
+
+Start-up is most of a short run (``verify`` at n <= 30, the oracle at
+n <= 60), so importing this module loads only what those runs use.
+``asymptotics`` is imported by ``cmd_asymp``, the one command that calls
+it.  ``conjectures`` stays an eager import: the benchmark's tracer
+(``e2ebench/tracing.py``) looks every module it wraps up in
+``sys.modules`` once this module is imported, and its worker imports
+``asymptotics`` itself.
 """
 
 from __future__ import annotations
@@ -29,10 +37,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, replace
 from functools import cache, partial
 
-from mexmoments import __version__, asymptotics, conjectures, qseries
+from mexmoments import __version__, conjectures, qseries
 from mexmoments.backend import BACKEND
 from mexmoments.errors import ResourceCapError, ValidationError
 from mexmoments.partitions import (
@@ -131,6 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _params(args) -> MexParams:
     return MexParams(args.s, args.mod, args.res, args.r)
+
+
+def _params_meta(p: MexParams) -> dict:
+    """The fields of ``p`` by name, for a table's params line."""
+    return {"s": p.s, "M": p.M, "A": p.A, "r": p.r}
 
 
 def _parse_range(spec: str) -> tuple[int, int]:
@@ -262,7 +274,8 @@ def _report_text(report: conjectures.ScanReport) -> str:
     fields are its JSON keys and its tuples write as JSON lists, so the
     ordering goes to the emitter as one column per field, without
     per-entry dicts and lists."""
-    doc = replace(report, ordering=()).to_json_dict()
+    doc = conjectures.ScanReport(report.params, report.n_lo, report.n_hi, report.violations,
+                                 report.equalities, (), report.stabilized_at).to_json_dict()
     doc["ordering"] = dict(zip(conjectures.OrderingEntry._fields, zip(*report.ordering)))
     return _json_text(doc, "ordering")
 
@@ -326,7 +339,7 @@ def cmd_stats(args) -> int:
     else:
         name = "value" if args.format == "csv" else args.method  # the one value column
         columns = {"n": ns, name: gf if need_gf else oracle}
-    meta = {"kind": args.kind, **asdict(params), "method": args.method, "truncation": ns[-1]}
+    meta = {"kind": args.kind, **_params_meta(params), "method": args.method, "truncation": ns[-1]}
     _emit(_table_text(meta, columns, args.format), args)
     if not all(columns.get("match", ())):
         sys.stderr.write("stats: oracle and series extraction disagree\n")
@@ -418,6 +431,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_asymp(args) -> int:
+    from mexmoments import asymptotics  # only this command uses it (module docstring)
+
     params = _params(args)
     ns = _parse_n_list(args.n_list)
     if min(ns) < 1:
@@ -428,7 +443,9 @@ def cmd_asymp(args) -> int:
         raise ValidationError("--res-prime is read only with --corollary")
     # The largest n first: the ratio helpers then read every row from it.
     trunc = max(ns)
-    params_b = replace(params, A=args.res_prime) if args.corollary else params
+    params_b = params
+    if args.corollary:
+        params_b = MexParams(params.s, params.M, args.res_prime, params.r)
     _check_printable_up_front(args.kind, [params, params_b], trunc)
     seq = qseries.moment_sequence(args.kind, params, trunc)
     # The float columns are maps, computed as their rows are written.
@@ -441,7 +458,7 @@ def cmd_asymp(args) -> int:
         ratio = partial(asymptotics.exact_over_asymptotic, args.kind, params)
         columns = {"exact": [seq[n] for n in ns], "asymp_log": map(partial(asymp_fn, params), ns)}
     extra = {"A_prime": args.res_prime} if args.corollary else {}
-    meta = {"kind": args.kind, **asdict(params), "truncation": trunc, **extra}
+    meta = {"kind": args.kind, **_params_meta(params), "truncation": trunc, **extra}
     try:
         text = _table_text(meta, {"n": ns, **columns, "ratio": map(ratio, ns)}, "csv")
     except ZeroDivisionError as exc:  # a corollary row whose denominator is zero

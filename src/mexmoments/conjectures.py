@@ -10,11 +10,10 @@ not a proof of eventual behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from mexmoments import qseries
-from mexmoments.partitions import MexParams, _check_int, _check_kind
+from mexmoments.partitions import MexParams, _check_int, _check_kind, _Frozen
 
 
 class OrderingEntry(NamedTuple):
@@ -33,8 +32,7 @@ class OrderingEntry(NamedTuple):
         return {"n": self.n, "perm": list(self.perm), "ties": [list(t) for t in self.ties]}
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Frozen):
     """Outcome of one scan over [n_lo, n_hi].
 
     violations: n where the scanned predicate fails (log-concavity scan).
@@ -47,13 +45,15 @@ class ScanReport:
         Range-relative evidence only.
     """
 
-    params: dict
-    n_lo: int
-    n_hi: int
-    violations: tuple[int, ...] = ()
-    equalities: tuple[int, ...] = ()
-    ordering: tuple[OrderingEntry, ...] = ()
-    stabilized_at: int | None = None
+    __slots__ = _fields = ("params", "n_lo", "n_hi", "violations", "equalities", "ordering",
+                           "stabilized_at")
+
+    def __init__(self, params: dict, n_lo: int, n_hi: int, violations: tuple[int, ...] = (),
+                 equalities: tuple[int, ...] = (), ordering: tuple[OrderingEntry, ...] = (),
+                 stabilized_at: int | None = None) -> None:
+        for name, value in zip(self._fields, (params, n_lo, n_hi, violations, equalities,
+                                              ordering, stabilized_at)):
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -145,14 +145,15 @@ def scan_bias(kind: str, s: int, M: int, r: int, n_lo: int, n_hi: int) -> ScanRe
     # front.  No sequence bound is below that of r = 0, which A leaves
     # unchanged, so more residues than fit at r = 0 are refused at once.
     residues = range(1, M + 1)
-    least = qseries.sequence_bytes(kind, replace(p, r=0), n_hi)  # checks n_hi's order limit
+    least = qseries.sequence_bytes(kind, MexParams(s, M, 1, 0), n_hi)  # checks n_hi's order limit
     report = _report_bytes(M, n_lo, n_hi)
     nbytes = report + M * least
     if nbytes <= qseries.STORE_BYTE_LIMIT:
-        nbytes = report + sum(qseries.sequence_bytes(kind, replace(p, A=a), n_hi)
+        nbytes = report + sum(qseries.sequence_bytes(kind, MexParams(s, M, a, r), n_hi)
                               for a in residues)
     qseries._check_coefficient_bytes(kind, n_hi, nbytes, M)
-    columns = [qseries.moment_sequence(kind, replace(p, A=a), n_hi).values for a in residues]
+    columns = [qseries.moment_sequence(kind, MexParams(s, M, a, r), n_hi).values
+               for a in residues]
     pn = qseries.partition_numbers(n_hi) if (kind == "sigma" and r == 0) else None
     entries = []
     for n in range(n_lo, n_hi + 1):

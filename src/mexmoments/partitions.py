@@ -35,9 +35,8 @@ import operator
 import threading
 from collections import OrderedDict
 from collections.abc import Hashable
-from dataclasses import dataclass
 from itertools import repeat
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 from mexmoments import backend
 from mexmoments.errors import ResourceCapError, ValidationError
@@ -83,23 +82,59 @@ def _check_params(p) -> None:
         raise ValidationError(f"params must be a MexParams, got {type(p).__name__}")
 
 
-@dataclass(frozen=True)
-class MexParams:
+class _Frozen:
+    """Base of the package's immutable value classes, in place of
+    ``dataclass(frozen=True)``, whose module is most of the CLI's import
+    time.  A subclass names its fields in ``_fields`` and holds them in
+    ``__slots__``; its ``__init__`` sets each once, through
+    ``object.__setattr__``.  Instances compare equal when of one class
+    with equal fields (never to a plain tuple), hash as the tuple of
+    their fields, refuse assignment and deletion, and pickle and copy by
+    calling the class on their fields, so every check runs again."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # The fields as a tuple, read in C: this is every hash of a store key.
+        cls._astuple = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple == other._astuple
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple
+
+
+class MexParams(_Frozen):
     """Parameter tuple (s, M, A, r) labelling a moment sequence.
 
     s >= 1 is the frequency threshold, M >= 1 the modulus, A the residue
     representative with 0 < A <= M, and r >= 0 the moment order, each a
-    plain int.
+    plain int.  A variant is built by calling the constructor, as in
+    ``MexParams(p.s, p.M, a, p.r)``.
     """
 
-    s: int
-    M: int
-    A: int
-    r: int
+    __slots__ = _fields = ("s", "M", "A", "r")
 
-    def __post_init__(self) -> None:
-        for name, low in (("s", 1), ("M", 1), ("A", 1), ("r", 0)):
-            object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
+    def __init__(self, s: int, M: int, A: int, r: int) -> None:
+        for name, value, low in (("s", s, 1), ("M", M, 1), ("A", A, 1), ("r", r, 0)):
+            object.__setattr__(self, name, _check_int(name, value, low))
         if self.A > self.M:
             raise ValidationError(
                 f"residue must satisfy 0 < A <= M, got A={_show(self.A)}, M={_show(self.M)}"

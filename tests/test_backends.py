@@ -213,3 +213,54 @@ def test_packed_product_holds_its_copies_result_and_a_few_tiles():
             tracemalloc.stop()
         held = sys.getsizeof(result) + sum(map(sys.getsizeof, result))
         assert peak <= copies + held + tiles, (kind, peak, copies, held, tiles)
+
+
+class _Unread(int):
+    """A coefficient of ``dense`` that a product must not read: taking
+    its absolute value fails."""
+
+    def __abs__(self):
+        raise AssertionError("the product scanned a coefficient outside its window")
+
+
+def test_a_one_slot_window_skips_the_scan_for_the_block_size():
+    # K >= 1, so a window of one slot is always summed directly, and the
+    # scan of dense[:length] that sets K is skipped.  Terms at 0 and 2 of a
+    # window at 4 read dense[4] and dense[2] only.
+    dense = [1, 2, 3, _Unread(4), 5]
+    assert _pure.sparse_dense_product([(0, 1), (2, -3)], dense, 5, start=4) == [5 - 3 * 3]
+    with pytest.raises(AssertionError, match="scanned"):
+        _pure.sparse_dense_product([(0, 1), (2, -3)], dense, 5, start=3)
+
+
+def test_packing_holds_one_buffer_and_one_tile_of_strings(monkeypatch):
+    # The product writes dense, biased, into one buffer of W-bit slots, a
+    # tile of K * _TILE coefficients at a time, before it cuts the copies
+    # from a view of it.  So when the view is taken the product has held
+    # the buffer and the transients of one tile: its byte strings, their
+    # list and their join, twice over for what a join briefly holds beside
+    # its parts.  One string per coefficient beside the whole packed string
+    # breaks the bound: 3.2 tiles at K = 10 and 32 at K = 1.
+    N = 8192
+    rng = random.Random(33)
+    wide = [rng.getrandbits(1900) for _ in range(N + 1)]  # K = 1
+    theta = qseries._support("varsigma", MexParams(1, 3, 2, 1), N)
+    cases = [(theta, qseries.partition_numbers(N)), ([(0, 1), (3, -1), (7, 1)], wide)]
+    for sparse, dense in cases:
+        S = (max(dense).bit_length() + sum(abs(w) for _, w in sparse).bit_length() + 8) // 8
+        K = max(1, _pure._PACK_BITS // (8 * S))
+        chunk = K * _pure._TILE
+        buffer = sys.getsizeof(bytearray((-(-(N + 1) // K) + 2) * K * S))
+        tile = chunk * (sys.getsizeof(bytes(S)) + 8) + sys.getsizeof(bytes(chunk * S))
+        peaks = []
+        monkeypatch.setattr(_pure, "memoryview", lambda data: peaks.append(
+            tracemalloc.get_traced_memory()[1]) or memoryview(data), raising=False)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = _pure.sparse_dense_product(sparse, dense, N + 1)
+        finally:
+            tracemalloc.stop()
+        assert result == _pure._shifted_sum(sparse, dense, N + 1, 0)
+        assert peaks[0] - base <= buffer + 2 * tile, (K, peaks[0] - base, buffer, tile)

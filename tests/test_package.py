@@ -4,10 +4,13 @@ runtime dependencies, and the independence of the references in
 ``reference.py``."""
 
 import ast
+import copy
 import inspect
+import pickle
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -284,6 +287,111 @@ print("mpmath" in sys.modules)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+
+def test_the_cli_starts_without_dataclasses_or_asymptotics():
+    # Start-up is most of a short CLI run.  Importing the CLI loads neither
+    # dataclasses (about 6 ms with inspect, ast, dis and tokenize) nor the
+    # asymptotic layer, which only asymp calls, unless a bare interpreter
+    # with the same flags loads it already.  conjectures stays loaded: the
+    # benchmark's tracer looks it up in sys.modules after this import.
+    probe = ("import sys\n{}\nprint(*(name in sys.modules for name in "
+             "('dataclasses', 'mexmoments.asymptotics', 'mexmoments.conjectures')))")
+    command = [sys.executable, *subprocess._args_from_interpreter_flags(), "-c"]
+    runs = [subprocess.run([*command, probe.format(line)], capture_output=True, text=True)
+            for line in ("", "import mexmoments.cli")]
+    assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
+    bare, cli = (run.stdout.split() for run in runs)
+    assert cli == [bare[0], bare[1], "True"]
+
+
+# Each value class, the fields of one instance, and its repr.
+_P = mexmoments.MexParams(1, 2, 1, 1)
+RECORDS = [
+    (mexmoments.MexParams, (1, 2, 1, 1), "MexParams(s=1, M=2, A=1, r=1)"),
+    (qseries.MomentSequence, ("sigma", _P, (1, 0, 2)),
+     "MomentSequence(kind='sigma', params=MexParams(s=1, M=2, A=1, r=1), order=2)"),
+    (conjectures.ScanReport, ({"kind": "sigma"}, 1, 3, (2,), (2,), (), None),
+     "ScanReport(params={'kind': 'sigma'}, n_lo=1, n_hi=3, violations=(2,), equalities=(2,), "
+     "ordering=(), stabilized_at=None)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=lambda x: getattr(x, "__name__", ""))
+def test_value_classes_behave_as_frozen_dataclasses(cls, fields, text):
+    # MexParams, MomentSequence and ScanReport are not dataclasses (the
+    # CLI starts without that module), but behave as the frozen ones did.
+    value = cls(*fields)
+    names = cls._fields
+    assert [getattr(value, name) for name in names] == list(fields)
+    assert cls(**dict(zip(names, fields))) == value
+    assert repr(value) == text
+    # Equal to its class with equal fields only, never to a plain tuple.
+    assert value == cls(*fields) and not value != cls(*fields)
+    assert value != fields and fields != value and value != list(fields)
+    assert value is not None and value != None  # noqa: E711
+    changed = (*fields[:-1], 3 if cls is not qseries.MomentSequence else (1, 0, 3))
+    assert value != cls(*changed)
+    if cls is conjectures.ScanReport:  # a dict field, as with the dataclass
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        assert hash(value) == hash(cls(*fields)) == hash(fields)
+        assert {value: 1}[cls(*fields)] == 1
+    # Frozen: no field, nor a new attribute, is assigned or deleted.
+    for name in (names[0], names[-1], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert [getattr(value, name) for name in names] == list(fields)
+    # Round trips give an equal value of the class.
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value),
+                 *(pickle.loads(pickle.dumps(value, protocol)) for protocol in range(0, 6))):
+        assert type(twin) is cls and twin == value and repr(twin) == text
+
+
+def test_a_moment_sequence_takes_a_weak_reference():
+    seq = qseries.MomentSequence("sigma", _P, (1, 0, 2))
+    ref = weakref.ref(seq)
+    assert ref() is seq
+    del seq
+    assert ref() is None
+
+
+def _unchecked(cls, *fields):
+    """An instance holding ``fields`` that no check has seen."""
+    value = object.__new__(cls)
+    for name, field in zip(cls._fields, fields):
+        object.__setattr__(value, name, field)
+    return value
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (mexmoments.MexParams, (True, 2, 1, 1)),
+    (mexmoments.MexParams, (1, 2, 1, False)),
+    (mexmoments.MexParams, (1, 2, 3, 1)),
+    (mexmoments.MexParams, (0, 2, 1, 1)),
+    (mexmoments.MexParams, (1, 2, 1, -1)),
+    (mexmoments.MexParams, (1, 2.0, 1, 1)),
+    (qseries.MomentSequence, ("sigma", _P, (1, True, 2))),
+    (qseries.MomentSequence, ("sigma", _P, (1, -1, 2))),
+    (qseries.MomentSequence, ("mex", _P, (1, 0, 2))),
+    (qseries.MomentSequence, ("sigma", (1, 2, 1, 1), (1, 0, 2))),
+    (qseries.MomentSequence, ("varsigma", mexmoments.MexParams(1, 1, 1, 0), (1, 1, 3))),
+])
+def test_every_construction_path_runs_the_checks(cls, fields):
+    # The constructor, by position and by name, and every rebuild from a
+    # value's fields (pickle, copy, deepcopy) refuse a field outside its
+    # domain, a bool included.
+    bad = _unchecked(cls, *fields)
+    builds = [lambda: cls(*fields), lambda: cls(**dict(zip(cls._fields, fields))),
+              lambda: pickle.loads(pickle.dumps(bad)), lambda: copy.copy(bad),
+              lambda: copy.deepcopy(bad)]
+    for build in builds:
+        with pytest.raises(mexmoments.ValidationError):
+            build()
 
 
 def _third_party_imports(tree: ast.AST) -> set[str]:

@@ -474,6 +474,29 @@ def test_ascending_moment_values_compute_each_coefficient_once(product_calls, ki
 
 
 @pytest.mark.parametrize("kind,p", STORE_CASES)
+def test_an_extension_bounds_its_bytes_once(gf_calls, monkeypatch, kind, p):
+    # An extension computes sequence_bytes once, checks it before the
+    # product and charges it to the store.  A miss goes through the public
+    # series function, which bounds the bytes itself, so it computes two.
+    bounds = []
+    sequence_bytes = qseries.sequence_bytes
+    monkeypatch.setattr(qseries, "sequence_bytes",
+                        lambda *args: bounds.append(args) or sequence_bytes(*args))
+    qseries.moment_sequence(kind, p, 40)
+    assert bounds == [(kind, p, 40)] * 2
+    bounds.clear()
+    for order in (41, 42, 100):
+        qseries.moment_sequence(kind, p, order)
+    assert bounds == [(kind, p, 41), (kind, p, 42), (kind, p, 100)]
+    assert qseries._store.entries[(kind, p)][1] == sequence_bytes(kind, p, 100)
+    # The one bound still refuses an extension before any work.
+    monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", sequence_bytes(kind, p, 101) - 1)
+    with pytest.raises(ResourceCapError):
+        qseries.moment_sequence(kind, p, 101)
+    assert qseries._store.entries[(kind, p)][0] == 100
+
+
+@pytest.mark.parametrize("kind,p", STORE_CASES)
 def test_extension_is_refused_past_the_byte_budget_before_any_product(product_calls, monkeypatch,
                                                                        kind, p):
     # The bound is checked at the new order, before the window's product
