@@ -21,12 +21,11 @@ numerically by the tests, from ``tests/reference.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Real
 
 from mexmoments import qseries
 from mexmoments.errors import ResourceCapError, ValidationError
-from mexmoments.partitions import MexParams, _check_int, _check_kind, _check_params, _show
+from mexmoments.partitions import MexParams, _Frozen, _check_int, _check_kind, _check_params, _show
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -43,20 +42,19 @@ def _check_t(t: float) -> float:
     return float(t)
 
 
-@dataclass(frozen=True)
-class InghamParams:
+class InghamParams(_Frozen):
     """Growth data of a generating function at q = e^-t:
     F(e^-t) ~ lam * t^alpha * exp(growth_A / t) as t -> 0+."""
 
-    lam: float
-    alpha: float
-    growth_A: float
+    __slots__ = _fields = ("lam", "alpha", "growth_A")
 
-    def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValidationError(f"lam must be > 0, got {self.lam}")
-        if not self.growth_A > 0:
-            raise ValidationError(f"growth_A must be > 0, got {self.growth_A}")
+    def __init__(self, lam: float, alpha: float, growth_A: float) -> None:
+        if not lam > 0:
+            raise ValidationError(f"lam must be > 0, got {lam}")
+        if not growth_A > 0:
+            raise ValidationError(f"growth_A must be > 0, got {growth_A}")
+        for name, value in zip(self._fields, (lam, alpha, growth_A)):
+            object.__setattr__(self, name, value)
 
 
 def qexpansion_ingham_params(kind: str, s: int, M: int, r: int) -> InghamParams:

@@ -3,7 +3,7 @@
 This module is the ground truth: every statistic is obtained by
 enumeration, and the other modules are cross-checked against it.  The
 histogram kernel of :mod:`mexmoments.backend` walks the parts above
-``_pure.SMALL_PARTS`` one partition at a time and counts the small parts
+``backend.SMALL_PARTS`` one partition at a time and counts the small parts
 as explicit multiplicity vectors per remainder; no identity from the
 generating functions enters.  It holds the parameter tuple ``MexParams``,
 the oracle and ``Store``, the one cache policy of the package: one
@@ -189,9 +189,11 @@ class Store:
 
 #: Largest n the oracle enumerates (``mex_value_histogram`` checks it).
 #: The walk to n visits the partitions of every t <= n into parts above
-#: ``_pure.SMALL_PARTS``, 3,614 at n = 60 (p(60) is about 9.7e5), and
-#: its time grows about 3x per 10: the kernel took 0.001 s at n = 60 and
-#: 0.02 s at n = 90 on a 2-core machine.  A larger n is the series route's job.
+#: ``backend.SMALL_PARTS``, 3,614 at n = 60 (p(60) is about 9.7e5), and
+#: its time grows about 3x per 10.  At its slowest table shapes, s = 1
+#: with M from about n/3 to n + 1, the kernel took 0.004 s at n = 60 and
+#: 0.056-0.062 s at n = 90 (0.056 s at M = n + 1) on a 2-core machine.
+#: A larger n is the series route's job.
 ORACLE_CAP = 60
 
 
@@ -218,7 +220,7 @@ _tables = Store(STORE_CELL_LIMIT)
 
 
 def mex_value_histogram(N: int, s: int, M: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The histograms of every n = 0..N in ``_pure.walk``'s cell-major
+    """The histograms of every n = 0..N in ``backend.walk``'s cell-major
     layout: ``table[A-1][m][n]`` counts the partitions of n whose
     congruence mex for (s, M, A) is A + m*M.
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from mexmoments import MexParams, partition_numbers, sigma_oracle, varsigma_oracle
-from mexmoments import _pure, qseries
+from mexmoments import backend, qseries
 from mexmoments import asymptotics as asy
 from mexmoments.conjectures import scan_bias, scan_log_concavity
 from reference import (
@@ -394,7 +394,7 @@ def test_criterion_14_partition_table_equals_hrr(n):
 #: Tile sizes the certified products run at: tiles of 1, 2 and 3 result
 #: blocks put tile edges everywhere, and the module's own size is the one
 #: every caller meets.
-TILES = [1, 2, 3, _pure._TILE]
+TILES = [1, 2, 3, backend._TILE]
 points = st.integers(2, P - 2)
 
 
@@ -403,8 +403,8 @@ def _certify(sparse, factor, dense, length, start, x, tile):
     returns with tiles of ``tile`` blocks certifies as ``factor`` x
     ``dense`` at x."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_pure, "_TILE", tile)
-        window = _pure.sparse_dense_product(sparse, dense, length, start=start)
+        patch.setattr(backend, "_TILE", tile)
+        window = backend.sparse_dense_product(sparse, dense, length, start=start)
     return window_at(window, start, x) == certify_product(factor, dense, length, start, x)
 
 

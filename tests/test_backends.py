@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mexmoments.partitions
-from mexmoments import MexParams, _pure, backend, qseries, sigma_oracle, varsigma_oracle
-from mexmoments._pure import mex_value_counts
+from mexmoments import MexParams, backend, qseries, sigma_oracle, varsigma_oracle
+from mexmoments.backend import mex_value_counts
 from mexmoments.partitions import ORACLE_CAP
 from reference import d2_coeffs, invert_unit_series, mex_s_mod, partitions, partitions_above
 
-L = _pure.SMALL_PARTS
+L = backend.SMALL_PARTS
 
 
 def block(rows: list, n: int, N: int, M: int) -> list:
@@ -65,10 +65,10 @@ def test_a_threshold_past_n_gives_the_histograms_of_n_plus_one():
 def test_walk_visits_each_tail_above_L_once():
     # The walk's work: the partitions of every t <= n into parts > L.
     for n in range(61):
-        nodes, _ = _pure.walk(n, 1, 1, L)
+        nodes, _ = backend.walk(n, 1, 1, L)
         assert sum(nodes) == partitions_above(L, n), n
     # An L at or above n leaves only the empty tail.
-    assert _pure.walk(3, 1, 2, 2**31 - 1) == ([1, 0, 0, 0], [[0] * 12, [0] * 12])
+    assert backend.walk(3, 1, 2, 2**31 - 1) == ([1, 0, 0, 0], [[0] * 12, [0] * 12])
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +151,7 @@ def test_kernels_equal_reference_at_interval_boundaries(args):
     # The kernel reads SMALL_PARTS per call.
     small, n, s, M = args
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_pure, "SMALL_PARTS", small)
+        patch.setattr(backend, "SMALL_PARTS", small)
         table = mex_value_counts(n, s, M)
     assert len(table) == M
     assert all(len(row) == (n // M + 2) * (n + 1) for row in table)
@@ -176,14 +176,14 @@ def test_invert_unit_series_roundtrip():
     for c0 in (1, -1):
         a = [c0] + [rng.randint(-7, 7) for _ in range(30)]
         inv = invert_unit_series(a)
-        assert _pure.sparse_dense_product(list(enumerate(a)), inv, 31) == [1] + [0] * 30
+        assert backend.sparse_dense_product(list(enumerate(a)), inv, 31) == [1] + [0] * 30
 
 
 def test_sparse_dense_degenerate_terms():
     dense = [1, 2, 3]
     # zero weights and out-of-range exponents are ignored
-    assert _pure.sparse_dense_product([(0, 0), (5, 9)], dense, 3) == [0, 0, 0]
-    assert _pure.sparse_dense_product([(1, -1)], dense, 3) == [0, -1, -2]
+    assert backend.sparse_dense_product([(0, 0), (5, 9)], dense, 3) == [0, 0, 0]
+    assert backend.sparse_dense_product([(1, -1)], dense, 3) == [0, -1, -2]
 
 
 def test_packed_product_holds_its_copies_result_and_a_few_tiles():
@@ -198,16 +198,16 @@ def test_packed_product_holds_its_copies_result_and_a_few_tiles():
     for kind, p in (("sigma", MexParams(1, 2, 1, 1)), ("varsigma", MexParams(1, 3, 2, 1))):
         sparse = qseries._support(kind, p, N)
         S = (max(dense).bit_length() + sum(abs(w) for _, w in sparse).bit_length() + 8) // 8
-        K = _pure._PACK_BITS // (8 * S)
+        K = backend._PACK_BITS // (8 * S)
         blocks = -(-(N + 1) // K)
         block = sys.getsizeof((1 << 8 * S * K) - 1) + 8  # a block and its list slot
         copies = len({e % K for e, _ in sparse}) * blocks * block
-        tiles = 4 * min(_pure._TILE, blocks) * block
+        tiles = 4 * min(backend._TILE, blocks) * block
         gc.collect()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            result = _pure.sparse_dense_product(sparse, dense, N + 1)
+            result = backend.sparse_dense_product(sparse, dense, N + 1)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -228,9 +228,9 @@ def test_a_one_slot_window_skips_the_scan_for_the_block_size():
     # scan of dense[:length] that sets K is skipped.  Terms at 0 and 2 of a
     # window at 4 read dense[4] and dense[2] only.
     dense = [1, 2, 3, _Unread(4), 5]
-    assert _pure.sparse_dense_product([(0, 1), (2, -3)], dense, 5, start=4) == [5 - 3 * 3]
+    assert backend.sparse_dense_product([(0, 1), (2, -3)], dense, 5, start=4) == [5 - 3 * 3]
     with pytest.raises(AssertionError, match="scanned"):
-        _pure.sparse_dense_product([(0, 1), (2, -3)], dense, 5, start=3)
+        backend.sparse_dense_product([(0, 1), (2, -3)], dense, 5, start=3)
 
 
 def test_packing_holds_one_buffer_and_one_tile_of_strings(monkeypatch):
@@ -248,19 +248,19 @@ def test_packing_holds_one_buffer_and_one_tile_of_strings(monkeypatch):
     cases = [(theta, qseries.partition_numbers(N)), ([(0, 1), (3, -1), (7, 1)], wide)]
     for sparse, dense in cases:
         S = (max(dense).bit_length() + sum(abs(w) for _, w in sparse).bit_length() + 8) // 8
-        K = max(1, _pure._PACK_BITS // (8 * S))
-        chunk = K * _pure._TILE
+        K = max(1, backend._PACK_BITS // (8 * S))
+        chunk = K * backend._TILE
         buffer = sys.getsizeof(bytearray((-(-(N + 1) // K) + 2) * K * S))
         tile = chunk * (sys.getsizeof(bytes(S)) + 8) + sys.getsizeof(bytes(chunk * S))
         peaks = []
-        monkeypatch.setattr(_pure, "memoryview", lambda data: peaks.append(
+        monkeypatch.setattr(backend, "memoryview", lambda data: peaks.append(
             tracemalloc.get_traced_memory()[1]) or memoryview(data), raising=False)
         gc.collect()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            result = _pure.sparse_dense_product(sparse, dense, N + 1)
+            result = backend.sparse_dense_product(sparse, dense, N + 1)
         finally:
             tracemalloc.stop()
-        assert result == _pure._shifted_sum(sparse, dense, N + 1, 0)
+        assert result == backend._shifted_sum(sparse, dense, N + 1, 0)
         assert peaks[0] - base <= buffer + 2 * tile, (K, peaks[0] - base, buffer, tile)

@@ -165,39 +165,48 @@ def test_every_entry_point_refuses_params_that_are_not_a_mex_params(name):
 KERNELS = {"mex_value_counts", "sparse_dense_product"}
 
 
-def _kernel_uses(tree: ast.AST) -> tuple[list, list]:
+def _kernel_uses(tree: ast.AST) -> tuple[list, list, list]:
     """In a parsed module: the (outermost def, kernel) of each
-    ``backend.<kernel>`` or ``_pure.<kernel>`` attribute, "" at module
-    level, and the kernels it imports by name from any module."""
+    ``backend.<kernel>`` attribute, "" at module level, the kernels it
+    imports by name from any module, and the kernels it defines at
+    module level."""
     uses = []
     for top in tree.body:
         where = getattr(top, "name", "")
         uses += [(where, node.attr) for node in ast.walk(top) if isinstance(node, ast.Attribute)
                  and node.attr in KERNELS and isinstance(node.value, ast.Name)
-                 and node.value.id in ("backend", "_pure")]
+                 and node.value.id == "backend"]
     imports = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name in KERNELS]
-    return uses, imports
+    defined = [top.name for top in tree.body
+               if isinstance(top, ast.FunctionDef) and top.name in KERNELS]
+    return uses, imports, defined
 
 
 def test_each_kernel_has_one_caller():
     # The histogram kernel checks none of its arguments: it trusts its one
     # caller, the gate mex_value_histogram.  The product is reached only
-    # through _gf_coeffs, after its order and byte checks.
+    # through _gf_coeffs, after its order and byte checks.  Both are
+    # defined in backend.py, the module their callers reach them through,
+    # and no module imports one by name.
     modules = sorted(Path(mexmoments.__file__).parent.glob("*.py"))
     assert {m.name for m in modules} >= {"backend.py", "partitions.py", "qseries.py"}
     found = {m.name: _kernel_uses(ast.parse(m.read_text(encoding="utf-8"))) for m in modules}
-    assert {name: uses for name, (uses, _) in found.items() if uses} == {
+    assert {name: uses for name, (uses, _, _) in found.items() if uses} == {
         "partitions.py": [("mex_value_histogram", "mex_value_counts")],
         "qseries.py": [("_gf_coeffs", "sparse_dense_product")],
     }
-    assert {name: sorted(imports) for name, (_, imports) in found.items() if imports} == {
+    assert {name: imports for name, (_, imports, _) in found.items() if imports} == {}
+    assert {name: sorted(defined) for name, (_, _, defined) in found.items() if defined} == {
         "backend.py": sorted(KERNELS)}
-    # the walk sees a call in a nested def, one at module level and an import
-    probe = ("from mexmoments._pure import mex_value_counts\nx = _pure.sparse_dense_product\n"
-             "class C:\n    def f(self):\n        return lambda: backend.mex_value_counts\n")
+    # the walk sees a call in a nested def, one at module level, an import
+    # and a definition
+    probe = ("from mexmoments.backend import mex_value_counts\nx = backend.sparse_dense_product\n"
+             "class C:\n    def f(self):\n        return lambda: backend.mex_value_counts\n"
+             "def sparse_dense_product():\n    pass\n")
     assert _kernel_uses(ast.parse(probe)) == (
-        [("", "sparse_dense_product"), ("C", "mex_value_counts")], ["mex_value_counts"])
+        [("", "sparse_dense_product"), ("C", "mex_value_counts")], ["mex_value_counts"],
+        ["sparse_dense_product"])
 
 
 def _kind_comparisons(tree: ast.AST) -> list:
@@ -290,20 +299,40 @@ print("mpmath" in sys.modules)
 
 
 
+def _loaded(names: tuple, code: str) -> tuple[list, list]:
+    """The words two fresh interpreters with this one's flags print, a
+    bare one and one that runs ``code`` first: then whether each of
+    ``names`` is in ``sys.modules``."""
+    probe = "import sys\n{}\nprint(*(name in sys.modules for name in %r))" % (names,)
+    command = [sys.executable, *subprocess._args_from_interpreter_flags(), "-c"]
+    runs = [subprocess.run([*command, probe.format(line)], capture_output=True, text=True)
+            for line in ("", code)]
+    assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
+    return tuple(run.stdout.split() for run in runs)
+
+
 def test_the_cli_starts_without_dataclasses_or_asymptotics():
     # Start-up is most of a short CLI run.  Importing the CLI loads neither
     # dataclasses (about 6 ms with inspect, ast, dis and tokenize) nor the
     # asymptotic layer, which only asymp calls, unless a bare interpreter
     # with the same flags loads it already.  conjectures stays loaded: the
     # benchmark's tracer looks it up in sys.modules after this import.
-    probe = ("import sys\n{}\nprint(*(name in sys.modules for name in "
-             "('dataclasses', 'mexmoments.asymptotics', 'mexmoments.conjectures')))")
-    command = [sys.executable, *subprocess._args_from_interpreter_flags(), "-c"]
-    runs = [subprocess.run([*command, probe.format(line)], capture_output=True, text=True)
-            for line in ("", "import mexmoments.cli")]
-    assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
-    bare, cli = (run.stdout.split() for run in runs)
+    bare, cli = _loaded(("dataclasses", "mexmoments.asymptotics", "mexmoments.conjectures"),
+                        "import mexmoments.cli")
     assert cli == [bare[0], bare[1], "True"]
+
+
+def test_the_library_loads_no_dataclasses_and_its_kernels_live_in_backend():
+    # Past the CLI, asymp's and the scanners' modules load no dataclasses
+    # either (InghamParams is a _Frozen value), unless a bare interpreter
+    # with the same flags loads it already.  The kernels that the
+    # benchmark's tracer and the fixtures patch as backend.<kernel> are
+    # defined in that module, not re-exported from another.
+    load = ("import mexmoments.cli, mexmoments.asymptotics, mexmoments.conjectures\n"
+            "from mexmoments import backend\n"
+            "print(backend.sparse_dense_product.__module__, backend.mex_value_counts.__module__)")
+    bare, loaded = _loaded(("dataclasses", "mexmoments._pure"), load)
+    assert loaded == ["mexmoments.backend", "mexmoments.backend", *bare]
 
 
 # Each value class, the fields of one instance, and its repr.
@@ -315,13 +344,16 @@ RECORDS = [
     (conjectures.ScanReport, ({"kind": "sigma"}, 1, 3, (2,), (2,), (), None),
      "ScanReport(params={'kind': 'sigma'}, n_lo=1, n_hi=3, violations=(2,), equalities=(2,), "
      "ordering=(), stabilized_at=None)"),
+    (asymptotics.InghamParams, (0.5, -0.5, 1.25),
+     "InghamParams(lam=0.5, alpha=-0.5, growth_A=1.25)"),
 ]
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=lambda x: getattr(x, "__name__", ""))
 def test_value_classes_behave_as_frozen_dataclasses(cls, fields, text):
-    # MexParams, MomentSequence and ScanReport are not dataclasses (the
-    # CLI starts without that module), but behave as the frozen ones did.
+    # MexParams, MomentSequence, ScanReport and InghamParams are not
+    # dataclasses (no module of the package loads that module), but
+    # behave as the frozen ones did.
     value = cls(*fields)
     names = cls._fields
     assert [getattr(value, name) for name in names] == list(fields)
@@ -380,6 +412,10 @@ def _unchecked(cls, *fields):
     (qseries.MomentSequence, ("mex", _P, (1, 0, 2))),
     (qseries.MomentSequence, ("sigma", (1, 2, 1, 1), (1, 0, 2))),
     (qseries.MomentSequence, ("varsigma", mexmoments.MexParams(1, 1, 1, 0), (1, 1, 3))),
+    (asymptotics.InghamParams, (0.0, 0.5, 1.25)),
+    (asymptotics.InghamParams, (-1.0, 0.5, 1.25)),
+    (asymptotics.InghamParams, (0.5, 0.5, 0.0)),
+    (asymptotics.InghamParams, (0.5, 0.5, -1.25)),
 ])
 def test_every_construction_path_runs_the_checks(cls, fields):
     # The constructor, by position and by name, and every rebuild from a
@@ -392,6 +428,13 @@ def test_every_construction_path_runs_the_checks(cls, fields):
     for build in builds:
         with pytest.raises(mexmoments.ValidationError):
             build()
+
+
+def test_growth_data_that_underflow_are_refused_by_the_constructor():
+    # s^(-r/2) underflows to 0.0 here, so lam is 0.0, and only the
+    # constructor's lam > 0 check refuses it.
+    with pytest.raises(mexmoments.ValidationError, match=r"^lam must be > 0, got 0\.0$"):
+        asymptotics.qexpansion_ingham_params("sigma", 10**6, 1, 120)
 
 
 def _third_party_imports(tree: ast.AST) -> set[str]:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mexmoments import _pure, cli
+from mexmoments import backend, cli
 from mexmoments.conjectures import OrderingEntry, ScanReport
 from mexmoments.partitions import MexParams, sigma_oracle, varsigma_oracle
 from mexmoments.qseries import partition_numbers, sigma_gf_coeffs, varsigma_gf_coeffs
@@ -95,8 +95,8 @@ def test_sparse_dense_product_equals_schoolbook(args):
         if e < length:
             poly[e] += w
     whole = cauchy_product(poly, dense[:length])
-    assert _pure.sparse_dense_product(sparse, dense, length) == whole
-    assert _pure.sparse_dense_product(sparse, dense, length, start=start) == whole[start:]
+    assert backend.sparse_dense_product(sparse, dense, length) == whole
+    assert backend.sparse_dense_product(sparse, dense, length, start=start) == whole[start:]
 
 
 @st.composite
@@ -122,7 +122,7 @@ def packed_product_args(draw):
     live = [w for e, w in sparse if w and e < length]
     top = max(map(abs, dense[:length]), default=0)
     W = 8 * ((top.bit_length() + sum(map(abs, live)).bit_length() + 8) // 8)
-    K = max(1, min(_pure._PACK_BITS // W, length))
+    K = max(1, min(backend._PACK_BITS // W, length))
     short = st.integers(0, K + 1).map(lambda width: max(0, length - width))
     return sparse, dense, length, draw(st.one_of(st.integers(0, length), short))
 
@@ -137,7 +137,7 @@ _EDGES = [(_SUPPORT, _WIDE, start + width, start) for start in (119, 120, 121) f
 
 # Tiles of 1, 2 and 3 result blocks put tile edges everywhere; the last
 # is the module's own size.
-_TILES = [1, 2, 3, _pure._TILE]
+_TILES = [1, 2, 3, backend._TILE]
 # With K = 6 and tiles of 3 blocks: a term at block 3 (a tile's first
 # block) and one at block 5 (its last).
 _TILE_EDGES = [(0, 1), (18, -1), (35, 2), (40, -1)]
@@ -145,12 +145,12 @@ _TILE_EDGES = [(0, 1), (18, -1), (35, 2), (40, -1)]
 
 @settings(max_examples=150, deadline=None)
 @given(packed_product_args(), st.sampled_from(_TILES))
-@example((_SUPPORT, _WIDE, 300, 6), _pure._TILE)
-@example((_SUPPORT, _WIDE, 301, 300), _pure._TILE)
-@example((_SUPPORT, _WIDE, 299, 1), _pure._TILE)
-@example(_FULL, _pure._TILE)
-@example(([(0, 2**3601 + 5), (3, -1), (4, 7), (4, 2**70)], PN[:40], 40, 4), _pure._TILE)
-@example(([(5, -1), (0, 0), (50, 1)], PN[:50], 50, 49), _pure._TILE)
+@example((_SUPPORT, _WIDE, 300, 6), backend._TILE)
+@example((_SUPPORT, _WIDE, 301, 300), backend._TILE)
+@example((_SUPPORT, _WIDE, 299, 1), backend._TILE)
+@example(_FULL, backend._TILE)
+@example(([(0, 2**3601 + 5), (3, -1), (4, 7), (4, 2**70)], PN[:40], 40, 4), backend._TILE)
+@example(([(5, -1), (0, 0), (50, 1)], PN[:50], 50, 49), backend._TILE)
 # tiles of 3 blocks (K = 6): a window from block 4, inside the whole
 # product's second tile; terms at a tile's first and last blocks; lengths
 # of one tile and of one tile plus one block
@@ -168,9 +168,9 @@ def test_packed_product_equals_schoolbook(args, tile):
             poly[e] += w
     whole = cauchy_product(poly, dense[:length])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_pure, "_TILE", tile)
-        results = ((0, _pure.sparse_dense_product(sparse, dense, length)),
-                   (start, _pure.sparse_dense_product(sparse, dense, length, start=start)))
+        patch.setattr(backend, "_TILE", tile)
+        results = ((0, backend.sparse_dense_product(sparse, dense, length)),
+                   (start, backend.sparse_dense_product(sparse, dense, length, start=start)))
     for begin, result in results:
         assert result == whole[begin:]
         assert type(result) is list and len(result) == length - begin
@@ -182,14 +182,14 @@ def test_product_sums_one_block_directly(monkeypatch):
     # A window of at most K slots is summed term by term, one more slot is
     # packed; either way it equals the schoolbook product.
     direct = []
-    real = _pure._shifted_sum
-    monkeypatch.setattr(_pure, "_shifted_sum", lambda *args: direct.append(args) or real(*args))
+    real = backend._shifted_sum
+    monkeypatch.setattr(backend, "_shifted_sum", lambda *args: direct.append(args) or real(*args))
     for sparse, dense, length, start in _EDGES:
         direct.clear()
         poly = [0] * length
         for e, w in sparse:
             poly[e] += w
-        got = _pure.sparse_dense_product(sparse, dense, length, start=start)
+        got = backend.sparse_dense_product(sparse, dense, length, start=start)
         assert got == cauchy_product(poly, dense[:length])[start:]
         assert len(direct) == (length - start == 6)
 
@@ -197,8 +197,8 @@ def test_product_sums_one_block_directly(monkeypatch):
 def test_lone_unit_term_shares_dense_ints():
     # A stored varsigma r = 0 sequence is p(n) itself, not a copy of it.
     dense = [PN[n] << 600 for n in range(50)]
-    whole = _pure.sparse_dense_product([(3, 1)], dense, 50)
-    window = _pure.sparse_dense_product([(3, 1), (9, 0), (50, 1)], dense, 50, start=10)
+    whole = backend.sparse_dense_product([(3, 1)], dense, 50)
+    window = backend.sparse_dense_product([(3, 1), (9, 0), (50, 1)], dense, 50, start=10)
     assert whole[:3] == [0, 0, 0] and all(map(operator.is_, whole[3:], dense[:47]))
     assert all(map(operator.is_, window, dense[7:47]))
 
