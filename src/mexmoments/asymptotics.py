@@ -217,11 +217,9 @@ def _exp_ratio(log_ratio: float) -> float:
 def exact_over_asymptotic(kind: str, p: MexParams, n: int) -> float:
     """Ratio exact_value(n) / growth_law(n), evaluated in log space.
 
-    The value comes from ``qseries.moment_value``: a table over several n
-    asks for its largest first, and one stored sequence serves every row.
-    In another order each larger n extends the stored sequence by the
-    coefficients past it, so no coefficient is computed twice, but each
-    extension runs a product of its own.
+    The value comes from ``qseries.moment_value``: read from the stored
+    sequence when it reaches n, and otherwise a dot product over the
+    support, in any order of n, with no product run and nothing stored.
     """
     n = _check_int("n", n, 1)
     exact = qseries.moment_value(kind, p, n)
@@ -240,7 +238,8 @@ def corollary_ratio(kind: str, p: MexParams, a_prime: int, n: int) -> float:
     Otherwise a denominator value that is still zero, which happens at
     small n for residues whose statistic needs a minimum weight to occur,
     raises ZeroDivisionError.  The values come from
-    ``qseries.moment_value``, as in ``exact_over_asymptotic``.
+    ``qseries.moment_value``, as in ``exact_over_asymptotic``: each is
+    read from the stored sequence or is a dot product over the support.
     """
     _check_params(p)
     p_prime = MexParams(p.s, p.M, a_prime, p.r)  # refuses A' outside 1..M

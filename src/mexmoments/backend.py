@@ -221,9 +221,7 @@ def sparse_dense_product(sparse: list, dense: list, length: int, *, start: int =
     window: packing would cost more than it saves there.  Measured on
     theta supports times p(n), direct over packed time is 0.3-0.7 at
     31-61 coefficients, 0.6-1.0 at 128 and 0.8-1.8 at 256-512, where K
-    is 40-90; for windows of 1-4 slots at N = 8192 it is 0.01-0.03.  K is
-    at least 1, so a window of one slot takes this path before ``dense``
-    is scanned for K.
+    is 40-90; for windows of 1-4 slots at N = 8192 it is 0.01-0.03.
 
     Otherwise terms are grouped by |weight|.  The signed shifted copies
     of ``dense`` in one group are summed with plain adds and subtracts,
@@ -249,7 +247,7 @@ def sparse_dense_product(sparse: list, dense: list, length: int, *, start: int =
     blocks, the sums hold only tile-sized lists.
     """
     live = [(e, w) for e, w in sparse if w and e < length]
-    if len(live) < 2 or length - start <= 1:
+    if len(live) < 2:
         return _shifted_sum(live, dense, length, start)
     # |result| <= max|dense| * sum|w| < 2^(W-1), with W a whole number of bytes.
     top = max(map(abs, dense[:length]))

@@ -441,22 +441,21 @@ def cmd_asymp(args) -> int:
         raise ValidationError("corollary mode needs --res-prime")
     if args.res_prime is not None and not args.corollary:
         raise ValidationError("--res-prime is read only with --corollary")
-    # The largest n first: the ratio helpers then read every row from it.
     trunc = max(ns)
     params_b = params
     if args.corollary:
         params_b = MexParams(params.s, params.M, args.res_prime, params.r)
     _check_printable_up_front(args.kind, [params, params_b], trunc)
-    seq = qseries.moment_sequence(args.kind, params, trunc)
+    value = partial(qseries.moment_value, args.kind)
+    exact = [value(params, n) for n in ns]
     # The float columns are maps, computed as their rows are written.
     if args.corollary:
-        seq_b = qseries.moment_sequence(args.kind, params_b, trunc)
         ratio = partial(asymptotics.corollary_ratio, args.kind, params, args.res_prime)
-        columns = {"exact_a": [seq[n] for n in ns], "exact_a_prime": [seq_b[n] for n in ns]}
+        columns = {"exact_a": exact, "exact_a_prime": [value(params_b, n) for n in ns]}
     else:
         asymp_fn = asymptotics.sigma_asymp if args.kind == "sigma" else asymptotics.varsigma_asymp
         ratio = partial(asymptotics.exact_over_asymptotic, args.kind, params)
-        columns = {"exact": [seq[n] for n in ns], "asymp_log": map(partial(asymp_fn, params), ns)}
+        columns = {"exact": exact, "asymp_log": map(partial(asymp_fn, params), ns)}
     extra = {"A_prime": args.res_prime} if args.corollary else {}
     meta = {"kind": args.kind, **_params_meta(params), "truncation": trunc, **extra}
     try:

@@ -16,10 +16,11 @@ the largest order requested so far.  A larger order extends the stored
 sequence by the window of coefficients past it, computed by the product
 from that start on; a smaller order is a prefix of it, built on request
 and not kept, so only the stored order returns the same object each
-time.  The store is bounded by ``STORE_BYTE_LIMIT`` bytes, and a single
-sequence that could need more is refused up front; every series entry
-point refuses orders above ``SERIES_ORDER_LIMIT`` with
-``ResourceCapError``.
+time.  A single value past the stored order is a dot product over the
+support, not stored (``moment_value``).  The store is bounded by
+``STORE_BYTE_LIMIT`` bytes, and a sequence (or a value) whose sequence
+could need more is refused up front; every series entry point refuses
+orders above ``SERIES_ORDER_LIMIT`` with ``ResourceCapError``.
 """
 
 from __future__ import annotations
@@ -204,25 +205,24 @@ class MomentSequence(_Frozen):
 
 
 def _support(kind: str, p: MexParams, order: int) -> list[tuple[int, int]]:
-    """Sparse exponent/weight pairs of the theta factor of ``kind``.
+    """Sparse exponent/weight pairs of the theta factor of ``kind``, by
+    strictly increasing exponent, zero weights left out.
 
-    One pair of terms per element k of the chain (``MexParams._chain``),
-    W the sum of the chain below k: weight +w at exponent s*W and -w at
-    s*(W+k), w = k^r on the class A mod M and 0 elsewhere, kept while the
-    exponent stays within the truncation order and collected.  For
-    varsigma the -w of k meets the +w of k+M, which telescopes the factor.
+    Chain element k (``MexParams._chain``), W the sum of the chain below
+    it, gives +w at s*W and -w at s*(W+k), the s*W of the next element,
+    with w = k^r on the class A mod M and 0 elsewhere.  So the factor is
+    the net weight w_k - w_(k-1) at each s*W_k up to the truncation order.
     """
     s, M, A, r = p.s, p.M, p.A, p.r
     k, step = p._chain(kind)
-    weights: dict[int, int] = {}
-    e = 0  # s*W
+    support = []
+    e = below = 0  # s*W, and the weight of the chain element below k
     while e <= order:
         w = k**r if (k - A) % M == 0 else 0
-        weights[e] = weights.get(e, 0) + w
-        e += s * k
-        weights[e] = weights.get(e, 0) - w
-        k += step
-    return sorted((e, w) for e, w in weights.items() if w != 0 and e <= order)
+        if w != below:
+            support.append((e, w - below))
+        below, e, k = w, e + s * k, k + step
+    return support
 
 
 def largest_mex(kind: str, p: MexParams, n: int) -> int:
@@ -354,12 +354,16 @@ def moment_sequence(kind: str, p: MexParams, order: int) -> MomentSequence:
 
 
 def moment_value(kind: str, p: MexParams, n: int) -> int:
-    """``moment_sequence(kind, p, n)[n]``, read from the stored sequence
-    when it already reaches n, without building a prefix.  A larger n
-    extends the stored sequence by the coefficients past it, so a caller
-    asking for several n in any order computes each coefficient once."""
+    """``moment_sequence(kind, p, n)[n]``: read from the stored sequence when
+    it reaches n, else the sum of w p(n - e) over ``_support(kind, p, n)``, checked
+    as a sequence's values are, after the same byte refusal; it stores nothing."""
     _check_kind(kind)
     _check_params(p)
     n = _check_order(n)
     seq = _store.get((kind, p), n)
-    return (moment_sequence(kind, p, n) if seq is None else seq)[n]
+    if seq is not None:
+        return seq[n]
+    _check_coefficient_bytes(kind, n, sequence_bytes(kind, p, n))
+    pn = partition_numbers(n)
+    value = sum(w * pn[n - e] for e, w in _support(kind, p, n))
+    return _check_values(kind, p, [value], n)[0]

@@ -358,6 +358,18 @@ def test_verify_leaves_the_sequence_store_as_it_found_it(capsys, product_calls):
     assert entries[0][1][2] is stored
 
 
+@pytest.mark.parametrize("flags", [(), ("--corollary", "--res-prime", "2")],
+                         ids=["exact", "corollary"])
+def test_asymp_runs_no_product_and_stores_nothing(capsys, product_calls, flags):
+    # Each exact value is a dot product over the support.
+    code, out, _ = run_cli(capsys, "asymp", "--kind", "sigma", "--mod", "2", "--r", "1",
+                           "--n-list", "512,4096", *flags)
+    assert code == 0
+    assert product_calls == [] and not cli.qseries._store.entries
+    want = cli.qseries.sigma_gf_coeffs(MexParams(1, 2, 1, 1), 4096)
+    assert [int(row.split(",")[1]) for row in out.splitlines()[2:]] == [want[512], want[4096]]
+
+
 def test_verify_work_limit_admits_each_axis_up_to_its_largest_grid():
     # The grids timed when the limit was set: the largest admitted along
     # moduli, thresholds and r, and the first refused past each.  Counting

@@ -11,7 +11,7 @@ import tracemalloc
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mexmoments import (
@@ -34,6 +34,7 @@ from reference import (
     invert_unit_series,
     largest_mex_scan,
     mex_weight,
+    moment_dp,
     support_direct,
 )
 
@@ -443,34 +444,68 @@ def test_prefix_requests_run_no_checks(gf_calls, monkeypatch, kind, p):
 
 @pytest.mark.parametrize("kind,p", STORE_CASES)
 def test_moment_value_reads_the_stored_sequence(gf_calls, product_calls, kind, p):
-    # Largest n first: one sequence serves every smaller n, and no
-    # prefix is built for the values read from it.
+    # One stored sequence serves every smaller n, and no prefix is built
+    # for the values read from it.
     want = FRESH_GF[kind](p, 200).values
+    qseries.moment_sequence(kind, p, 150)
     product_calls.clear()
     assert [qseries.moment_value(kind, p, n) for n in range(150, -1, -1)] == list(want[150::-1])
-    assert gf_calls == [(kind, p, 150)]
-    assert qseries._store.entries[(kind, p)][0] == 150
-    # A larger n extends the stored sequence by the window 151..200.
+    assert gf_calls == [(kind, p, 150)] and product_calls == []
+    # A larger n is a dot product over the support: no product runs and
+    # the entry stays at 150.
     assert qseries.moment_value(kind, p, 200) == want[200]
-    assert gf_calls == [(kind, p, 150)]
-    assert _windows(product_calls) == [(151, {}), (201, {"start": 151})]
-    assert qseries._store.entries[(kind, p)][2].values == want
+    assert gf_calls == [(kind, p, 150)] and product_calls == []
+    assert qseries._store.entries[(kind, p)][0] == 150
     with pytest.raises(ValidationError):
         qseries.moment_value(kind, p, -1)
 
 
 @pytest.mark.parametrize("kind,p", STORE_CASES)
-def test_ascending_moment_values_compute_each_coefficient_once(product_calls, kind, p):
-    # Each larger n extends the stored sequence by one coefficient, so the
-    # products of n = 0..300 ascending cover 301 coefficients in all, not
-    # the 45,451 of one whole sequence per n.
+def test_ascending_moment_values_run_no_product_and_store_nothing(product_calls, kind, p):
+    # Each n past the stored order (none here) is its own dot product.
     values = [qseries.moment_value(kind, p, n) for n in range(301)]
-    assert sum(args[2] - kw.get("start", 0) for args, kw in product_calls) == 301
-    assert len(product_calls) == 301
+    assert product_calls == []
     assert values == list(FRESH_GF[kind](p, 300).values)
-    entry = qseries._store.entries[(kind, p)]
-    assert entry[0] == 300 and entry[1] == qseries.sequence_bytes(kind, p, 300)
-    assert qseries._store.total == entry[1]
+    assert not qseries._store.entries and qseries._store.total == 0
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(("sigma", "varsigma")), st.integers(1, 4), st.integers(1, 12), st.data(),
+       st.integers(0, 4), st.integers(0, 300))
+def test_moment_value_equals_the_definition_dp(product_calls, kind, s, M, data, r, n):
+    # A miss (cold store) and a hit (after a longer sequence) both give
+    # the DP's value; the miss runs no product and stores nothing.
+    p = MexParams(s, M, data.draw(st.integers(1, M)), r)
+    want = moment_dp(kind, s, M, p.A, r, n)[n]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qseries, "_store", Store(qseries.STORE_BYTE_LIMIT))
+        product_calls.clear()
+        assert qseries.moment_value(kind, p, n) == want
+        assert product_calls == [] and not qseries._store.entries
+        qseries.moment_sequence(kind, p, n + 7)
+        product_calls.clear()
+        assert qseries.moment_value(kind, p, n) == want
+        assert product_calls == []
+
+
+@pytest.mark.parametrize("kind,p", STORE_CASES)
+def test_a_moment_value_miss_is_refused_past_the_byte_budget_before_any_work(
+    product_calls, monkeypatch, kind, p
+):
+    # The refusal moment_sequence would make at order n, before p(n) is
+    # extended for the dot product.  At the bound itself the value is
+    # served, and still nothing is stored.
+    n = min(len(qseries._pn_table) + 50, qseries.SERIES_ORDER_LIMIT)
+    need = qseries.sequence_bytes(kind, p, n)
+    monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need - 1)
+    table = len(qseries._pn_table)
+    with pytest.raises(ResourceCapError, match=f"1 {kind} sequence.s. to order {n}"):
+        qseries.moment_value(kind, p, n)
+    assert len(qseries._pn_table) == table
+    monkeypatch.setattr(qseries, "STORE_BYTE_LIMIT", need)
+    value = qseries.moment_value(kind, p, n)
+    assert product_calls == [] and not qseries._store.entries
+    assert value == FRESH_GF[kind](p, n)[n]
 
 
 @pytest.mark.parametrize("kind,p", STORE_CASES)
